@@ -77,23 +77,31 @@ def _write_manifest(out_path, args, argv, inputs: list, started: float):
         json.dumps(manifest, indent=2) + "\n")
 
 
-def _parse_config_file(path) -> dict[str, str]:
-    """key = value lines; '#' starts a comment; blank lines ignored."""
+def _parse_config_file(path) -> dict[str, tuple[int, str]]:
+    """key = value lines, as key -> (line number, value); '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _UsageError(f"{path}: config file is not UTF-8 text") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        values[key.strip().replace("-", "_")] = (lineno, val.strip())
     return values
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace,
                        argv: list[str]):
-    """Fill options from --config FILE; explicit flags keep precedence."""
+    """Fill options from --config FILE; explicit flags keep precedence.
+
+    A value that fails its option's type or choices is a usage error that
+    names the file, line and key.
+    """
     if not getattr(args, "config", None):
         return
     values = _parse_config_file(args.config)
@@ -104,11 +112,19 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             continue
         key = action.dest
         if key in values and key not in explicit:
-            raw = values[key]
+            lineno, raw = values[key]
+            where = f"{args.config}:{lineno}: {key}"
             if isinstance(action, argparse._StoreTrueAction):
                 setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-            else:
-                setattr(args, key, action.type(raw) if action.type else raw)
+                continue
+            try:
+                value = action.type(raw) if action.type else raw
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise _UsageError(f"{where}: {exc}") from None
+            if action.choices is not None and value not in action.choices:
+                raise _UsageError(f"{where}: {raw!r} is not one of "
+                                  f"{', '.join(map(str, action.choices))}")
+            setattr(args, key, value)
 
 
 def _gamma(text: str):
@@ -253,21 +269,17 @@ def _windowed_out(base: str, window: int, multiple: bool) -> str:
 
 def cmd_evaluate(args, argv):
     started = time.monotonic()
+    spec = ProtocolSpec(args.protocol, windows=tuple(args.window))
     sources, vectors = load_features_csv(args.features)
     feature_kind = args.label_features or ("raw" if vectors.shape[1] == 384 else "learned")
-    reports = []
-    multiple = len(args.window) > 1
-    for window in args.window:
-        spec = ProtocolSpec(args.protocol, aggregation_window=window)
-        report = run_protocol(sources, vectors, spec, nu=args.nu, gamma=args.gamma,
-                              feature_kind=feature_kind,
-                              augmentation=args.label_augment)
+    reports = run_protocol(sources, vectors, spec, nu=args.nu, gamma=args.gamma,
+                           feature_kind=feature_kind, augmentation=args.label_augment)
+    for report in reports:
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        out = _windowed_out(args.out, window, multiple)
+        out = _windowed_out(args.out, report.window, len(reports) > 1)
         write_report_csv(report, out)
         print(f"wrote {out} ({len(report.users)} users)")
-        reports.append(report)
     summary = format_summary(reports)
     summary_path = str(args.out) + ".summary.txt"
     Path(summary_path).write_text(summary)

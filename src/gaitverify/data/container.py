@@ -64,13 +64,14 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path):
         self.buf = buf
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise FormatError("container truncated")
+            raise FormatError(f"{self.path}: container truncated")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -79,7 +80,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        start = self.pos
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(
+                f"{self.path}: string at byte {start} is not valid UTF-8") from None
 
 
 def save_model(container: ModelContainer, path) -> None:
@@ -103,7 +110,7 @@ def save_model(container: ModelContainer, path) -> None:
 
 def load_model(path) -> ModelContainer:
     buf = Path(path).read_bytes()
-    r = _Reader(buf)
+    r = _Reader(buf, path)
     if r.take(4) != MAGIC:
         raise FormatError(f"{path}: not a model container (bad magic)")
     version = r.u32()

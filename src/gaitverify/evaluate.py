@@ -6,8 +6,6 @@ returned as fractions; the CLI converts to percent for display.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +18,8 @@ PROTOCOL_KINDS = ("same_day_s1", "same_day_s2", "cross_day")
 _PROTOCOL_ALIASES = {"sd1": "same_day_s1", "sd2": "same_day_s2", "cd": "cross_day"}
 
 TRAIN_FRACTION = 2.0 / 3.0
+# (training session, test session) of each protocol
+_SESSIONS = {"same_day_s1": ("1", "1"), "same_day_s2": ("2", "2"), "cross_day": ("1", "2")}
 
 
 def normalize_protocol(kind: str) -> str:
@@ -31,22 +31,19 @@ def normalize_protocol(kind: str) -> str:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
+    """A protocol and the distinct aggregation windows to report, each in 1..5."""
+
     kind: str
-    aggregation_window: int = 1
-    train_fraction: float = TRAIN_FRACTION
+    windows: tuple[int, ...] = (1,)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", normalize_protocol(self.kind))
-        if not 1 <= self.aggregation_window <= 5:
-            raise InvalidInputError(
-                f"aggregation_window must be in 1..5, got {self.aggregation_window}")
-
-
-@dataclass
-class Scorecard:
-    user_id: str
-    genuine_scores: list[float]
-    impostor_scores: list[float]
+        windows = tuple(self.windows)
+        if not windows or any(not 1 <= w <= 5 for w in windows):
+            raise InvalidInputError(f"windows must lie in 1..5, got {windows}")
+        if len(set(windows)) != len(windows):
+            raise InvalidInputError(f"duplicate aggregation window in {windows}")
+        object.__setattr__(self, "windows", windows)
 
 
 @dataclass
@@ -129,25 +126,30 @@ def eer(genuine, impostor) -> float:
     return float((far[k] + frr[k]) / 2.0)
 
 
-def aggregate_scores(scored, window: int) -> list[float]:
-    """Means over consecutive non-overlapping windows; trailing partial dropped.
+def aggregate_scores(scores, segments, window: int) -> np.ndarray:
+    """Means over consecutive non-overlapping windows within each segment.
 
-    The input must be the score stream of a single recording, ordered by
-    frame index. window=1 is the identity.
+    ``segments`` are (start, length) row ranges of ``scores``, one per
+    recording, each ordered by frame index. A window never spans two
+    segments, and each segment's trailing partial window is dropped.
+    window=1 returns the segments' scores.
     """
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")
-    values = [s.value if isinstance(s, ocsvm.DecisionScore) else float(s) for s in scored]
-    n_windows = len(values) // window
-    return [float(np.mean(values[w * window:(w + 1) * window])) for w in range(n_windows)]
+    seg = np.asarray(segments, dtype=np.intp).reshape(-1, 2)
+    counts = seg[:, 1] // window
+    nth = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = np.repeat(seg[:, 0], counts) + window * nth
+    gathered = np.asarray(scores, dtype=np.float64)[starts[:, None] + np.arange(window)]
+    return gathered.mean(axis=1)
 
 
-def summarize(per_user) -> dict[str, float]:
+def summarize(per_user: list[UserResult]) -> dict[str, float]:
     """Arithmetic mean and population stdev of per-user AUC/EER."""
     if not per_user:
         raise InvalidInputError("cannot summarize an empty result list")
-    aucs = np.asarray([u.auc if isinstance(u, UserResult) else u["auc"] for u in per_user])
-    eers = np.asarray([u.eer if isinstance(u, UserResult) else u["eer"] for u in per_user])
+    aucs = np.asarray([u.auc for u in per_user])
+    eers = np.asarray([u.eer for u in per_user])
     return {
         "mean_auc": float(aucs.mean()),
         "stdev_auc": float(aucs.std()),
@@ -156,135 +158,112 @@ def summarize(per_user) -> dict[str, float]:
     }
 
 
-class FeatureTable:
-    """Feature vectors indexed by (user, session, recording); deterministic order."""
+def _session_layout(sources, session: str, users: list[str]):
+    """Row order of one session's frames and each user's recording segments.
 
-    def __init__(self, sources, vectors: np.ndarray):
-        if len(sources) != vectors.shape[0]:
-            raise InvalidInputError("sources and vectors length mismatch")
-        self.vectors = np.asarray(vectors, dtype=np.float64)
-        # user -> session -> recording -> row indices ordered by frame index
-        self.index: dict[str, dict[str, dict[str, list[int]]]] = {}
-        order = sorted(range(len(sources)), key=lambda r: sources[r][3])
-        for r in range(len(sources)):
-            subject, session, recording, _ = sources[r]
-            self.index.setdefault(subject, {}).setdefault(session, {}).setdefault(recording, [])
-        for r in order:
-            subject, session, recording, _ = sources[r]
-            self.index[subject][session][recording].append(r)
-
-    @property
-    def users(self) -> list[str]:
-        return list(self.index)
-
-    def sessions_of(self, user: str) -> list[str]:
-        return list(self.index[user])
-
-    def recordings(self, user: str, session: str) -> dict[str, list[int]]:
-        return self.index.get(user, {}).get(session, {})
-
-    def session_rows(self, user: str, session: str) -> list[int]:
-        return [r for rows in self.recordings(user, session).values() for r in rows]
+    Rows go user -> recording -> frame index, users in the given order and
+    recordings in order of first appearance. Each user with frames in the
+    session maps to (start, length) ranges of that order, one per recording,
+    and a user's ranges are adjacent.
+    """
+    recordings: dict[str, dict[str, list[int]]] = {}
+    for r, (subject, sess, recording, _) in enumerate(sources):
+        if sess == session:
+            recordings.setdefault(subject, {}).setdefault(recording, []).append(r)
+    order: list[int] = []
+    segments: dict[str, list[tuple[int, int]]] = {}
+    for user in users:
+        for rows in recordings.get(user, {}).values():
+            segments.setdefault(user, []).append((len(order), len(rows)))
+            order.extend(sorted(rows, key=lambda r: sources[r][3]))
+    return np.asarray(order, dtype=np.intp), segments
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GAITVERIFY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _score_streams(model, table: FeatureTable, user: str, session: str,
-                   window: int, rows_override: dict[str, list[int]] | None = None):
-    """Aggregated score list over one user-session, window applied per recording."""
-    out = []
-    recs = rows_override if rows_override is not None else table.recordings(user, session)
-    for rows in recs.values():
-        if not rows:
-            continue
-        stream = ocsvm.scores(model, table.vectors[rows])
-        out.extend(aggregate_scores(stream, window))
-    return out
+def _span(segments) -> tuple[int, int]:
+    """(start, stop) of the rows that adjacent segments cover."""
+    return segments[0][0], segments[-1][0] + segments[-1][1]
 
 
 def run_protocol(sources, vectors, spec: ProtocolSpec, nu: float = ocsvm.DEFAULT_NU,
                  gamma="auto", feature_kind: str = "unknown",
-                 augmentation: str = "none") -> EvalReport:
+                 augmentation: str = "none") -> list[EvalReport]:
     """Train per-user one-class models and score genuine/impostor streams.
 
+    Returns one report per window of ``spec.windows``, in that order.
     Same-day: the first 2/3 of the user's session frames (recording order)
     train the model, the rest are genuine; all frames of all other users
     in that session are impostor. Cross-day: all session-1 frames train,
     the user's session-2 frames are genuine, everyone else's session-2
-    frames are impostor. Aggregation treats genuine and impostor streams
-    identically, windowed within each recording: a window never spans two
-    recordings, and the trailing partial window of each recording is dropped.
+    frames are impostor. Each user's model is fit once and scores the whole
+    test session once; every window is aggregated from those scores.
+    Aggregation treats genuine and impostor streams identically, windowed
+    within each recording: a window never spans two recordings, and the
+    trailing partial window of each recording is dropped. Raises
+    InvalidInputError, before any report is returned, if some window leaves
+    no user evaluable.
     """
-    table = FeatureTable(sources, vectors)
-    warnings: list[str] = []
-
-    if spec.kind == "cross_day":
-        train_session, test_session = "1", "2"
-        users = [u for u in table.users if table.session_rows(u, test_session)]
-        if not any(table.session_rows(u, train_session) for u in table.users):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if len(sources) != vectors.shape[0]:
+        raise InvalidInputError("sources and vectors length mismatch")
+    users = list(dict.fromkeys(source[0] for source in sources))
+    cross_day = spec.kind == "cross_day"
+    train_session, test_session = _SESSIONS[spec.kind]
+    test_rows, test_segments = _session_layout(sources, test_session, users)
+    if cross_day:
+        train_rows, train_segments = _session_layout(sources, train_session, users)
+        if not train_segments:
             raise InvalidInputError("cross-day protocol needs session 1 data")
-        if not users:
+        if not test_segments:
             raise InvalidInputError("cross-day protocol needs session 2 data")
-    else:
-        session = "1" if spec.kind == "same_day_s1" else "2"
-        train_session = test_session = session
-        users = [u for u in table.users if table.session_rows(u, session)]
-        if not users:
-            raise InvalidInputError(f"no users have session {session} data")
+    elif not test_segments:
+        raise InvalidInputError(f"no users have session {test_session} data")
+    x_test = vectors[test_rows]
 
-    def evaluate_user(user: str):
-        if spec.kind == "cross_day":
-            train_rows = table.session_rows(user, train_session)
-            if len(train_rows) < 2:
-                return None, f"user {user}: fewer than 2 session-{train_session} frames, skipped"
-            genuine_recs = table.recordings(user, test_session)
+    results: dict[int, list[UserResult]] = {w: [] for w in spec.windows}
+    warnings: dict[int, list[str]] = {w: [] for w in spec.windows}
+    for user, segments in test_segments.items():
+        if cross_day:
+            minimum = 2
+            start, stop = _span(train_segments.get(user, [(0, 0)]))
+            train = vectors[train_rows[start:stop]]
+            genuine_segments = segments
         else:
-            recs = table.recordings(user, test_session)
-            all_rows = [r for rows in recs.values() for r in rows]
-            if len(all_rows) < 3:
-                return None, f"user {user}: fewer than 3 session-{test_session} frames, skipped"
-            n_train = int(len(all_rows) * spec.train_fraction)
-            train_rows = all_rows[:n_train]
-            test_set = set(all_rows[n_train:])
-            genuine_recs = {rec: [r for r in rows if r in test_set]
-                            for rec, rows in recs.items()}
-        model = ocsvm.train_ocsvm(table.vectors[train_rows], nu=nu, gamma=gamma)
-        genuine = _score_streams(model, table, user, test_session, spec.aggregation_window,
-                                 rows_override=genuine_recs)
-        impostor = []
-        for other in users:
-            if other == user:
-                continue
-            impostor.extend(_score_streams(model, table, other, test_session,
-                                           spec.aggregation_window))
-        if not genuine or not impostor:
-            return None, (f"user {user}: empty genuine or impostor stream after "
-                          f"aggregation window {spec.aggregation_window}, skipped")
-        return UserResult(user, roc_auc(genuine, impostor), eer(genuine, impostor),
-                          len(genuine), len(impostor)), None
+            minimum = 3
+            start, stop = _span(segments)
+            cut = start + int((stop - start) * TRAIN_FRACTION)
+            train = x_test[start:cut]
+            genuine_segments = [(max(s, cut), s + n - max(s, cut))
+                                for s, n in segments if s + n > cut]
+        if stop - start < minimum:
+            for window in spec.windows:
+                warnings[window].append(f"user {user}: fewer than {minimum} "
+                                        f"session-{train_session} frames, skipped")
+            continue
+        impostor_segments = [seg for other, segs in test_segments.items() if other != user
+                             for seg in segs]
+        model = ocsvm.train_ocsvm(train, nu=nu, gamma=gamma)
+        scores = ocsvm.scores(model, x_test)
+        for window in spec.windows:
+            genuine = aggregate_scores(scores, genuine_segments, window)
+            impostor = aggregate_scores(scores, impostor_segments, window)
+            if genuine.size and impostor.size:
+                results[window].append(UserResult(user, roc_auc(genuine, impostor),
+                                                  eer(genuine, impostor),
+                                                  genuine.size, impostor.size))
+            else:
+                warnings[window].append(f"user {user}: empty genuine or impostor stream after "
+                                        f"aggregation window {window}, skipped")
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate_user, users))
-    else:
-        outcomes = [evaluate_user(u) for u in users]
-
-    results = [r for r, _ in outcomes if r is not None]
-    warnings.extend(w for _, w in outcomes if w is not None)
-    if not results:
-        raise InvalidInputError(
-            "no user could be evaluated: " + "; ".join(warnings or ["no data"]))
-    stats = summarize(results)
-    return EvalReport(
-        protocol=spec.kind, feature_kind=feature_kind, window=spec.aggregation_window,
-        users=results, augmentation=augmentation, warnings=warnings, **stats)
+    reports = []
+    for window in spec.windows:
+        if not results[window]:
+            raise InvalidInputError(
+                "no user could be evaluated: " + "; ".join(warnings[window] or ["no data"]))
+        reports.append(EvalReport(
+            protocol=spec.kind, feature_kind=feature_kind, window=window,
+            users=results[window], augmentation=augmentation, warnings=warnings[window],
+            **summarize(results[window])))
+    return reports
 
 
 # --- report output ------------------------------------------------------

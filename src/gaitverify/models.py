@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data.container import ModelContainer
-from .errors import InvalidInputError, InvalidStateError
+from .errors import FormatError, InvalidInputError, InvalidStateError
 from .nn import ops
 from .nn.layers import (
     BatchNorm,
@@ -297,30 +297,43 @@ def to_container(model, extra_metadata: dict[str, str] | None = None) -> ModelCo
     return container
 
 
-def _ints(meta: dict[str, str], key: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in meta[key].split(","))
+def _ints(meta: dict[str, str], key: str, default: str | None = None) -> tuple[int, ...]:
+    """Comma-separated integers of one metadata key; FormatError if absent or malformed."""
+    text = meta.get(key, default)
+    if text is None:
+        raise FormatError(f"container metadata lacks {key!r}")
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise FormatError(f"container metadata {key!r} is not integers: {text!r}") from None
 
 
 def from_container(container: ModelContainer):
-    """Rebuild a model from a container produced by to_container."""
+    """Rebuild a model from a container produced by to_container.
+
+    Missing or malformed metadata and missing tensors raise FormatError.
+    """
     meta = container.metadata
     arch = meta.get("arch")
     filters = _ints(meta, "filters")
     kernels = _ints(meta, "kernels")
     if arch == _ARCH_FCN:
-        model = FCNClassifier(int(meta["num_classes"]), seed=0,
+        model = FCNClassifier(_ints(meta, "num_classes")[0], seed=0,
                               filters=filters, kernels=kernels)
     elif arch == _ARCH_AE:
         model = Autoencoder(seed=0, filters=filters, kernels=kernels,
-                            learned_position=bool(int(meta.get("learned_position", "1"))))
+                            learned_position=bool(_ints(meta, "learned_position", "1")[0]))
     elif arch == _ARCH_ENCODER:
         rng = np.random.default_rng(0)
         model = Encoder(_encoder_net(rng, filters, kernels, np.float32), filters, kernels)
     else:
         raise InvalidInputError(f"unknown architecture {arch!r} in container")
     snap = {name: container.get(name) for name in container.names()}
-    model.load_snapshot(snap)
-    tracked = int(meta.get("batches_tracked", "0"))
+    try:
+        model.load_snapshot(snap)
+    except KeyError as exc:
+        raise FormatError(f"container lacks tensor {exc.args[0]!r}") from None
+    tracked = _ints(meta, "batches_tracked", "0")[0]
     for net in model._nets():
         for layer in _iter_layers(net):
             if isinstance(layer, BatchNorm):

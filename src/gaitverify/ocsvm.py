@@ -23,14 +23,6 @@ DEFAULT_NU = 0.1
 KKT_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class DecisionScore:
-    """Higher means more likely genuine."""
-
-    value: float
-    source: tuple | None = None
-
-
 @dataclass
 class OCSVMModel:
     support_vectors: np.ndarray  # (m, d)
@@ -149,17 +141,13 @@ def train_ocsvm(x, nu: float = DEFAULT_NU, gamma="auto",
 
 
 def scores(model: OCSVMModel, x: np.ndarray) -> np.ndarray:
-    """Decision values sum_i alpha_i K(sv_i, x) - rho for rows of x."""
+    """Decision values sum_i alpha_i K(sv_i, x) - rho for rows of x; higher is more genuine."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.support_vectors.shape[1]:
         raise InvalidInputError(
             f"vector dimension {x.shape[1]} != model dimension {model.support_vectors.shape[1]}")
     k = rbf_kernel(x, model.support_vectors, model.gamma)
     return k @ model.alphas - model.rho
-
-
-def decision_score(model: OCSVMModel, x: np.ndarray, source=None) -> DecisionScore:
-    return DecisionScore(value=float(scores(model, x)[0]), source=source)
 
 
 def to_container(model: OCSVMModel) -> ModelContainer:

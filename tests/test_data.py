@@ -167,7 +167,16 @@ class TestModelContainer:
         path = tmp_path / "trunc.gvf"
         save_model(c, path)
         path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match="trunc.gvf: container truncated"):
+            load_model(path)
+
+    def test_invalid_utf8_metadata_key(self, tmp_path):
+        path = tmp_path / "key.gvf"
+        save_model(ModelContainer(metadata={"arch": "x"}), path)
+        raw = path.read_bytes()
+        # magic, version, n_meta, key_len, then the key "arch" at byte 16
+        path.write_bytes(raw[:16] + b"\xff\xfe" + raw[18:])
+        with pytest.raises(FormatError, match="key.gvf: string at byte 12 is not valid UTF-8"):
             load_model(path)
 
     def test_duplicate_name_rejected(self):

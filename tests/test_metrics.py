@@ -9,7 +9,6 @@ from gaitverify.evaluate import (
     roc_auc,
     summarize,
 )
-from gaitverify.ocsvm import DecisionScore
 
 
 def pair_counting_auc(genuine, impostor):
@@ -119,30 +118,48 @@ class TestEer:
 class TestAggregateScores:
     def test_window_one_is_identity(self):
         scores = [0.3, -0.2, 0.9]
-        assert aggregate_scores(scores, 1) == scores
+        assert aggregate_scores(scores, [(0, 3)], 1).tolist() == scores
 
     def test_pairwise_means(self):
-        assert aggregate_scores([1, 2, 3, 4, 5], 2) == [1.5, 3.5]
+        assert aggregate_scores([1, 2, 3, 4, 5], [(0, 5)], 2).tolist() == [1.5, 3.5]
 
     def test_constant_scores(self):
         for w in range(1, 6):
-            out = aggregate_scores([2.5] * 10, w)
-            assert out == [2.5] * (10 // w)
-
-    def test_accepts_decision_scores(self):
-        scores = [DecisionScore(v, None) for v in (1.0, 3.0, 5.0, 7.0)]
-        assert aggregate_scores(scores, 2) == [2.0, 6.0]
+            out = aggregate_scores([2.5] * 10, [(0, 10)], w)
+            assert out.tolist() == [2.5] * (10 // w)
 
     def test_count_is_floor_n_over_w(self):
         rng = np.random.default_rng(5)
         for n in (0, 1, 4, 9, 17):
             scores = list(rng.standard_normal(n))
             for w in range(1, 6):
-                assert len(aggregate_scores(scores, w)) == n // w
+                assert len(aggregate_scores(scores, [(0, n)], w)) == n // w
+
+    def test_windows_stay_inside_segments(self):
+        scores = np.arange(10, dtype=float)
+        # segments [0..2], [3..6], [8..9]; row 7 belongs to none
+        out = aggregate_scores(scores, [(0, 3), (3, 4), (8, 2)], 2)
+        assert out.tolist() == [0.5, 3.5, 5.5, 8.5]
+
+    def test_segments_keep_their_given_order(self):
+        scores = np.arange(6, dtype=float)
+        assert aggregate_scores(scores, [(4, 2), (0, 2)], 2).tolist() == [4.5, 0.5]
+
+    def test_matches_per_segment_mean(self):
+        rng = np.random.default_rng(6)
+        scores = rng.standard_normal(40)
+        segments = [(0, 7), (7, 0), (7, 13), (20, 1), (21, 19)]
+        for w in range(1, 6):
+            expected = [float(np.mean(scores[s + k * w:s + (k + 1) * w]))
+                        for s, n in segments for k in range(n // w)]
+            assert aggregate_scores(scores, segments, w).tolist() == expected
+
+    def test_no_segments_gives_empty(self):
+        assert aggregate_scores([1.0, 2.0], [], 3).size == 0
 
     def test_window_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
-            aggregate_scores([1.0], 0)
+            aggregate_scores([1.0], [(0, 1)], 0)
 
 
 class TestSummarize:

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from gaitverify import models
-from gaitverify.data.container import load_model, save_model
-from gaitverify.errors import InvalidInputError, InvalidStateError
+from gaitverify.data.container import ModelContainer, load_model, save_model
+from gaitverify.errors import FormatError, InvalidInputError, InvalidStateError
 from gaitverify.nn import ops
 from gaitverify.nn.training import TrainConfig, train
 from gaitverify.signal import Frame
@@ -239,3 +239,25 @@ class TestContainerRoundTrip:
         reloaded = models.from_container(load_model(path))
         npt.assert_array_equal(ae.forward(x, train=False),
                                reloaded.forward(x, train=False))
+
+    def test_missing_metadata_is_a_format_error(self):
+        encoder = models.strip_classifier(models.build_fcn(3, seed=19))
+        for key in ("filters", "kernels"):
+            container = models.to_container(encoder)
+            del container.metadata[key]
+            with pytest.raises(FormatError, match=f"lacks '{key}'"):
+                models.from_container(container)
+
+    def test_malformed_metadata_is_a_format_error(self):
+        container = models.to_container(models.build_fcn(3, seed=20))
+        container.metadata["num_classes"] = "three"
+        with pytest.raises(FormatError, match="'num_classes' is not integers"):
+            models.from_container(container)
+
+    def test_missing_tensor_is_a_format_error(self):
+        full = models.to_container(models.strip_classifier(models.build_fcn(3, seed=21)))
+        container = ModelContainer(full.metadata)
+        for name in full.names()[1:]:
+            container.add(name, full.get(name))
+        with pytest.raises(FormatError, match=f"lacks tensor '{full.names()[0]}'"):
+            models.from_container(container)

@@ -127,12 +127,6 @@ class TestDecisionScore:
             moved = ocsvm.scores(model, point + delta)[0]
             assert abs(moved - base) < 10 * delta * np.sqrt(4)
 
-    def test_decision_score_wrapper_carries_source(self):
-        x, model = self.build()
-        ds = ocsvm.decision_score(model, x[0], source=("u1", 0))
-        assert ds.source == ("u1", 0)
-        assert ds.value == pytest.approx(ocsvm.scores(model, x[0])[0])
-
     def test_dimension_mismatch(self):
         _, model = self.build()
         with pytest.raises(InvalidInputError):

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gaitverify import models
+from gaitverify import models, ocsvm
 from gaitverify.data.synthetic import SyntheticConfig, generate_synthetic
 from gaitverify.errors import InvalidInputError
-from gaitverify.evaluate import ProtocolSpec, run_protocol
+from gaitverify.evaluate import TRAIN_FRACTION, ProtocolSpec, eer, roc_auc, run_protocol
 from gaitverify.nn.training import TrainConfig, train
 from gaitverify.pipeline import frames_from_recordings
 
@@ -28,20 +28,20 @@ def clustered_features(users, frames_per_user, separation, seed=0, session="1",
 class TestSameDayProtocol:
     def test_separable_users_score_high(self):
         sources, vectors = clustered_features(4, 12, separation=4.0, seed=1)
-        report = run_protocol(sources, vectors, ProtocolSpec("sd1"), feature_kind="test")
+        [report] = run_protocol(sources, vectors, ProtocolSpec("sd1"), feature_kind="test")
         assert report.mean_auc > 0.95
         assert report.mean_eer < 0.1
         assert len(report.users) == 4
 
     def test_indistinguishable_users_near_chance(self):
         sources, vectors = clustered_features(2, 60, separation=0.0, seed=2)
-        report = run_protocol(sources, vectors, ProtocolSpec("sd1"))
+        [report] = run_protocol(sources, vectors, ProtocolSpec("sd1"))
         for user in report.users:
             assert abs(user.auc - 0.5) <= 0.1
 
     def test_split_counts_first_two_thirds_train(self):
         sources, vectors = clustered_features(3, 12, separation=2.0, seed=3)
-        report = run_protocol(sources, vectors, ProtocolSpec("sd1"))
+        [report] = run_protocol(sources, vectors, ProtocolSpec("sd1"))
         for user in report.users:
             assert user.n_genuine == 4    # 12 - floor(12 * 2/3)
             assert user.n_impostor == 24  # both other users contribute all 12
@@ -68,8 +68,8 @@ class TestSameDayProtocol:
             case = f"{recordings} recordings, window {window}"
             sources, vectors = clustered_features(3, 12, separation=2.0, seed=4,
                                                   recordings=recordings)
-            report = run_protocol(sources, vectors,
-                                  ProtocolSpec("sd1", aggregation_window=window))
+            [report] = run_protocol(sources, vectors,
+                                  ProtocolSpec("sd1", windows=(window,)))
             assert len(report.users) == 3, case
             for user in report.users:
                 assert user.n_genuine == n_genuine, case
@@ -77,8 +77,8 @@ class TestSameDayProtocol:
 
     def test_deterministic(self):
         sources, vectors = clustered_features(3, 9, separation=1.0, seed=5)
-        a = run_protocol(sources, vectors, ProtocolSpec("sd1"))
-        b = run_protocol(sources, vectors, ProtocolSpec("sd1"))
+        [a] = run_protocol(sources, vectors, ProtocolSpec("sd1"))
+        [b] = run_protocol(sources, vectors, ProtocolSpec("sd1"))
         assert [(u.user_id, u.auc, u.eer) for u in a.users] == \
                [(u.user_id, u.auc, u.eer) for u in b.users]
 
@@ -86,7 +86,7 @@ class TestSameDayProtocol:
         sources, vectors = clustered_features(3, 9, separation=1.0, seed=6)
         sources += [("tiny", "1", "r1", 0), ("tiny", "1", "r1", 1)]
         vectors = np.vstack([vectors, np.zeros((2, vectors.shape[1]))])
-        report = run_protocol(sources, vectors, ProtocolSpec("sd1"))
+        [report] = run_protocol(sources, vectors, ProtocolSpec("sd1"))
         assert len(report.users) == 3
         assert any("tiny" in w for w in report.warnings)
 
@@ -95,7 +95,7 @@ class TestSameDayProtocol:
         s2 = clustered_features(3, 9, separation=2.0, seed=8, session="2")
         sources = s1[0] + s2[0]
         vectors = np.vstack([s1[1], s2[1]])
-        report = run_protocol(sources, vectors, ProtocolSpec("sd2"))
+        [report] = run_protocol(sources, vectors, ProtocolSpec("sd2"))
         assert report.protocol == "same_day_s2"
         assert len(report.users) == 3
 
@@ -120,7 +120,7 @@ class TestCrossDayProtocol:
 
     def test_trains_on_session_one_tests_on_two(self):
         sources, vectors = self.build(drift=0.0)
-        report = run_protocol(sources, vectors, ProtocolSpec("cd"))
+        [report] = run_protocol(sources, vectors, ProtocolSpec("cd"))
         assert report.protocol == "cross_day"
         for user in report.users:
             assert user.n_genuine == 9
@@ -128,16 +128,16 @@ class TestCrossDayProtocol:
 
     def test_drift_degrades_cross_day(self):
         sources, vectors = self.build(drift=0.0, seed=11)
-        clean = run_protocol(sources, vectors, ProtocolSpec("cd"))
+        [clean] = run_protocol(sources, vectors, ProtocolSpec("cd"))
         sources, vectors = self.build(drift=4.0, seed=11)
-        drifted = run_protocol(sources, vectors, ProtocolSpec("cd"))
+        [drifted] = run_protocol(sources, vectors, ProtocolSpec("cd"))
         assert drifted.mean_auc < clean.mean_auc
 
     def test_user_missing_session_one_skipped(self):
         sources, vectors = self.build(drift=0.0, seed=12)
         sources += [("new", "2", "r1", i) for i in range(4)]
         vectors = np.vstack([vectors, np.zeros((4, vectors.shape[1]))])
-        report = run_protocol(sources, vectors, ProtocolSpec("cd"))
+        [report] = run_protocol(sources, vectors, ProtocolSpec("cd"))
         assert {u.user_id for u in report.users} == {"u0", "u1", "u2"}
         assert any("new" in w for w in report.warnings)
 
@@ -169,6 +169,124 @@ class TestLearnedVersusRawTrend:
         learned = models.strip_classifier(fcn).transform(x)
 
         spec = ProtocolSpec("sd1")
-        auc_raw = run_protocol(sources, raw, spec, feature_kind="raw").mean_auc
-        auc_learned = run_protocol(sources, learned, spec, feature_kind="ee").mean_auc
+        auc_raw = run_protocol(sources, raw, spec, feature_kind="raw")[0].mean_auc
+        auc_learned = run_protocol(sources, learned, spec, feature_kind="ee")[0].mean_auc
         assert auc_learned > auc_raw
+
+
+class TestProtocolSpec:
+    def test_windows_default_to_one(self):
+        assert ProtocolSpec("sd1").windows == (1,)
+
+    def test_windows_become_a_tuple(self):
+        assert ProtocolSpec("cd", windows=[3, 1]).windows == (3, 1)
+
+    def test_bad_windows_rejected(self):
+        for windows in ((), (0,), (6,), (1, 1), (2, 3, 2)):
+            with pytest.raises(InvalidInputError):
+                ProtocolSpec("sd1", windows=windows)
+
+
+def reference_protocol(sources, vectors, kind, window):
+    """Per-user, per-recording engine: one fit and one scoring call per stream.
+
+    Returns ([(user_id, auc, eer, n_genuine, n_impostor)], warnings); the
+    result list is empty when the session data the protocol needs is absent.
+    """
+    index = {}
+    for subject, session, recording, _ in sources:
+        index.setdefault(subject, {}).setdefault(session, {}).setdefault(recording, [])
+    for r in sorted(range(len(sources)), key=lambda r: sources[r][3]):
+        subject, session, recording, _ = sources[r]
+        index[subject][session][recording].append(r)
+
+    def session_rows(user, session):
+        return [r for rows in index[user].get(session, {}).values() for r in rows]
+
+    def stream(model, recordings):
+        out = []
+        for rows in recordings.values():
+            if rows:
+                values = [float(v) for v in ocsvm.scores(model, vectors[rows])]
+                out.extend(float(np.mean(values[k * window:(k + 1) * window]))
+                           for k in range(len(values) // window))
+        return out
+
+    train_session, test_session = {"sd1": ("1", "1"), "sd2": ("2", "2"),
+                                   "cd": ("1", "2")}[kind]
+    users = [u for u in index if session_rows(u, test_session)]
+    if not any(session_rows(u, train_session) for u in index):
+        users = []
+    results, warnings = [], []
+    for user in users:
+        if kind == "cd":
+            train_rows = session_rows(user, train_session)
+            if len(train_rows) < 2:
+                warnings.append(f"user {user}: fewer than 2 session-1 frames, skipped")
+                continue
+            genuine_recs = index[user][test_session]
+        else:
+            all_rows = session_rows(user, test_session)
+            if len(all_rows) < 3:
+                warnings.append(f"user {user}: fewer than 3 session-{test_session} "
+                                "frames, skipped")
+                continue
+            n_train = int(len(all_rows) * TRAIN_FRACTION)
+            train_rows = all_rows[:n_train]
+            test_set = set(all_rows[n_train:])
+            genuine_recs = {rec: [r for r in rows if r in test_set]
+                            for rec, rows in index[user][test_session].items()}
+        model = ocsvm.train_ocsvm(vectors[train_rows])
+        genuine = stream(model, genuine_recs)
+        impostor = [v for other in users if other != user
+                    for v in stream(model, index[other][test_session])]
+        if not genuine or not impostor:
+            warnings.append(f"user {user}: empty genuine or impostor stream after "
+                            f"aggregation window {window}, skipped")
+            continue
+        results.append((user, roc_auc(genuine, impostor), eer(genuine, impostor),
+                        len(genuine), len(impostor)))
+    return results, warnings
+
+
+def random_population(seed, dim):
+    """2-6 users, 1-3 recordings of 0-14 frames per session, rows shuffled."""
+    rng = np.random.default_rng(seed)
+    sources, rows = [], []
+    for u in range(int(rng.integers(2, 7))):
+        center = rng.standard_normal(dim) * rng.uniform(0.0, 3.0)
+        for session in ("1", "2"):
+            for rec in range(int(rng.integers(1, 4))):
+                for i in range(int(rng.integers(0, 15))):
+                    sources.append((f"u{u}", session, f"r{rec}", i))
+                    rows.append(center + rng.standard_normal(dim))
+    perm = rng.permutation(len(sources))
+    return [sources[p] for p in perm], np.asarray(rows).reshape(-1, dim)[perm]
+
+
+class TestOnePassEngineMatchesReference:
+    WINDOWS = (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("kind", ["sd1", "sd2", "cd"])
+    def test_random_populations(self, kind):
+        compared = 0
+        for seed in range(36):
+            dim = (3, 8, 64)[seed % 3]
+            sources, vectors = random_population(seed, dim)
+            expected = {w: reference_protocol(sources, vectors, kind, w)
+                        for w in self.WINDOWS}
+            spec = ProtocolSpec(kind, windows=self.WINDOWS)
+            if not all(results for results, _ in expected.values()):
+                with pytest.raises(InvalidInputError):
+                    run_protocol(sources, vectors, spec)
+                continue
+            reports = run_protocol(sources, vectors, spec)
+            assert [r.window for r in reports] == list(self.WINDOWS)
+            for report in reports:
+                results, warnings = expected[report.window]
+                case = f"seed {seed}, window {report.window}"
+                assert [(u.user_id, u.auc, u.eer, u.n_genuine, u.n_impostor)
+                        for u in report.users] == results, case
+                assert report.warnings == warnings, case
+                compared += 1
+        assert compared >= 100
