@@ -127,6 +127,27 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             setattr(args, key, value)
 
 
+def _defer_required(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """Make the parser's required options optional and return them.
+
+    A required option may come from --config, which is read only after
+    parsing; _check_required runs once the config has been applied.
+    """
+    deferred = [a for a in parser._actions if a.required and a.option_strings]
+    for action in deferred:
+        action.required = False
+        note = "required, as a flag or in --config"
+        action.help = f"{action.help}; {note}" if action.help else note
+    return deferred
+
+
+def _check_required(deferred: list[argparse.Action], args: argparse.Namespace):
+    missing = [a.option_strings[0] for a in deferred if getattr(args, a.dest) is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)} "
+                          f"(as a flag or in --config)")
+
+
 def _gamma(text: str):
     if text == "auto":
         return "auto"
@@ -425,12 +446,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
+    required = {name: _defer_required(p) for name, p in parsers.items()}
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_help()
             return 1
         _apply_config_file(parsers[args.command], args, argv)
+        _check_required(required[args.command], args)
         return args.func(args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ from .nn.layers import (
     Dense,
     GlobalAveragePool,
     LatentBroadcast,
+    ReLU,
     Sequential,
     conv_block,
     zero_grads,
@@ -167,13 +168,43 @@ class Encoder(_Model):
         return self.net.forward(x, train, update_stats)
 
     def transform(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference-mode feature matrix (N, 128) for frames (N, 128, 3)."""
+        """Inference-mode feature matrix (N, 128) for frames (N, 128, 3).
+
+        Equals net.forward(x, train=False) up to rounding, with each batch
+        norm folded into the convolution before it: in inference mode
+        BN(conv(x)) = conv(x; w*s, (b - running_mean)*s + beta) with
+        s = gamma / sqrt(running_var + eps), so every block runs as one
+        convolution and an in-place ReLU. The folded kernels are rebuilt
+        on every call from the current parameters and running statistics.
+        """
         if self.batches_tracked == 0:
             raise InvalidStateError(
                 "encoder has no finalized running statistics; train it first")
-        out = [self.net.forward(x[s:s + batch_size], train=False)
-               for s in range(0, x.shape[0], batch_size)]
+        blocks = self._folded_blocks()
+        out = []
+        for s in range(0, x.shape[0], batch_size):
+            h = x[s:s + batch_size]
+            for w, b in blocks:
+                h = ops.conv1d_forward(h, w, b)
+                np.maximum(h, 0, out=h)
+            out.append(ops.gap_forward(h))
         return np.concatenate(out, axis=0) if out else np.empty((0, self.filters[-1]))
+
+    def _folded_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(kernel, bias) of each conv with its inference batch norm folded in."""
+        layers = self.net.layers
+        n = (len(layers) - 1) // 3
+        spec = [Conv1d, BatchNorm, ReLU] * n + [GlobalAveragePool]
+        if n < 1 or [type(layer) for layer in layers] != spec:
+            raise InvalidStateError(
+                "encoder net must be [Conv1d, BatchNorm, ReLU] x n + GlobalAveragePool, got "
+                + ", ".join(type(layer).__name__ for layer in layers))
+        blocks = []
+        for conv, bn in zip(layers[0::3], layers[1::3]):
+            scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
+            bias = (conv.b.value - bn.running_mean) * scale + bn.beta.value
+            blocks.append((conv.w.value * scale, bias))
+        return blocks
 
 
 class Autoencoder(_Model):

@@ -29,14 +29,14 @@ from .ops import (
     softmax,
     softmax_crossentropy,
 )
-from .optim import Adam, AdamState, PlateauScheduler, adam_step, reduce_lr_on_plateau
+from .optim import Adam, PlateauScheduler, reduce_lr_on_plateau
 from .training import EpochRecord, History, TrainConfig, evaluate_loss, train
 
 __all__ = [
-    "Adam", "AdamState", "BatchNorm", "Conv1d", "Dense", "EpochRecord",
+    "Adam", "BatchNorm", "Conv1d", "Dense", "EpochRecord",
     "GlobalAveragePool", "GradCheckReport", "History", "LatentBroadcast",
     "Parameter", "PlateauScheduler", "ReLU", "Sequential", "TrainConfig",
-    "adam_step", "batchnorm_backward", "batchnorm_forward",
+    "batchnorm_backward", "batchnorm_forward",
     "broadcast_backward", "broadcast_forward", "conv1d_backward",
     "conv1d_forward", "conv_block", "dense_backward", "dense_forward",
     "evaluate_loss", "gap_backward", "gap_forward", "gradient_check",

@@ -5,6 +5,14 @@ All arrays are row-major numpy tensors. Time-series activations are
 length-preserving ("same" zero padding, stride 1): for kernel size K the
 left pad is floor((K-1)/2) and the right pad is ceil((K-1)/2), which
 also covers even K.
+
+Convolution runs on BLAS through im2col: ``_im2col`` copies the padded
+input into one contiguous (B*T, K*Cin) matrix whose row b*T+t holds the
+K input rows that output step t sees, k-major then channel
+(cols[b*T+t, k*Cin+ci] = xpad[b, t+k, ci]). The kernel flattens the same
+way to (K*Cin, Cout), so the forward pass is cols @ w, the weight
+gradient cols.T @ grad_y, and the input gradient grad_y @ w.T reshaped to
+(B, T, K, Cin), folded back onto the input by K shifted adds (col2im).
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ def _pad_lr(k: int) -> tuple[int, int]:
     return (k - 1) // 2, k - (k - 1) // 2 - 1
 
 
-def _conv_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """Zero-pad x (B,T,C) along time and return windows (B, T, C, K)."""
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Contiguous (B*T, K*Cin) im2col matrix of x (B, T, Cin), zero-padded."""
     pad_l, pad_r = _pad_lr(k)
     xp = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0)))
-    return sliding_window_view(xp, k, axis=1)
+    windows = sliding_window_view(xp, k, axis=1)  # (B, T, Cin, K) view
+    return windows.transpose(0, 1, 3, 2).reshape(x.shape[0] * x.shape[1], -1)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,10 +43,9 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[2] != cin or b.shape[0] != cout:
         raise InvalidInputError(
             f"conv1d shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    v = _conv_windows(x, kk)  # (B, T, Cin, K)
-    y = np.tensordot(v, w, axes=([3, 2], [0, 1]))
+    y = _im2col(x, kk) @ w.reshape(kk * cin, cout)
     y += b
-    return y
+    return y.reshape(x.shape[0], x.shape[1], cout)
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
@@ -47,16 +55,17 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
     if grad_y.shape != (bsz, t, cout):
         raise InvalidInputError(
             f"conv1d backward shape mismatch: grad_y {grad_y.shape}, expected {(bsz, t, cout)}")
-    v = _conv_windows(x, kk)  # (B, T, Cin, K)
+    gy = grad_y.reshape(bsz * t, cout)
     grad_b = grad_y.sum(axis=(0, 1))
-    grad_w = np.tensordot(v, grad_y, axes=([0, 1], [0, 1]))  # (Cin, K, Cout)
-    grad_w = grad_w.transpose(1, 0, 2)
+    grad_w = (_im2col(x, kk).T @ gy).reshape(kk, cin, cout)
+    grad_cols = (gy @ w.reshape(kk * cin, cout).T).reshape(bsz, t, kk, cin)
+    # col2im: input row t+k-pad_l collects tap k of output row t
     pad_l, pad_r = _pad_lr(kk)
     grad_xp = np.zeros((bsz, t + pad_l + pad_r, cin), dtype=x.dtype)
     for k in range(kk):
-        grad_xp[:, k:k + t, :] += grad_y @ w[k].T
+        grad_xp[:, k:k + t, :] += grad_cols[:, :, k, :]
     grad_x = grad_xp[:, pad_l:pad_l + t, :]
-    return grad_x, np.ascontiguousarray(grad_w), grad_b
+    return grad_x, grad_w, grad_b
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -75,15 +84,18 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         if n < 2:
             raise InvalidInputError("batchnorm train mode needs at least 2 values per channel")
         mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        xhat = x - mean
+        var = np.square(xhat).mean(axis=axes)
         new_rm = momentum * running_mean + (1.0 - momentum) * mean
         new_rv = momentum * running_var + (1.0 - momentum) * var
     else:
         mean, var = running_mean, running_var
         new_rm, new_rv = running_mean, running_var
+        xhat = x - mean
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    y = gamma * xhat + beta
+    xhat *= inv_std
+    y = xhat * gamma
+    y += beta
     cache = (xhat, inv_std, gamma, train)
     return y, cache, new_rm, new_rv
 
@@ -97,17 +109,16 @@ def batchnorm_backward(grad_y: np.ndarray, cache):
     axes = tuple(range(grad_y.ndim - 1))
     grad_gamma = (grad_y * xhat).sum(axis=axes)
     grad_beta = grad_y.sum(axis=axes)
-    gxhat = grad_y * gamma
-    if train:
-        n = float(np.prod([grad_y.shape[a] for a in axes]))
-        # Batch statistics depend on x, so the mean/variance terms feed back.
-        grad_x = (inv_std / n) * (
-            n * gxhat
-            - gxhat.sum(axis=axes)
-            - xhat * (gxhat * xhat).sum(axis=axes)
-        )
-    else:
-        grad_x = gxhat * inv_std
+    if not train:
+        return grad_y * (gamma * inv_std), grad_gamma, grad_beta
+    # Batch statistics depend on x, so the mean/variance terms feed back:
+    # grad_x = gamma*inv_std * (grad_y - grad_beta/n - xhat*grad_gamma/n),
+    # where grad_beta and grad_gamma are the sums the parameter gradients need.
+    n = float(np.prod([grad_y.shape[a] for a in axes]))
+    grad_x = xhat * (grad_gamma / n)
+    np.subtract(grad_y, grad_x, out=grad_x)
+    grad_x -= grad_beta / n
+    grad_x *= gamma * inv_std
     return grad_x, grad_gamma, grad_beta
 
 

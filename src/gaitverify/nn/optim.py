@@ -2,54 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import InvalidInputError
 from .layers import Parameter
 
 
-@dataclass
-class AdamState:
-    """First/second-moment accumulators shaped like the parameter list."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
-
-
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update with bias correction; inputs are left untouched."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise InvalidInputError("params/grads/state lengths differ")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise InvalidInputError(
-                f"shape mismatch in adam_step: {p.shape} vs {g.shape} vs {m.shape}")
-    t = state.t + 1
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        update = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
-        new_params.append(p - update)
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
-
-
 class Adam:
-    """In-place Adam over Parameter objects, built on adam_step."""
+    """Adam with bias correction, updating Parameter values in place."""
 
     def __init__(self, params: list[Parameter], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -58,15 +18,33 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = AdamState.zeros_like([p.value for p in params])
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
 
     def step(self):
-        values = [p.value for p in self.params]
-        grads = [p.grad for p in self.params]
-        new_values, self.state = adam_step(
-            values, grads, self.state, self.lr, self.beta1, self.beta2, self.eps)
-        for p, nv in zip(self.params, new_values):
-            p.value = nv
+        for p in self.params:
+            if p.grad.shape != p.value.shape:
+                raise InvalidInputError(
+                    f"shape mismatch in Adam.step: {p.name} {p.value.shape} vs grad {p.grad.shape}")
+        self.t += 1
+        beta1, beta2 = self.beta1, self.beta2
+        bc1 = 1.0 - beta1 ** self.t
+        bc2 = 1.0 - beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g^2
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            # p -= (lr/bc1)*m / (sqrt(v/bc2) + eps)
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = (self.lr / bc1) * m
+            update /= denom
+            p.value -= update
 
 
 def reduce_lr_on_plateau(loss_history: list[float], current_lr: float,

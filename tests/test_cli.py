@@ -113,3 +113,47 @@ def test_extract_with_container_missing_filters_exits_one(features, tmp_path, ca
     assert main(["extract", "--model", str(path), "--data", str(data),
                  "--out", str(tmp_path / "f.csv")]) == 1
     assert "error: container metadata lacks 'filters'" in capsys.readouterr().err
+
+
+def test_required_option_from_config(features, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("protocol = sd1\n")
+    out, flag_out = tmp_path / "report.csv", tmp_path / "flag.csv"
+    assert main(["evaluate", "--features", str(features), "--config", str(config),
+                 "--out", str(out)]) == 0
+    assert evaluate(features, flag_out, "1", "--protocol", "sd1") == 0
+    assert out.read_bytes() == flag_out.read_bytes()
+
+
+def test_required_option_missing_everywhere_exits_one(features, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("window = 2\n")
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--features", str(features), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert "error: the following arguments are required: --protocol" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["evaluate", "--features", str(features), "--out", str(out)]) == 1
+    assert "error: the following arguments are required: --protocol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explicit_required_flag_beats_config(features, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("protocol = cd\n")
+    out, flag_out = tmp_path / "report.csv", tmp_path / "flag.csv"
+    assert evaluate(features, out, "1", "--protocol", "sd1", "--config", str(config)) == 0
+    assert evaluate(features, flag_out, "1", "--protocol", "sd1") == 0
+    assert out.read_bytes() == flag_out.read_bytes()
+    summary = out.with_name(out.name + ".summary.txt").read_text()
+    assert "same_day_s1" in summary and "cross_day" not in summary
+
+
+def test_gradcheck_passes(capsys):
+    assert main(["gradcheck"]) == 0
+    assert "gradient check passed" in capsys.readouterr().out
+
+
+def test_gradcheck_with_corrupted_gradient_exits_two(capsys):
+    assert main(["gradcheck", "--corrupt", "dec.out.w"]) == 2
+    assert "FAILED" in capsys.readouterr().out

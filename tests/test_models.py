@@ -6,6 +6,7 @@ from gaitverify import models
 from gaitverify.data.container import ModelContainer, load_model, save_model
 from gaitverify.errors import FormatError, InvalidInputError, InvalidStateError
 from gaitverify.nn import ops
+from gaitverify.nn.layers import BatchNorm, Conv1d, GlobalAveragePool, ReLU, Sequential
 from gaitverify.nn.training import TrainConfig, train
 from gaitverify.signal import Frame
 
@@ -194,6 +195,81 @@ class TestExtractFeatures:
         base = models.extract_features(encoder, frames)[0].values
         shifted = models.extract_features(encoder, [circular_shift(frames[0], 40)])[0].values
         assert np.linalg.norm(base - shifted) > 0
+
+
+def randomize_batchnorm(model, seed):
+    """Running statistics and affine parameters far from their defaults."""
+    rng = np.random.default_rng(seed)
+    for layer in models._iter_layers(model._nets()[0]):
+        if isinstance(layer, BatchNorm):
+            c = layer.channels
+            dtype = layer.running_mean.dtype
+            layer.running_mean = rng.standard_normal(c).astype(dtype)
+            layer.running_var = rng.uniform(0.2, 3.0, c).astype(dtype)
+            layer.gamma.value = rng.standard_normal(c).astype(dtype)
+            layer.beta.value = rng.standard_normal(c).astype(dtype)
+            layer.batches_tracked = 1
+    return model
+
+
+class TestFoldedTransform:
+    """transform folds each batch norm into its conv; forward(train=False) does not."""
+
+    @staticmethod
+    def encoders(dtype):
+        fcn = models.FCNClassifier(3, seed=20, dtype=dtype)
+        ae = models.Autoencoder(seed=21, dtype=dtype)
+        small = models.FCNClassifier(4, seed=22, filters=(16, 6), kernels=(4, 2), dtype=dtype)
+        return [("strip_classifier", models.strip_classifier(randomize_batchnorm(fcn, 1))),
+                ("get_encoder", randomize_batchnorm(ae, 2).get_encoder()),
+                ("filters (16, 6), kernels (4, 2)",
+                 models.strip_classifier(randomize_batchnorm(small, 3)))]
+
+    def test_equals_unfolded_forward_float32(self):
+        x = np.random.default_rng(23).standard_normal((10, 128, 3)).astype(np.float32)
+        for name, encoder in self.encoders(np.float32):
+            got = encoder.transform(x, batch_size=4)
+            assert got.dtype == np.float32, name
+            npt.assert_allclose(got, encoder.forward(x, train=False),
+                                rtol=1e-5, atol=1e-6, err_msg=name)
+
+    def test_equals_unfolded_forward_float64(self):
+        x = np.random.default_rng(24).standard_normal((10, 128, 3))
+        for name, encoder in self.encoders(np.float64):
+            npt.assert_allclose(encoder.transform(x, batch_size=4),
+                                encoder.forward(x, train=False),
+                                rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_leaves_parameters_and_running_statistics_unchanged(self):
+        x = np.random.default_rng(25).standard_normal((5, 128, 3)).astype(np.float32)
+        for name, encoder in self.encoders(np.float32):
+            before = encoder.snapshot()
+            tracked = encoder.batches_tracked
+            first = encoder.transform(x)
+            after = encoder.snapshot()
+            assert before.keys() == after.keys(), name
+            for key in before:
+                npt.assert_array_equal(after[key], before[key], err_msg=f"{name}: {key}")
+            assert encoder.batches_tracked == tracked
+            npt.assert_array_equal(encoder.transform(x), first, err_msg=name)
+
+    def test_empty_input(self):
+        _, encoder = self.encoders(np.float32)[0]
+        assert encoder.transform(np.empty((0, 128, 3), np.float32)).shape == (0, 128)
+
+    def test_untrained_encoder_raises(self):
+        encoder = models.strip_classifier(models.build_fcn(3, seed=26))
+        with pytest.raises(InvalidStateError):
+            encoder.transform(np.zeros((2, 128, 3), np.float32))
+
+    def test_unfoldable_net_raises(self):
+        rng = np.random.default_rng(27)
+        bn = BatchNorm(4)
+        bn.batches_tracked = 1
+        net = Sequential([Conv1d(3, 3, 4, rng), ReLU(), bn, GlobalAveragePool()])
+        with pytest.raises(InvalidStateError, match="Conv1d, ReLU, BatchNorm"):
+            models.Encoder(net, filters=(4,), kernels=(3,)).transform(
+                np.zeros((2, 128, 3), np.float32))
 
 
 class TestRawFeatures:

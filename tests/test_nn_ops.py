@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.nn import ops
@@ -173,6 +174,125 @@ class TestBatchNorm:
             x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), train=True)
         gx, ggamma, gbeta = ops.batchnorm_backward(np.zeros_like(x), cache)
         assert not gx.any() and not ggamma.any() and not gbeta.any()
+
+
+# --- oracles: the direct implementations the BLAS-shaped ops replaced -------
+
+def ref_conv1d_forward(x, w, b):
+    kk = w.shape[0]
+    pad_l, pad_r = (kk - 1) // 2, kk - (kk - 1) // 2 - 1
+    v = sliding_window_view(np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0))), kk, axis=1)
+    return np.tensordot(v, w, axes=([3, 2], [0, 1])) + b
+
+
+def ref_conv1d_backward(x, w, grad_y):
+    kk, cin, cout = w.shape
+    bsz, t, _ = x.shape
+    pad_l, pad_r = (kk - 1) // 2, kk - (kk - 1) // 2 - 1
+    v = sliding_window_view(np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0))), kk, axis=1)
+    grad_b = grad_y.sum(axis=(0, 1))
+    grad_w = np.tensordot(v, grad_y, axes=([0, 1], [0, 1])).transpose(1, 0, 2)
+    grad_xp = np.zeros((bsz, t + pad_l + pad_r, cin), dtype=x.dtype)
+    for k in range(kk):
+        grad_xp[:, k:k + t, :] += grad_y @ w[k].T
+    return grad_xp[:, pad_l:pad_l + t, :], grad_w, grad_b
+
+
+def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, train,
+                          momentum=0.99, eps=1e-3):
+    axes = tuple(range(x.ndim - 1))
+    if train:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        new_rm = momentum * running_mean + (1.0 - momentum) * mean
+        new_rv = momentum * running_var + (1.0 - momentum) * var
+    else:
+        mean, var = running_mean, running_var
+        new_rm, new_rv = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    return gamma * xhat + beta, (xhat, inv_std, gamma, train), new_rm, new_rv
+
+
+def ref_batchnorm_backward(grad_y, cache):
+    xhat, inv_std, gamma, train = cache
+    axes = tuple(range(grad_y.ndim - 1))
+    grad_gamma = (grad_y * xhat).sum(axis=axes)
+    grad_beta = grad_y.sum(axis=axes)
+    gxhat = grad_y * gamma
+    if train:
+        n = float(np.prod([grad_y.shape[a] for a in axes]))
+        grad_x = (inv_std / n) * (
+            n * gxhat - gxhat.sum(axis=axes) - xhat * (gxhat * xhat).sum(axis=axes))
+    else:
+        grad_x = gxhat * inv_std
+    return grad_x, grad_gamma, grad_beta
+
+
+def assert_close(actual, expected):
+    """Equal up to float64 rounding: rtol 1e-10, atol 1e-12 of the largest entry."""
+    assert actual.shape == expected.shape
+    npt.assert_allclose(actual, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
+
+
+# (K, Cin, Cout) of the six convolutions: block1..3, dec.block1, dec.block2, dec.out
+MODEL_CONV_SHAPES = [(8, 3, 128), (5, 128, 256), (3, 256, 128),
+                     (3, 128, 128), (5, 128, 256), (8, 256, 3)]
+# even kernels, and sequences shorter than the kernel (every tap partly in the padding)
+EDGE_CONV_SHAPES = [(2, 3, 4), (4, 5, 3), (6, 2, 2), (1, 3, 2)]
+
+
+class TestConv1dAgainstReference:
+    @pytest.mark.parametrize("k,cin,cout,t", [s + (32,) for s in MODEL_CONV_SHAPES]
+                             + [s + (9,) for s in EDGE_CONV_SHAPES]
+                             + [(8, 3, 4, 3), (8, 2, 3, 1), (5, 4, 2, 2), (4, 3, 3, 2)])
+    def test_forward_and_backward_match_reference(self, k, cin, cout, t):
+        rng = np.random.default_rng(k * 1000 + cin + cout + t)
+        x = rng.standard_normal((3, t, cin))
+        w = rng.standard_normal((k, cin, cout))
+        b = rng.standard_normal(cout)
+        gy = rng.standard_normal((3, t, cout))
+        assert_close(ops.conv1d_forward(x, w, b), ref_conv1d_forward(x, w, b))
+        for got, want in zip(ops.conv1d_backward(x, w, gy), ref_conv1d_backward(x, w, gy)):
+            assert_close(got, want)
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 10, 3)).astype(np.float32)
+        w = rng.standard_normal((8, 3, 4)).astype(np.float32)
+        gy = rng.standard_normal((2, 10, 4)).astype(np.float32)
+        assert ops.conv1d_forward(x, w, np.zeros(4, np.float32)).dtype == np.float32
+        assert all(g.dtype == np.float32 for g in ops.conv1d_backward(x, w, gy))
+
+
+class TestBatchNormAgainstReference:
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("cout", sorted({s[2] for s in MODEL_CONV_SHAPES}))
+    def test_forward_and_backward_match_reference(self, train, cout):
+        rng = np.random.default_rng(cout + train)
+        x = rng.standard_normal((3, 32, cout)) * 2.0 + 0.5
+        gamma = rng.standard_normal(cout)
+        beta = rng.standard_normal(cout)
+        rm = rng.standard_normal(cout)
+        rv = rng.uniform(0.5, 2.0, cout)
+        gy = rng.standard_normal(x.shape)
+        x_before = x.copy()
+        got = ops.batchnorm_forward(x, gamma, beta, rm, rv, train=train)
+        want = ref_batchnorm_forward(x, gamma, beta, rm, rv, train=train)
+        npt.assert_array_equal(x, x_before)
+        for a, e in [(got[0], want[0]), (got[2], want[2]), (got[3], want[3]),
+                     (got[1][0], want[1][0]), (got[1][1], want[1][1])]:
+            assert_close(a, e)
+        assert got[1][3] is train
+        for a, e in zip(ops.batchnorm_backward(gy, got[1]),
+                        ref_batchnorm_backward(gy, want[1])):
+            assert_close(a, e)
+
+    def test_backward_shape_mismatch(self):
+        _, cache, _, _ = ops.batchnorm_forward(
+            np.ones((2, 4, 3)), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), train=True)
+        with pytest.raises(InvalidInputError):
+            ops.batchnorm_backward(np.zeros((2, 4, 2)), cache)
 
 
 class TestReluAndGap:

@@ -4,64 +4,94 @@ import pytest
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.nn.layers import Parameter
-from gaitverify.nn.optim import (
-    Adam,
-    AdamState,
-    PlateauScheduler,
-    adam_step,
-    reduce_lr_on_plateau,
-)
+from gaitverify.nn.optim import Adam, PlateauScheduler, reduce_lr_on_plateau
+
+
+def params_with_grads(values, grads):
+    params = []
+    for i, (value, grad) in enumerate(zip(values, grads)):
+        p = Parameter(f"p{i}", np.array(value, dtype=float))
+        p.grad[...] = grad
+        params.append(p)
+    return params
+
+
+def reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Out-of-place Adam with bias correction: the oracle for the in-place one."""
+    t += 1
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    m = [beta1 * mi + (1.0 - beta1) * g for mi, g in zip(m, grads)]
+    v = [beta2 * vi + (1.0 - beta2) * (g * g) for vi, g in zip(v, grads)]
+    params = [p - (lr / bc1) * mi / (np.sqrt(vi / bc2) + eps)
+              for p, mi, vi in zip(params, m, v)]
+    return params, m, v, t
 
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState.zeros_like(params)
-        new, state = adam_step(params, [np.zeros(2), np.zeros((1, 1))], state, lr=0.01)
-        npt.assert_array_equal(new[0], params[0])
-        npt.assert_array_equal(new[1], params[1])
-        assert state.t == 1
+        params = params_with_grads([[1.0, -2.0], [[3.0]]], [np.zeros(2), np.zeros((1, 1))])
+        opt = Adam(params, lr=0.01)
+        opt.step()
+        npt.assert_array_equal(params[0].value, [1.0, -2.0])
+        npt.assert_array_equal(params[1].value, [[3.0]])
+        assert opt.t == 1
 
     def test_first_step_magnitude_is_lr(self):
         # closed form: m_hat = g, v_hat = g^2 -> update = lr * g/(|g| + eps)
-        params = [np.array([1.0])]
-        state = AdamState.zeros_like(params)
-        new, _ = adam_step(params, [np.array([1.0])], state, lr=0.001)
-        assert new[0][0] == pytest.approx(1.0 - 0.001, abs=1e-9)
+        [p] = params_with_grads([[1.0]], [[1.0]])
+        Adam([p], lr=0.001).step()
+        assert p.value[0] == pytest.approx(1.0 - 0.001, abs=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        params = [rng.standard_normal((3, 4))]
-        grads = [rng.standard_normal((3, 4))]
-        a, _ = adam_step(params, grads, AdamState.zeros_like(params), lr=0.1)
-        b, _ = adam_step(params, grads, AdamState.zeros_like(params), lr=0.1)
-        npt.assert_array_equal(a[0], b[0])
+        value = rng.standard_normal((3, 4))
+        grad = rng.standard_normal((3, 4))
+        a = params_with_grads([value], [grad])
+        b = params_with_grads([value], [grad])
+        Adam(a, lr=0.1).step()
+        Adam(b, lr=0.1).step()
+        npt.assert_array_equal(a[0].value, b[0].value)
 
     def test_bias_correction_across_steps(self):
         # two steps with the same gradient keep the update magnitude at ~lr
-        params = [np.array([0.0])]
-        grads = [np.array([2.0])]
-        state = AdamState.zeros_like(params)
-        p1, state = adam_step(params, grads, state, lr=0.001)
-        p2, state = adam_step(p1, grads, state, lr=0.001)
-        assert p2[0][0] == pytest.approx(-0.002, rel=1e-6)
-        assert state.t == 2
+        [p] = params_with_grads([[0.0]], [[2.0]])
+        opt = Adam([p], lr=0.001)
+        opt.step()
+        opt.step()
+        assert p.value[0] == pytest.approx(-0.002, rel=1e-6)
+        assert opt.t == 2
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        p = Parameter("p", np.zeros(3))
+        p.grad = np.zeros(4)
         with pytest.raises(InvalidInputError):
-            adam_step(params, [np.zeros(4)], AdamState.zeros_like(params), lr=0.1)
+            Adam([p], lr=0.1).step()
 
     def test_class_wrapper_matches_function(self):
-        rng = np.random.default_rng(1)
-        value = rng.standard_normal((2, 2))
-        grad = rng.standard_normal((2, 2))
-        p = Parameter("p", value.copy())
-        p.grad[...] = grad
-        opt = Adam([p], lr=0.05)
-        opt.step()
-        expected, _ = adam_step([value], [grad], AdamState.zeros_like([value]), lr=0.05)
-        npt.assert_array_equal(p.value, expected[0])
+        # in place, same operation order: bit-identical to the out-of-place formula
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(1)
+            values = [rng.standard_normal((16, 8)).astype(dtype),
+                      rng.standard_normal(3).astype(dtype)]
+            params = [Parameter(f"p{i}", v.copy()) for i, v in enumerate(values)]
+            storage = [p.value for p in params]
+            opt = Adam(params, lr=0.05)
+            m = [np.zeros_like(v) for v in values]
+            v2 = [np.zeros_like(v) for v in values]
+            t = 0
+            for _ in range(4):
+                grads = [rng.standard_normal(v.shape).astype(dtype) for v in values]
+                for p, g in zip(params, grads):
+                    p.grad[...] = g
+                opt.step()
+                values, m, v2, t = reference_adam(values, grads, m, v2, t, lr=0.05)
+                for p, expected in zip(params, values):
+                    assert p.value.dtype == dtype
+                    npt.assert_array_equal(p.value, expected)
+                for got, expected in zip(opt.m + opt.v, m + v2):
+                    npt.assert_array_equal(got, expected)
+            assert all(p.value is s for p, s in zip(params, storage))
 
 
 class TestReduceLrOnPlateau:
