@@ -1,8 +1,10 @@
-"""Frame-level augmentations used during feature learning.
+"""Frame augmentations used during feature learning.
 
 Augmentation operates on z-scored frames: the +/-0.2 noise range is only
-meaningful after normalization. Each operation takes an explicit RNG so
-parallel callers can use independent streams.
+meaningful after normalization. The operations take whole (N, 128, 3)
+frame arrays, and augment_dataset doubles a ``Frames`` batch with one
+random draw for all of its frames. The random operations take an
+explicit RNG.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal import Frame
+from .signal import Frames
 
 AUGMENTATION_KINDS = ("none", "random_noise", "circular_shift")
 
@@ -25,48 +27,46 @@ def normalize_kind(kind: str) -> str:
     return kind
 
 
-def add_uniform_noise(frame: Frame, amplitude: float = 0.2,
-                      rng: np.random.Generator | None = None) -> Frame:
+def add_uniform_noise(values: np.ndarray, rng: np.random.Generator,
+                      amplitude: float = 0.2) -> np.ndarray:
     """Add an independent Uniform(-amplitude, +amplitude) draw to every element."""
     if amplitude <= 0:
         raise InvalidInputError(f"amplitude must be positive, got {amplitude}")
-    if rng is None:
-        rng = np.random.default_rng()
-    noise = rng.uniform(-amplitude, amplitude, size=frame.values.shape)
-    return Frame(frame.values + noise, frame.source)
+    return values + rng.uniform(-amplitude, amplitude, size=values.shape)
 
 
-def circular_shift(frame: Frame, k: int) -> Frame:
-    """Rotate all channels left so the output starts at (1-based) sample k.
+def circular_shift(values: np.ndarray, k) -> np.ndarray:
+    """Rotate frames (N, n, C) left so frame i starts at (1-based) sample k[i].
 
-    Valid k is 2..n-1, which guarantees the result is never the identity
+    k holds one position per frame, the same for all channels of that frame.
+    Valid k is 2..n-1, which guarantees no frame is left as the identity
     permutation.
     """
-    n = frame.values.shape[0]
-    if not 2 <= k <= n - 1:
-        raise InvalidInputError(f"shift position k={k} outside 2..{n - 1}")
-    return Frame(np.roll(frame.values, -(k - 1), axis=0), frame.source)
+    n = values.shape[1]
+    k = np.asarray(k)
+    if k.shape != values.shape[:1]:
+        raise InvalidInputError(f"need one shift position per frame, got shape {k.shape}")
+    bad = k[(k < 2) | (k > n - 1)]
+    if bad.size:
+        raise InvalidInputError(f"shift position k={bad[0]} outside 2..{n - 1}")
+    rows = (np.arange(n) + (k[:, None] - 1)) % n
+    return np.take_along_axis(values, rows[:, :, None], axis=1)
 
 
-def augment_dataset(frames: list[Frame], kind: str,
-                    rng: np.random.Generator | None = None) -> list[Frame]:
+def augment_dataset(frames: Frames, kind: str, rng: np.random.Generator) -> Frames:
     """Double a dataset: the originals followed by one augmented copy of each.
 
     random_noise draws a fresh noise field per frame; circular_shift draws
     a fresh position k per frame (the same k for all three channels of
-    that frame).
+    that frame). Either is one draw for the whole batch.
     """
     kind = normalize_kind(kind)
     if kind == "none":
         raise InvalidInputError("augment_dataset requires an actual augmentation kind")
-    if rng is None:
-        rng = np.random.default_rng()
-    augmented = []
-    for frame in frames:
-        if kind == "random_noise":
-            augmented.append(add_uniform_noise(frame, rng=rng))
-        else:
-            n = frame.values.shape[0]
-            k = int(rng.integers(2, n))  # uniform over {2, ..., n-1}
-            augmented.append(circular_shift(frame, k))
-    return list(frames) + augmented
+    if kind == "random_noise":
+        augmented = add_uniform_noise(frames.values, rng)
+    else:
+        n = frames.values.shape[1]
+        # uniform over {2, ..., n-1}
+        augmented = circular_shift(frames.values, rng.integers(2, n, size=len(frames)))
+    return Frames(np.concatenate([frames.values, augmented]), frames.sources * 2)

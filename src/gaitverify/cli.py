@@ -192,12 +192,6 @@ def cmd_synth(args, argv):
     return 0
 
 
-def _split_indices(n: int, val_fraction: float, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    n_train = n - int(round(n * val_fraction))
-    return perm[:n_train], perm[n_train:]
-
-
 def cmd_train(args, argv):
     started = time.monotonic()
     frames = load_normalized_frames(args.data)
@@ -207,16 +201,18 @@ def cmd_train(args, argv):
     config = TrainConfig(epochs=args.epochs, seed=args.seed,
                          batch_size=args.batch_size)
 
-    rng = np.random.default_rng(args.seed)
-    train_idx, val_idx = _split_indices(len(frames), config.val_fraction, rng)
-    train_frames = [frames[i] for i in train_idx]
-    val_frames = [frames[i] for i in val_idx]
-    n_before = len(train_frames)
+    # a seeded permutation split into training and validation rows
+    perm = np.random.default_rng(args.seed).permutation(len(frames))
+    n_train = len(frames) - int(round(len(frames) * config.val_fraction))
+    train_idx, val_idx = perm[:n_train], perm[n_train:]
+    train_frames, val_frames = frames[train_idx], frames[val_idx]
     if augment_kind != "none":
         train_frames = augment_dataset(train_frames, augment_kind,
                                        np.random.default_rng(args.seed + 1))
+        # augment_dataset keeps the originals first, then one copy of each
+        train_idx = np.concatenate([train_idx, train_idx])
     print(f"training frames: {len(train_frames)}"
-          + (f" (augmented from {n_before})" if augment_kind != "none" else "")
+          + (f" (augmented from {n_train})" if augment_kind != "none" else "")
           + f", validation frames: {len(val_frames)}")
 
     x_train = models.frames_to_array(train_frames)
@@ -225,19 +221,20 @@ def cmd_train(args, argv):
             "epochs": str(args.epochs), "train_config_digest": _config_digest(args)}
 
     if args.mode == "e2e":
-        classes = sorted({f.subject_id for f in frames})
+        subjects = [s[0] for s in frames.sources]
+        classes = sorted(set(subjects))
         if len(classes) < 2:
             raise InvalidInputError(
                 f"end-to-end training needs >= 2 subjects, got {len(classes)}")
         label_of = {c: i for i, c in enumerate(classes)}
-        y_train = np.array([label_of[f.subject_id] for f in train_frames])
-        y_val = np.array([label_of[f.subject_id] for f in val_frames])
-        model = models.build_fcn(len(classes), seed=args.seed)
-        model, history = train(model, (x_train, y_train), (x_val, y_val), config)
+        labels = np.array([label_of[s] for s in subjects])
+        model = models.FCNClassifier(len(classes), seed=args.seed)
+        model, history = train(model, (x_train, labels[train_idx]),
+                               (x_val, labels[val_idx]), config)
         encoder = models.strip_classifier(model)
         meta["classes"] = ",".join(classes)
     else:
-        model = models.build_autoencoder(seed=args.seed)
+        model = models.Autoencoder(seed=args.seed)
         model, history = train(model, (x_train, None), (x_val, None), config)
         encoder = model.get_encoder()
 
@@ -261,10 +258,9 @@ def cmd_extract(args, argv):
     frames = load_normalized_frames(args.data)
     if not frames:
         raise InvalidInputError(f"{args.data}: no complete frames")
-    sources = [f.source for f in frames]
     inputs = [args.data]
     if args.raw:
-        vectors = np.stack([models.raw_features(f) for f in frames])
+        vectors = models.raw_features(frames.values)
     else:
         if not args.model:
             raise _UsageError("--model is required unless --raw is given")
@@ -275,7 +271,7 @@ def cmd_extract(args, argv):
             model = model.get_encoder()
         vectors = model.transform(models.frames_to_array(frames))
         inputs.append(args.model)
-    export_features_csv(args.out, sources, vectors)
+    export_features_csv(args.out, frames.sources, vectors)
     print(f"wrote {args.out}: {vectors.shape[0]} vectors of dimension {vectors.shape[1]}")
     _write_manifest(args.out, args, argv, inputs, started)
     return 0
@@ -309,41 +305,17 @@ def cmd_evaluate(args, argv):
     return 0
 
 
-class _CorruptedGradients:
-    """Negative-control hook: scales one tensor's analytic gradient."""
-
-    def __init__(self, inner, tensor_name: str, factor: float = 1.01):
-        self.inner = inner
-        self.tensor_name = tensor_name
-        self.factor = factor
-
-    def loss_and_backward(self, *a, **kw):
-        loss = self.inner.loss_and_backward(*a, **kw)
-        for p in self.inner.parameters():
-            if p.name == self.tensor_name:
-                p.grad *= self.factor
-        return loss
-
-    def loss_only(self, *a, **kw):
-        return self.inner.loss_only(*a, **kw)
-
-    def parameters(self):
-        return self.inner.parameters()
-
-
 def cmd_gradcheck(args, argv):
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((2, FRAME_LEN, 3))
     labels = rng.integers(0, 10, size=2)
 
-    fcn = models.build_fcn(10, seed=args.seed).cast(np.float64)
-    ae = models.build_autoencoder(seed=args.seed).cast(np.float64)
+    fcn = models.FCNClassifier(10, seed=args.seed).cast(np.float64)
+    ae = models.Autoencoder(seed=args.seed).cast(np.float64)
     checks = [("fcn", fcn, labels), ("autoencoder", ae, None)]
 
     worst = 0.0
     for title, model, y in checks:
-        if args.corrupt:
-            model = _CorruptedGradients(model, args.corrupt)
         report = gradient_check(model, x, y, max_exhaustive=16, probes=8,
                                 seed=args.seed)
         print(f"[{title}]")
@@ -433,9 +405,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of all backward passes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", default=None,
-                   help="tensor name whose gradient is deliberately corrupted "
-                        "(negative-control test hook)")
 
     p = add("cyclestats", cmd_cyclestats, "cycle-length statistics from annotations")
     p.add_argument("--annotations", required=True, help="annotations CSV")

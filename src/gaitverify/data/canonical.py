@@ -3,13 +3,14 @@
 The recording format has header ``subject,session,recording,t,ax,ay,az``
 with rows grouped by (subject, session, recording) and t in seconds,
 strictly increasing within a recording. Floats are written with
-shortest-round-trip formatting, so load(write(x)) is lossless.
+shortest-round-trip formatting, so load(write(x)) is lossless. The
+loaders fail at ``path:line`` on a malformed or nan/inf field.
 """
 
 from __future__ import annotations
 
 import csv
-from pathlib import Path
+import math
 
 import numpy as np
 
@@ -48,13 +49,24 @@ def load_canonical_csv(path) -> list[RawRecording]:
             xs.append(acc)
     recordings = []
     for (subject, session, recording), (ts, xs) in groups.items():
-        t_arr = np.asarray(ts)
+        t_arr, x_arr = np.asarray(ts), np.asarray(xs)
+        if not (np.isfinite(t_arr).all() and np.isfinite(x_arr).all()):
+            raise FormatError(f"{path}:{_first_non_finite_line(path, 3)}: non-finite value")
         if t_arr.size > 1 and not np.all(np.diff(t_arr) > 0):
             raise InvalidInputError(
                 f"{path}: non-monotonic timestamps in recording "
                 f"({subject}, {session}, {recording})")
-        recordings.append(RawRecording(subject, session, recording, t_arr, np.asarray(xs)))
+        recordings.append(RawRecording(subject, session, recording, t_arr, x_arr))
     return recordings
+
+
+def _first_non_finite_line(path, first_float: int) -> int:
+    """Line number of the first data row with a nan/inf among its float fields."""
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno > 1 and row and not all(math.isfinite(float(v)) for v in row[first_float:]):
+                return lineno
+    raise AssertionError(f"{path}: no non-finite field")
 
 
 def write_canonical_csv(recordings: list[RawRecording], path) -> None:
@@ -127,4 +139,7 @@ def load_features_csv(path):
                 rows.append([float(v) for v in row[4:]])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return sources, np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+    vectors = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+    if not np.isfinite(vectors).all():
+        raise FormatError(f"{path}:{_first_non_finite_line(path, 4)}: non-finite value")
+    return sources, vectors

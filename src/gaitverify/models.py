@@ -11,7 +11,6 @@ no batch norm or ReLU so reconstructions can be negative.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +28,10 @@ from .nn.layers import (
     conv_block,
     zero_grads,
 )
-from .signal import FRAME_LEN, N_CHANNELS, Frame
+from .signal import FRAME_LEN, N_CHANNELS, Frames
 
-FEATURE_DIM = 128
 DEFAULT_FILTERS = (128, 256, 128)
 DEFAULT_KERNELS = (8, 5, 3)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One learned 128-dimensional representation of a frame."""
-
-    values: np.ndarray
-    source: tuple[str, str, str, int]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (FEATURE_DIM,):
-            raise InvalidInputError(f"feature vector must have {FEATURE_DIM} entries, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("feature vector contains non-finite values")
-        object.__setattr__(self, "values", v)
 
 
 def _iter_layers(net):
@@ -132,9 +114,6 @@ class FCNClassifier(_Model):
         """Logits (B, num_classes) for a batch of frames (B, 128, 3)."""
         feats = self.body.forward(x, train, update_stats)
         return self.head.forward(feats, train, update_stats)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return ops.softmax(self.forward(x, train=False))
 
     def features(self, x: np.ndarray, train: bool = False, update_stats: bool = True) -> np.ndarray:
         """Pre-head GAP activations (B, 128)."""
@@ -253,38 +232,19 @@ class Autoencoder(_Model):
         return Encoder(copy.deepcopy(self.encoder), self.filters, self.kernels)
 
 
-def build_fcn(num_classes: int, seed: int, **kwargs) -> FCNClassifier:
-    return FCNClassifier(num_classes, seed, **kwargs)
-
-
-def build_autoencoder(seed: int, **kwargs) -> Autoencoder:
-    return Autoencoder(seed, **kwargs)
-
-
 def strip_classifier(fcn: FCNClassifier) -> Encoder:
     """Drop the dense head; the result maps frames to the GAP activations."""
     return Encoder(copy.deepcopy(fcn.body), fcn.filters, fcn.kernels)
 
 
-def frames_to_array(frames: list[Frame], dtype=np.float32) -> np.ndarray:
-    if not frames:
-        return np.empty((0, FRAME_LEN, N_CHANNELS), dtype=dtype)
-    return np.stack([f.values for f in frames]).astype(dtype)
+def frames_to_array(frames: Frames, dtype=np.float32) -> np.ndarray:
+    """The (N, 128, 3) model input: the frame values cast to ``dtype``."""
+    return frames.values.astype(dtype)
 
 
-def extract_features(encoder: Encoder, frames: list[Frame],
-                     batch_size: int = 256) -> list[FeatureVector]:
-    """One 128-d vector per frame, order preserved, inference mode."""
-    if not frames:
-        return []
-    feats = encoder.transform(frames_to_array(frames), batch_size=batch_size)
-    return [FeatureVector(feats[i].astype(np.float64), frames[i].source)
-            for i in range(len(frames))]
-
-
-def raw_features(frame: Frame) -> np.ndarray:
-    """Channel-major concatenation [ax(0..127), ay(0..127), az(0..127)]."""
-    return frame.values.T.reshape(-1).copy()
+def raw_features(values: np.ndarray) -> np.ndarray:
+    """(N, 384) channel-major rows [ax(0..127), ay(0..127), az(0..127)] of (N, 128, 3) frames."""
+    return values.transpose(0, 2, 1).reshape(len(values), -1)
 
 
 # --- serialization ------------------------------------------------------

@@ -29,7 +29,7 @@ from .ops import (
     softmax,
     softmax_crossentropy,
 )
-from .optim import Adam, PlateauScheduler, reduce_lr_on_plateau
+from .optim import Adam, PlateauScheduler
 from .training import EpochRecord, History, TrainConfig, evaluate_loss, train
 
 __all__ = [
@@ -40,6 +40,6 @@ __all__ = [
     "broadcast_backward", "broadcast_forward", "conv1d_backward",
     "conv1d_forward", "conv_block", "dense_backward", "dense_forward",
     "evaluate_loss", "gap_backward", "gap_forward", "gradient_check",
-    "mse_loss", "reduce_lr_on_plateau", "relu_backward", "relu_forward",
+    "mse_loss", "relu_backward", "relu_forward",
     "softmax", "softmax_crossentropy", "train",
 ]

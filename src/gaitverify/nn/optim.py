@@ -47,31 +47,21 @@ class Adam:
             p.value -= update
 
 
-def reduce_lr_on_plateau(loss_history: list[float], current_lr: float,
-                         patience: int = 50, factor: float = 0.5,
-                         min_lr: float = 1e-4) -> float:
-    """Learning rate after replaying the whole loss history from current_lr.
+class PlateauScheduler:
+    """Reduce-on-plateau learning rate, one step() per epoch.
 
     An epoch improves when its loss is strictly below the best loss seen so
     far. After `patience` consecutive non-improving epochs the rate is
     multiplied by `factor` (floored at min_lr) and the patience counter
     resets. The rate never increases.
     """
-    if not 0 < factor < 1:
-        raise InvalidInputError(f"factor must be in (0,1), got {factor}")
-    if min_lr <= 0 or patience < 1:
-        raise InvalidInputError("min_lr must be positive and patience >= 1")
-    sched = PlateauScheduler(current_lr, patience=patience, factor=factor, min_lr=min_lr)
-    for loss in loss_history:
-        sched.step(float(loss))
-    return sched.lr
-
-
-class PlateauScheduler:
-    """Incremental form of reduce_lr_on_plateau (one step() per epoch)."""
 
     def __init__(self, lr: float, patience: int = 50, factor: float = 0.5,
                  min_lr: float = 1e-4):
+        if not 0 < factor < 1:
+            raise InvalidInputError(f"factor must be in (0,1), got {factor}")
+        if min_lr <= 0 or patience < 1:
+            raise InvalidInputError("min_lr must be positive and patience >= 1")
         self.lr = lr
         self.patience = patience
         self.factor = factor

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data.container import ModelContainer
 from .errors import ConvergenceError, InvalidInputError
 
 DEFAULT_NU = 0.1
@@ -148,25 +147,3 @@ def scores(model: OCSVMModel, x: np.ndarray) -> np.ndarray:
             f"vector dimension {x.shape[1]} != model dimension {model.support_vectors.shape[1]}")
     k = rbf_kernel(x, model.support_vectors, model.gamma)
     return k @ model.alphas - model.rho
-
-
-def to_container(model: OCSVMModel) -> ModelContainer:
-    container = ModelContainer(metadata={"arch": "ocsvm"})
-    container.add("support_vectors", model.support_vectors)
-    container.add("alphas", model.alphas)
-    container.add("rho", np.array([model.rho]))
-    container.add("gamma", np.array([model.gamma]))
-    container.add("nu", np.array([model.nu]))
-    return container
-
-
-def from_container(container: ModelContainer) -> OCSVMModel:
-    if container.metadata.get("arch") != "ocsvm":
-        raise InvalidInputError("container does not hold a one-class SVM")
-    return OCSVMModel(
-        support_vectors=container.get("support_vectors").astype(np.float64),
-        alphas=container.get("alphas").astype(np.float64),
-        rho=float(container.get("rho")[0]),
-        gamma=float(container.get("gamma")[0]),
-        nu=float(container.get("nu")[0]),
-    )

@@ -1,8 +1,11 @@
 """Raw recordings to normalized fixed-length frames, plus cycle statistics.
 
-The pipeline order is resample_linear -> segment_frames -> zscore. All
-functions are pure: they never mutate their inputs and are safe to call
-in parallel across recordings.
+The pipeline order is resample_linear -> segment_frames -> zscore.
+Frames travel as one ``Frames`` batch: a (N, 128, 3) array plus a table
+of (subject, session, recording, frame_index) sources, one per row.
+segment_frames cuts one recording with a reshape and zscore normalizes a
+whole batch in one call. All functions are pure: they never mutate
+their inputs.
 """
 
 from __future__ import annotations
@@ -58,39 +61,39 @@ class RawRecording:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """A 128x3 window of one recording.
+class Frames:
+    """A batch of 128x3 windows: ``values`` (N, 128, 3) and one source per row.
 
-    ``source`` is (subject_id, session_id, recording_id, frame_index).
-    Values are raw after segment_frames and normalized after zscore.
+    ``sources[i]`` is (subject_id, session_id, recording_id, frame_index) of
+    row i. Values are raw after segment_frames and normalized after zscore.
+    Finiteness is checked where input enters (RawRecording, the CSV
+    loaders), not here.
     """
 
     values: np.ndarray
-    source: tuple[str, str, str, int]
+    sources: list[tuple[str, str, str, int]]
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (FRAME_LEN, N_CHANNELS):
-            raise InvalidInputError(f"frame must be {FRAME_LEN}x{N_CHANNELS}, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("frame contains non-finite values")
+        if v.ndim != 3 or v.shape[1:] != (FRAME_LEN, N_CHANNELS):
+            raise InvalidInputError(f"frames must be (N, {FRAME_LEN}, {N_CHANNELS}), got {v.shape}")
+        if len(self.sources) != v.shape[0]:
+            raise InvalidInputError(f"{len(self.sources)} sources for {v.shape[0]} frames")
         object.__setattr__(self, "values", v)
 
-    @property
-    def subject_id(self):
-        return self.source[0]
+    def __len__(self):
+        return self.values.shape[0]
 
-    @property
-    def session_id(self):
-        return self.source[1]
+    def __getitem__(self, rows) -> Frames:
+        """The frames at an index array, in its order."""
+        return Frames(self.values[rows], [self.sources[i] for i in rows])
 
-    @property
-    def recording_id(self):
-        return self.source[2]
-
-    @property
-    def frame_index(self):
-        return self.source[3]
+    @staticmethod
+    def concat(batches: list[Frames]) -> Frames:
+        if not batches:
+            return Frames(np.empty((0, FRAME_LEN, N_CHANNELS)), [])
+        return Frames(np.concatenate([b.values for b in batches]),
+                      [s for b in batches for s in b.sources])
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ def resample_linear(rec: RawRecording, target_hz: float = 100.0) -> RawRecording
     if target_hz <= 0:
         raise InvalidInputError(f"target_hz must be positive, got {target_hz}")
     if len(rec) < 2:
-        raise InvalidInputError("resampling needs at least 2 samples")
+        raise InvalidInputError(f"recording ({', '.join(rec.key)}) has {len(rec)} sample; "
+                                "resampling needs at least 2")
     t = rec.timestamps
     # The 1e-9 guard keeps n stable when (t_last - t_first) * hz lands a few
     # ulps below an integer, which is what makes resampling idempotent.
@@ -161,37 +165,31 @@ def _check_uniform(rec: RawRecording, hz: float):
         )
 
 
-def segment_frames(rec: RawRecording, frame_len: int = FRAME_LEN) -> list[Frame]:
-    """Cut a uniform recording into consecutive non-overlapping frames.
+def segment_frames(rec: RawRecording) -> Frames:
+    """Cut a uniform 100 Hz recording into consecutive non-overlapping frames.
 
-    The trailing remainder shorter than ``frame_len`` is discarded; a
-    recording shorter than one frame yields an empty list.
+    The trailing remainder shorter than FRAME_LEN is discarded; a recording
+    shorter than one frame yields no frames.
     """
-    if frame_len < 1:
-        raise InvalidInputError(f"frame_len must be >= 1, got {frame_len}")
     _check_uniform(rec, 100.0)
-    n_frames = len(rec) // frame_len
-    frames = []
-    for i in range(n_frames):
-        chunk = rec.samples[i * frame_len:(i + 1) * frame_len]
-        frames.append(Frame(chunk.copy(), (rec.subject_id, rec.session_id, rec.recording_id, i)))
-    return frames
+    n = len(rec) // FRAME_LEN
+    values = rec.samples[:n * FRAME_LEN].reshape(n, FRAME_LEN, N_CHANNELS).copy()
+    return Frames(values, [(*rec.key, i) for i in range(n)])
 
 
-def zscore(frame: Frame) -> Frame:
-    """Normalize each channel to zero mean / unit stdev within the frame.
+def zscore(frames: Frames) -> Frames:
+    """Normalize each channel of each frame to zero mean / unit stdev.
 
     Uses the population stdev (divide by n). A channel with stdev below
     DEGENERATE_STDEV is set to all zeros rather than erroring, so sensor
     dropouts do not abort a pipeline.
     """
-    v = frame.values
-    mean = v.mean(axis=0)
-    std = v.std(axis=0)
-    out = np.zeros_like(v)
+    v = frames.values
+    mean = v.mean(axis=1, keepdims=True)
+    std = v.std(axis=1, keepdims=True)
     live = std >= DEGENERATE_STDEV
-    out[:, live] = (v[:, live] - mean[live]) / std[live]
-    return Frame(out, frame.source)
+    out = np.where(live, (v - mean) / np.where(live, std, 1.0), 0.0)
+    return Frames(out, frames.sources)
 
 
 def cycle_stats(annotations: list[CycleAnnotation]) -> CycleStats:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, byte-identical outputs, manifests, located errors."""
 
 import json
+import warnings
 
 import pytest
 
@@ -93,7 +94,7 @@ def test_explicit_flag_beats_config(features, tmp_path):
 
 
 def test_extract_with_invalid_utf8_container_exits_one(features, tmp_path, capsys):
-    encoder = models.strip_classifier(models.build_fcn(3, seed=0))
+    encoder = models.strip_classifier(models.FCNClassifier(3, seed=0))
     path = tmp_path / "bad.gvf"
     save_model(models.to_container(encoder), path)
     raw = path.read_bytes()
@@ -105,7 +106,7 @@ def test_extract_with_invalid_utf8_container_exits_one(features, tmp_path, capsy
 
 
 def test_extract_with_container_missing_filters_exits_one(features, tmp_path, capsys):
-    container = models.to_container(models.strip_classifier(models.build_fcn(3, seed=0)))
+    container = models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=0)))
     del container.metadata["filters"]
     path = tmp_path / "nofilters.gvf"
     save_model(container, path)
@@ -154,6 +155,104 @@ def test_gradcheck_passes(capsys):
     assert "gradient check passed" in capsys.readouterr().out
 
 
-def test_gradcheck_with_corrupted_gradient_exits_two(capsys):
-    assert main(["gradcheck", "--corrupt", "dec.out.w"]) == 2
+def test_gradcheck_with_corrupted_gradient_exits_two(capsys, monkeypatch):
+    # negative control: a 1% error in one analytic gradient must fail the check
+    original = models.Autoencoder.loss_and_backward
+
+    def corrupted(self, *args, **kwargs):
+        loss = original(self, *args, **kwargs)
+        for p in self.parameters():
+            if p.name == "dec.out.w":
+                p.grad *= 1.01
+        return loss
+
+    monkeypatch.setattr(models.Autoencoder, "loss_and_backward", corrupted)
+    assert main(["gradcheck"]) == 2
     assert "FAILED" in capsys.readouterr().out
+
+
+def train_extract_evaluate(root):
+    """synth -> train (e2e cshift, ae rnd) -> extract --model -> evaluate, in root.
+
+    Returns the bytes of every primary output and the run manifests.
+    """
+    data = root / "gait.csv"
+    assert main(["synth", "--subjects", "3", "--seconds", "8", "--seed", "4",
+                 "--out", str(data)]) == 0
+    outputs, manifests = {}, {}
+    for mode, augment in (("e2e", "cshift"), ("ae", "rnd")):
+        model, feats, report = (root / f"{mode}.gvf", root / f"{mode}.csv",
+                                root / f"{mode}_report.csv")
+        assert main(["train", "--mode", mode, "--augment", augment, "--epochs", "1",
+                     "--seed", "5", "--data", str(data), "--out", str(model)]) == 0
+        assert main(["extract", "--model", str(model), "--data", str(data),
+                     "--out", str(feats)]) == 0
+        assert main(["evaluate", "--features", str(feats), "--protocol", "cd",
+                     "--window", "1..2", "--out", str(report)]) == 0
+        for path in (model, root / f"{mode}.gvf.history.csv", feats,
+                     root / f"{mode}_report.w1.csv", root / f"{mode}_report.w2.csv",
+                     root / f"{mode}_report.csv.summary.txt"):
+            outputs[path.name] = path.read_bytes()
+        for path in (model, feats, report):
+            m = json.loads(path.with_name(path.name + ".manifest.json").read_text())
+            del m["duration_seconds"], m["created_utc"]
+            manifests[path.name] = m
+    return outputs, manifests
+
+
+def test_train_extract_evaluate_is_reproducible(tmp_path, capsys):
+    first = train_extract_evaluate(tmp_path)
+    out = capsys.readouterr().out
+    assert "training frames: 44 (augmented from 22), validation frames: 14" in out
+    assert out.count("trained ") == 2
+    assert train_extract_evaluate(tmp_path) == first
+    assert capsys.readouterr().out == out
+    outputs, _ = first
+    assert outputs["e2e.gvf.history.csv"].startswith(b"epoch,train_loss,val_loss,lr\n1,")
+    assert outputs["e2e.csv"].count(b"\n") == outputs["ae.csv"].count(b"\n") == 1 + 36
+
+
+def canonical_csv(path, rows):
+    path.write_text("subject,session,recording,t,ax,ay,az\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    return path
+
+
+def recording_rows(recording, n, session="1"):
+    return [("s01", session, recording, i / 100.0, 0.1 * i, 1.0, -1.0) for i in range(n)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_canonical_value_exits_one_at_its_line(tmp_path, capsys, value):
+    rows = recording_rows("r1", 200)
+    rows[140] = rows[140][:5] + (value,) + rows[140][6:]
+    data = canonical_csv(tmp_path / "gait.csv", rows)
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert f"error: {data}:142: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_single_sample_recording_exits_one_naming_it(tmp_path, capsys):
+    data = canonical_csv(tmp_path / "gait.csv",
+                         recording_rows("r1", 200) + recording_rows("r2", 1))
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert (f"error: {data}: recording (s01, 1, r2) has 1 sample; resampling needs "
+            f"at least 2") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_feature_value_exits_one_at_its_line(features, tmp_path, capsys):
+    lines = features.read_text().splitlines(keepends=True)
+    fields = lines[4].split(",")
+    fields[7] = "nan"
+    lines[4] = ",".join(fields)
+    bad = tmp_path / "features.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "report.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
+    assert f"error: {bad}:5: non-finite value" in capsys.readouterr().err
+    assert not out.exists()

@@ -45,7 +45,7 @@ class TestGradientCheck:
 
     def test_full_fcn_small_batch(self):
         rng = np.random.default_rng(2)
-        model = models.build_fcn(3, seed=2, filters=(5, 7, 5), kernels=(8, 5, 3))
+        model = models.FCNClassifier(3, seed=2, filters=(5, 7, 5), kernels=(8, 5, 3))
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
         y = rng.integers(0, 3, size=2)
@@ -55,7 +55,7 @@ class TestGradientCheck:
 
     def test_autoencoder_mse_path(self):
         rng = np.random.default_rng(3)
-        model = models.build_autoencoder(seed=3, filters=(5, 7, 5), kernels=(8, 5, 3))
+        model = models.Autoencoder(seed=3, filters=(5, 7, 5), kernels=(8, 5, 3))
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
         report = gradient_check(model, x, None, max_exhaustive=100000)
@@ -65,7 +65,7 @@ class TestGradientCheck:
 
     def test_plain_tiling_autoencoder_path(self):
         rng = np.random.default_rng(4)
-        model = models.build_autoencoder(seed=4, filters=(4, 6, 4), kernels=(3, 3, 3),
+        model = models.Autoencoder(seed=4, filters=(4, 6, 4), kernels=(3, 3, 3),
                                          learned_position=False)
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
@@ -74,7 +74,7 @@ class TestGradientCheck:
 
     def test_directional_probes_on_large_tensors(self):
         rng = np.random.default_rng(5)
-        model = models.build_fcn(3, seed=5, filters=(6, 8, 6), kernels=(3, 3, 3))
+        model = models.FCNClassifier(3, seed=5, filters=(6, 8, 6), kernels=(3, 3, 3))
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
         y = rng.integers(0, 3, size=2)
@@ -102,7 +102,7 @@ class TestGradientCheck:
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
-        model = models.build_fcn(2, seed=7, filters=(4, 4, 4), kernels=(3, 3, 3))
+        model = models.FCNClassifier(2, seed=7, filters=(4, 4, 4), kernels=(3, 3, 3))
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
         y = rng.integers(0, 2, size=2)

@@ -8,12 +8,17 @@ from gaitverify.errors import FormatError, InvalidInputError, InvalidStateError
 from gaitverify.nn import ops
 from gaitverify.nn.layers import BatchNorm, Conv1d, GlobalAveragePool, ReLU, Sequential
 from gaitverify.nn.training import TrainConfig, train
-from gaitverify.signal import Frame
+from gaitverify.signal import Frames
 
 
 def random_frames(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [Frame(rng.standard_normal((128, 3)), ("s01", "1", "r1", i)) for i in range(n)]
+    return Frames(rng.standard_normal((n, 128, 3)), [("s01", "1", "r1", i) for i in range(n)])
+
+
+def extract(encoder, frames, batch_size=256):
+    """Learned features of a batch, as the extract command computes them."""
+    return encoder.transform(models.frames_to_array(frames), batch_size=batch_size)
 
 
 def fit_batchnorm(model, x, batches=3):
@@ -38,13 +43,13 @@ DECODER_PARAMS = 253059
 
 class TestBuildFcn:
     def test_head_dimension_for_50_subjects(self):
-        fcn = models.build_fcn(50, seed=0)
+        fcn = models.FCNClassifier(50, seed=0)
         assert fcn.head.w.value.shape == (128, 50)
         x = np.random.default_rng(0).standard_normal((3, 128, 3)).astype(np.float32)
         assert fcn.forward(x, train=True).shape == (3, 50)
 
     def test_softmax_rows_sum_to_one(self):
-        fcn = models.build_fcn(5, seed=1)
+        fcn = models.FCNClassifier(5, seed=1)
         x = np.random.default_rng(1).standard_normal((4, 128, 3)).astype(np.float32)
         p = ops.softmax(fcn.forward(x, train=True))
         assert np.all(p >= 0)
@@ -52,20 +57,20 @@ class TestBuildFcn:
 
     def test_parameter_count_closed_form(self):
         for k in (2, 10, 50):
-            fcn = models.build_fcn(k, seed=0)
+            fcn = models.FCNClassifier(k, seed=0)
             assert fcn.trainable_parameter_count() == ENCODER_PARAMS + HEAD_PARAMS_PER_CLASS * k
 
     def test_block_spec(self):
-        fcn = models.build_fcn(2, seed=0)
+        fcn = models.FCNClassifier(2, seed=0)
         convs = [l for l in fcn.body.layers if hasattr(l, "kernel_size")]
         assert [(c.kernel_size, c.out_channels) for c in convs] == [(8, 128), (5, 256), (3, 128)]
 
     def test_too_few_classes(self):
         with pytest.raises(InvalidInputError):
-            models.build_fcn(1, seed=0)
+            models.FCNClassifier(1, seed=0)
 
     def test_head_permutation_equivariance(self):
-        fcn = models.build_fcn(6, seed=2)
+        fcn = models.FCNClassifier(6, seed=2)
         x = np.random.default_rng(2).standard_normal((3, 128, 3)).astype(np.float32)
         fit_batchnorm(fcn, x)
         logits = fcn.forward(x, train=False)
@@ -78,12 +83,12 @@ class TestBuildFcn:
 
 class TestAutoencoder:
     def test_round_trip_shape(self):
-        ae = models.build_autoencoder(seed=0)
+        ae = models.Autoencoder(seed=0)
         x = np.random.default_rng(0).standard_normal((2, 128, 3)).astype(np.float32)
         assert ae.forward(x, train=True).shape == (2, 128, 3)
 
     def test_untrained_mse_has_order_one_magnitude(self):
-        ae = models.build_autoencoder(seed=0)
+        ae = models.Autoencoder(seed=0)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((16, 128, 3)).astype(np.float32)
         x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
@@ -102,7 +107,7 @@ class TestAutoencoder:
             sig = (sig - sig.mean(axis=0)) / sig.std(axis=0)
             xs.append(sig)
         x = np.stack(xs).astype(np.float32)
-        ae = models.build_autoencoder(seed=5)
+        ae = models.Autoencoder(seed=5)
         initial = ae.loss_only(x[:64], train=True)
         config = TrainConfig(epochs=50, batch_size=32, seed=5)
         ae, history = train(ae, (x[:64], None), (x[64:], None), config)
@@ -110,18 +115,18 @@ class TestAutoencoder:
         assert final < 0.5 * initial
 
     def test_decoder_mirrors_block_spec(self):
-        ae = models.build_autoencoder(seed=0)
+        ae = models.Autoencoder(seed=0)
         convs = [l for l in ae.decoder.layers if hasattr(l, "kernel_size")]
         assert [(c.kernel_size, c.out_channels) for c in convs] == [(3, 128), (5, 256), (8, 3)]
 
     def test_parameter_count_closed_form(self):
-        ae = models.build_autoencoder(seed=0)
+        ae = models.Autoencoder(seed=0)
         assert ae.trainable_parameter_count() == ENCODER_PARAMS + DECODER_PARAMS
 
 
 class TestStripClassifier:
     def test_outputs_equal_gap_activations_exactly(self):
-        fcn = models.build_fcn(7, seed=6)
+        fcn = models.FCNClassifier(7, seed=6)
         x = np.random.default_rng(6).standard_normal((4, 128, 3)).astype(np.float32)
         fit_batchnorm(fcn, x)
         encoder = models.strip_classifier(fcn)
@@ -129,13 +134,13 @@ class TestStripClassifier:
 
     def test_output_dim_independent_of_classes(self):
         for k in (2, 9, 50):
-            fcn = models.build_fcn(k, seed=1)
+            fcn = models.FCNClassifier(k, seed=1)
             x = np.random.default_rng(1).standard_normal((2, 128, 3)).astype(np.float32)
             fit_batchnorm(fcn, x)
             assert models.strip_classifier(fcn).transform(x).shape == (2, 128)
 
     def test_strip_then_serialize_round_trip(self, tmp_path):
-        fcn = models.build_fcn(4, seed=7)
+        fcn = models.FCNClassifier(4, seed=7)
         x = np.random.default_rng(7).standard_normal((3, 128, 3)).astype(np.float32)
         fit_batchnorm(fcn, x)
         encoder = models.strip_classifier(fcn)
@@ -145,7 +150,7 @@ class TestStripClassifier:
         npt.assert_array_equal(reloaded.transform(x), encoder.transform(x))
 
     def test_stripping_is_a_copy(self):
-        fcn = models.build_fcn(3, seed=8)
+        fcn = models.FCNClassifier(3, seed=8)
         encoder = models.strip_classifier(fcn)
         encoder.parameters()[0].value[...] = 0
         assert fcn.parameters()[0].value.any()
@@ -153,47 +158,46 @@ class TestStripClassifier:
 
 class TestExtractFeatures:
     def test_duplicate_frames_get_identical_vectors(self):
-        frames = random_frames(1, seed=9) * 3
-        ae = models.build_autoencoder(seed=9)
+        frames = random_frames(1, seed=9)[np.zeros(3, dtype=int)]
+        ae = models.Autoencoder(seed=9)
         fit_batchnorm(ae, models.frames_to_array(random_frames(8, seed=10)))
         encoder = ae.get_encoder()
-        feats = models.extract_features(encoder, frames)
+        feats = extract(encoder, frames)
         assert len(feats) == 3
-        npt.assert_array_equal(feats[0].values, feats[1].values)
-        npt.assert_array_equal(feats[0].values, feats[2].values)
+        npt.assert_array_equal(feats[0], feats[1])
+        npt.assert_array_equal(feats[0], feats[2])
 
     def test_batch_equals_single(self):
         frames = random_frames(7, seed=11)
-        fcn = models.build_fcn(3, seed=11)
+        fcn = models.FCNClassifier(3, seed=11)
         fit_batchnorm(fcn, models.frames_to_array(frames))
         encoder = models.strip_classifier(fcn)
-        batched = models.extract_features(encoder, frames, batch_size=7)
-        singles = [models.extract_features(encoder, [f])[0] for f in frames]
+        batched = extract(encoder, frames, batch_size=7)
+        singles = [extract(encoder, frames[np.array([i])])[0] for i in range(len(frames))]
         for b, s in zip(batched, singles):
-            npt.assert_allclose(b.values, s.values, atol=1e-6)
-            assert b.source == s.source
+            npt.assert_allclose(b, s, atol=1e-6)
 
     def test_untrained_encoder_rejected(self):
-        encoder = models.strip_classifier(models.build_fcn(3, seed=12))
+        encoder = models.strip_classifier(models.FCNClassifier(3, seed=12))
         with pytest.raises(InvalidStateError):
-            models.extract_features(encoder, random_frames(2))
+            extract(encoder, random_frames(2))
 
     def test_feature_dimension_is_128(self):
-        fcn = models.build_fcn(2, seed=13)
+        fcn = models.FCNClassifier(2, seed=13)
         frames = random_frames(4, seed=13)
         fit_batchnorm(fcn, models.frames_to_array(frames))
-        feats = models.extract_features(models.strip_classifier(fcn), frames)
-        assert all(f.values.shape == (128,) for f in feats)
+        assert extract(models.strip_classifier(fcn), frames).shape == (4, 128)
 
     def test_circular_shift_changes_features(self):
         # sensitivity measured, not asserted as a hard bound
         from gaitverify.augment import circular_shift
         frames = random_frames(1, seed=14)
-        fcn = models.build_fcn(2, seed=14)
+        fcn = models.FCNClassifier(2, seed=14)
         fit_batchnorm(fcn, models.frames_to_array(random_frames(8, seed=15)))
         encoder = models.strip_classifier(fcn)
-        base = models.extract_features(encoder, frames)[0].values
-        shifted = models.extract_features(encoder, [circular_shift(frames[0], 40)])[0].values
+        base = extract(encoder, frames)[0]
+        shifted = encoder.transform(
+            circular_shift(frames.values, np.array([40])).astype(np.float32))[0]
         assert np.linalg.norm(base - shifted) > 0
 
 
@@ -258,7 +262,7 @@ class TestFoldedTransform:
         assert encoder.transform(np.empty((0, 128, 3), np.float32)).shape == (0, 128)
 
     def test_untrained_encoder_raises(self):
-        encoder = models.strip_classifier(models.build_fcn(3, seed=26))
+        encoder = models.strip_classifier(models.FCNClassifier(3, seed=26))
         with pytest.raises(InvalidStateError):
             encoder.transform(np.zeros((2, 128, 3), np.float32))
 
@@ -274,24 +278,25 @@ class TestFoldedTransform:
 
 class TestRawFeatures:
     def test_zero_frame(self):
-        f = Frame(np.zeros((128, 3)), ("s", "1", "r", 0))
-        npt.assert_array_equal(models.raw_features(f), np.zeros(384))
+        npt.assert_array_equal(models.raw_features(np.zeros((1, 128, 3))), np.zeros((1, 384)))
 
     def test_channel_major_order(self):
         values = np.stack([np.full(128, 1.0), np.full(128, 2.0), np.full(128, 3.0)], axis=1)
-        f = Frame(values, ("s", "1", "r", 0))
         expected = np.concatenate([np.full(128, 1.0), np.full(128, 2.0), np.full(128, 3.0)])
-        npt.assert_array_equal(models.raw_features(f), expected)
+        npt.assert_array_equal(models.raw_features(values[None]), expected[None])
 
     def test_round_trip_reshape(self):
-        f = random_frames(1, seed=16)[0]
-        vec = models.raw_features(f)
-        npt.assert_array_equal(vec.reshape(3, 128).T, f.values)
+        values = random_frames(5, seed=16).values
+        vecs = models.raw_features(values)
+        assert vecs.shape == (5, 384)
+        for vec, v in zip(vecs, values):
+            npt.assert_array_equal(vec, v.T.reshape(-1))
+            npt.assert_array_equal(vec.reshape(3, 128).T, v)
 
 
 class TestContainerRoundTrip:
     def test_fcn_round_trip_bit_exact(self, tmp_path):
-        fcn = models.build_fcn(6, seed=17)
+        fcn = models.FCNClassifier(6, seed=17)
         x = np.random.default_rng(17).standard_normal((4, 128, 3)).astype(np.float32)
         fit_batchnorm(fcn, x)
         path = tmp_path / "fcn.gvf"
@@ -307,7 +312,7 @@ class TestContainerRoundTrip:
                                reloaded.forward(x, train=False))
 
     def test_autoencoder_round_trip(self, tmp_path):
-        ae = models.build_autoencoder(seed=18)
+        ae = models.Autoencoder(seed=18)
         x = np.random.default_rng(18).standard_normal((4, 128, 3)).astype(np.float32)
         fit_batchnorm(ae, x)
         path = tmp_path / "ae.gvf"
@@ -317,7 +322,7 @@ class TestContainerRoundTrip:
                                reloaded.forward(x, train=False))
 
     def test_missing_metadata_is_a_format_error(self):
-        encoder = models.strip_classifier(models.build_fcn(3, seed=19))
+        encoder = models.strip_classifier(models.FCNClassifier(3, seed=19))
         for key in ("filters", "kernels"):
             container = models.to_container(encoder)
             del container.metadata[key]
@@ -325,13 +330,13 @@ class TestContainerRoundTrip:
                 models.from_container(container)
 
     def test_malformed_metadata_is_a_format_error(self):
-        container = models.to_container(models.build_fcn(3, seed=20))
+        container = models.to_container(models.FCNClassifier(3, seed=20))
         container.metadata["num_classes"] = "three"
         with pytest.raises(FormatError, match="'num_classes' is not integers"):
             models.from_container(container)
 
     def test_missing_tensor_is_a_format_error(self):
-        full = models.to_container(models.strip_classifier(models.build_fcn(3, seed=21)))
+        full = models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=21)))
         container = ModelContainer(full.metadata)
         for name in full.names()[1:]:
             container.add(name, full.get(name))

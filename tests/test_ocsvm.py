@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from gaitverify import ocsvm
-from gaitverify.data.container import load_model, save_model
 from gaitverify.errors import InvalidInputError
 
 
@@ -131,17 +130,3 @@ class TestDecisionScore:
         _, model = self.build()
         with pytest.raises(InvalidInputError):
             ocsvm.scores(model, np.zeros(7))
-
-
-class TestOcsvmSerialization:
-    def test_round_trip_scores_close(self, tmp_path):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((50, 4))
-        model = ocsvm.train_ocsvm(x, nu=0.2)
-        path = tmp_path / "user.gvf"
-        save_model(ocsvm.to_container(model), path)
-        reloaded = ocsvm.from_container(load_model(path))
-        probe = rng.standard_normal((20, 4))
-        # container payloads are single precision
-        npt.assert_allclose(ocsvm.scores(reloaded, probe), ocsvm.scores(model, probe),
-                            atol=1e-5)

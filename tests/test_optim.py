@@ -4,7 +4,7 @@ import pytest
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.nn.layers import Parameter
-from gaitverify.nn.optim import Adam, PlateauScheduler, reduce_lr_on_plateau
+from gaitverify.nn.optim import Adam, PlateauScheduler
 
 
 def params_with_grads(values, grads):
@@ -94,42 +94,52 @@ class TestAdamStep:
             assert all(p.value is s for p, s in zip(params, storage))
 
 
+def final_lr(loss_history, lr, **kwargs):
+    """Learning rate after replaying a whole loss history through the scheduler."""
+    sched = PlateauScheduler(lr, **kwargs)
+    for loss in loss_history:
+        sched.step(float(loss))
+    return sched.lr
+
+
 class TestReduceLrOnPlateau:
     def test_strictly_decreasing_history_keeps_lr(self):
         history = list(np.linspace(1.0, 0.1, 120))
-        assert reduce_lr_on_plateau(history, 0.001) == 0.001
+        assert final_lr(history, 0.001) == 0.001
 
     def test_flat_51_epochs_halves(self):
-        assert reduce_lr_on_plateau([0.5] * 51, 0.001) == pytest.approx(0.0005)
+        assert final_lr([0.5] * 51, 0.001) == pytest.approx(0.0005)
 
     def test_flat_50_epochs_not_yet(self):
-        assert reduce_lr_on_plateau([0.5] * 50, 0.001) == 0.001
+        assert final_lr([0.5] * 50, 0.001) == 0.001
 
     def test_floors_at_min_lr(self):
-        lr = reduce_lr_on_plateau([0.5] * 400, 0.001)
+        lr = final_lr([0.5] * 400, 0.001)
         assert lr == pytest.approx(0.0001)
         # never goes below regardless of how long the plateau lasts
-        assert reduce_lr_on_plateau([0.5] * 4000, 0.001) >= 0.0001
+        assert final_lr([0.5] * 4000, 0.001) >= 0.0001
 
     def test_never_increases(self):
         rng = np.random.default_rng(2)
         history = list(rng.uniform(0.1, 1.0, size=300))
-        lrs = [reduce_lr_on_plateau(history[:n], 0.001) for n in range(1, 301)]
+        lrs = [final_lr(history[:n], 0.001) for n in range(1, 301)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_improvement_resets_counter(self):
         history = [0.5] * 50 + [0.4] + [0.4] * 49
         # counter reset at epoch 50 (improvement); 49 stale epochs after -> no cut
-        assert reduce_lr_on_plateau(history, 0.001) == 0.001
+        assert final_lr(history, 0.001) == 0.001
 
     def test_matches_incremental_scheduler(self):
+        # step() returns the rate after each epoch: the replay of that prefix
         rng = np.random.default_rng(3)
         history = list(rng.uniform(0.1, 1.0, size=500))
         sched = PlateauScheduler(0.001, patience=50, factor=0.5, min_lr=1e-4)
         for i, loss in enumerate(history, start=1):
-            sched.step(loss)
-            assert sched.lr == reduce_lr_on_plateau(history[:i], 0.001)
+            assert sched.step(loss) == final_lr(history[:i], 0.001)
+            assert sched.lr == final_lr(history[:i], 0.001)
 
     def test_bad_factor(self):
-        with pytest.raises(InvalidInputError):
-            reduce_lr_on_plateau([1.0], 0.001, factor=1.5)
+        for kwargs in ({"factor": 1.5}, {"factor": 0.0}, {"min_lr": 0.0}, {"patience": 0}):
+            with pytest.raises(InvalidInputError):
+                PlateauScheduler(0.001, **kwargs)

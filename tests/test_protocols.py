@@ -154,15 +154,15 @@ class TestLearnedVersusRawTrend:
         config = SyntheticConfig(num_subjects=3, recording_seconds=45.0,
                                  sessions=1, seed=21)
         frames = frames_from_recordings(generate_synthetic(config))
-        sources = [f.source for f in frames]
-        raw = np.stack([models.raw_features(f) for f in frames])
+        sources = frames.sources
+        raw = models.raw_features(frames.values)
 
         x = models.frames_to_array(frames)
-        labels = np.array([int(f.subject_id[1:]) - 1 for f in frames])
+        labels = np.array([int(s[0][1:]) - 1 for s in sources])
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(frames))
         n_train = int(len(frames) * 0.6)
-        fcn = models.build_fcn(3, seed=0, filters=(16, 24, 16), kernels=(8, 5, 3))
+        fcn = models.FCNClassifier(3, seed=0, filters=(16, 24, 16), kernels=(8, 5, 3))
         fcn, _ = train(fcn, (x[perm[:n_train]], labels[perm[:n_train]]),
                        (x[perm[n_train:]], labels[perm[n_train:]]),
                        TrainConfig(epochs=20, batch_size=16, seed=0))

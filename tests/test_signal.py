@@ -5,7 +5,7 @@ import pytest
 from gaitverify.errors import InvalidInputError
 from gaitverify.signal import (
     CycleAnnotation,
-    Frame,
+    Frames,
     RawRecording,
     cycle_stats,
     resample_linear,
@@ -68,7 +68,7 @@ class TestResampleLinear:
         npt.assert_allclose(once.samples, twice.samples, atol=1e-9)
 
     def test_too_few_samples(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"recording \(s01, 1, r1\) has 1 sample"):
             resample_linear(make_recording([0.0], [1.0]), 100.0)
 
     def test_nonmonotonic_timestamps_rejected_at_construction(self):
@@ -86,14 +86,14 @@ class TestSegmentFrames:
     def test_windows_cover_consecutive_samples(self):
         rec = uniform_recording(384)
         frames = segment_frames(rec)
-        for i, frame in enumerate(frames):
-            npt.assert_array_equal(frame.values, rec.samples[i * 128:(i + 1) * 128])
-            assert frame.source == ("s01", "1", "r1", i)
+        for i in range(3):
+            npt.assert_array_equal(frames.values[i], rec.samples[i * 128:(i + 1) * 128])
+            assert frames.sources[i] == ("s01", "1", "r1", i)
 
     def test_trailing_remainder_dropped(self):
         rec = uniform_recording(383)
         frames = segment_frames(rec)
-        npt.assert_array_equal(frames[-1].values, rec.samples[128:256])
+        npt.assert_array_equal(frames.values[-1], rec.samples[128:256])
 
     def test_non_uniform_rejected(self):
         rec = make_recording([0.0, 0.013, 0.031], [1.0, 4.0, 2.0])
@@ -101,21 +101,25 @@ class TestSegmentFrames:
             segment_frames(rec)
 
 
+def one_frame(values):
+    return Frames(np.asarray(values)[None], [("s01", "1", "r1", 0)])
+
+
 def frame_from_channels(ax, ay, az):
-    return Frame(np.stack([ax, ay, az], axis=1), ("s01", "1", "r1", 0))
+    return one_frame(np.stack([ax, ay, az], axis=1))
 
 
 class TestZscore:
     def test_constant_channel_zeroed(self):
         f = frame_from_channels(np.full(128, 5.0), np.arange(128.0), np.arange(128.0))
         out = zscore(f)
-        npt.assert_array_equal(out.values[:, 0], np.zeros(128))
-        assert out.values[:, 1].std() > 0
+        npt.assert_array_equal(out.values[0, :, 0], np.zeros(128))
+        assert out.values[0, :, 1].std() > 0
 
     def test_unit_pattern_is_fixed_point(self):
         pattern = np.tile([-1.0, 1.0], 64)
         f = frame_from_channels(pattern, pattern, pattern)
-        npt.assert_allclose(zscore(f).values[:, 0], pattern, atol=1e-12)
+        npt.assert_allclose(zscore(f).values[0, :, 0], pattern, atol=1e-12)
 
     def test_ramp_against_direct_statistics_oracle(self):
         ramp = np.arange(128.0)
@@ -123,34 +127,77 @@ class TestZscore:
         out = zscore(f)
         mean = 63.5
         stdev = np.sqrt(np.sum((ramp - mean) ** 2) / 128.0)  # population stdev
-        npt.assert_allclose(out.values[:, 0], (ramp - mean) / stdev, rtol=1e-12)
+        npt.assert_allclose(out.values[0, :, 0], (ramp - mean) / stdev, rtol=1e-12)
 
     def test_normalized_statistics(self):
         rng = np.random.default_rng(7)
-        f = Frame(rng.standard_normal((128, 3)) * 9.0 + 4.0, ("s", "1", "r", 0))
+        f = one_frame(rng.standard_normal((128, 3)) * 9.0 + 4.0)
         out = zscore(f)
-        assert np.all(np.abs(out.values.mean(axis=0)) < 1e-5)
-        assert np.all(np.abs(out.values.std(axis=0) - 1.0) < 1e-3)
+        assert np.all(np.abs(out.values.mean(axis=1)) < 1e-5)
+        assert np.all(np.abs(out.values.std(axis=1) - 1.0) < 1e-3)
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
-        f = Frame(rng.standard_normal((128, 3)) * 3.0 - 1.0, ("s", "1", "r", 0))
+        f = one_frame(rng.standard_normal((128, 3)) * 3.0 - 1.0)
         once = zscore(f)
         npt.assert_allclose(zscore(once).values, once.values, atol=1e-5)
 
     def test_preserves_ordering_per_channel(self):
         rng = np.random.default_rng(9)
-        f = Frame(rng.standard_normal((128, 3)), ("s", "1", "r", 0))
+        f = one_frame(rng.standard_normal((128, 3)))
         out = zscore(f)
         for c in range(3):
-            npt.assert_array_equal(np.argsort(out.values[:, c]),
-                                   np.argsort(f.values[:, c]))
+            npt.assert_array_equal(np.argsort(out.values[0, :, c]),
+                                   np.argsort(f.values[0, :, c]))
 
     def test_non_finite_rejected(self):
-        values = np.zeros((128, 3))
-        values[5, 1] = np.nan
-        with pytest.raises(InvalidInputError):
-            Frame(values, ("s", "1", "r", 0))
+        # frames come only from recordings, which reject nan/inf on construction
+        samples = np.zeros((128, 3))
+        samples[5, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            RawRecording("s", "1", "r", np.arange(128) / 100.0, samples)
+
+    def test_batch_matches_frame_by_frame(self):
+        rng = np.random.default_rng(10)
+        values = rng.standard_normal((6, 128, 3)) * rng.uniform(0.5, 9.0, (6, 1, 3)) + 2.0
+        # one dead channel inside the batch: stdev 1e-10, below DEGENERATE_STDEV
+        values[2, :, 1] = 4.0 + 1e-10 * np.tile([-1.0, 1.0], 64)
+        sources = [("s", "1", "r", i) for i in range(6)]
+        batch = zscore(Frames(values, sources))
+        assert batch.sources == sources
+        for i, v in enumerate(values):
+            # one frame at a time, live channels only
+            mean, std = v.mean(axis=0), v.std(axis=0)
+            live = std >= 1e-8
+            expected = np.zeros_like(v)
+            expected[:, live] = (v[:, live] - mean[live]) / std[live]
+            npt.assert_array_equal(batch.values[i], expected)
+        npt.assert_array_equal(batch.values[2, :, 1], np.zeros(128))
+        assert not np.signbit(batch.values[2, :, 1]).any()
+
+
+class TestFrames:
+    def test_shape_and_sources_checked(self):
+        with pytest.raises(InvalidInputError, match="frames must be"):
+            Frames(np.zeros((2, 127, 3)), [("s", "1", "r", 0), ("s", "1", "r", 1)])
+        with pytest.raises(InvalidInputError, match="1 sources for 2 frames"):
+            Frames(np.zeros((2, 128, 3)), [("s", "1", "r", 0)])
+
+    def test_index_array_selects_rows_and_sources(self):
+        frames = segment_frames(uniform_recording(640))
+        picked = frames[np.array([3, 0, 3])]
+        assert len(picked) == 3
+        assert [s[3] for s in picked.sources] == [3, 0, 3]
+        npt.assert_array_equal(picked.values, frames.values[[3, 0, 3]])
+
+    def test_concat_keeps_order(self):
+        a = segment_frames(uniform_recording(256, seed=1))
+        b = segment_frames(uniform_recording(128, seed=2))
+        both = Frames.concat([a, b])
+        assert len(both) == 3
+        assert both.sources == a.sources + b.sources
+        npt.assert_array_equal(both.values, np.concatenate([a.values, b.values]))
+        assert len(Frames.concat([])) == 0
 
 
 def annotation(boundaries, recording="r1"):

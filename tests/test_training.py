@@ -8,7 +8,7 @@ from gaitverify.nn.training import TrainConfig, evaluate_loss, train
 
 
 def tiny_fcn(num_classes=2, seed=0):
-    return models.build_fcn(num_classes, seed=seed, filters=(4, 6, 4), kernels=(3, 3, 3))
+    return models.FCNClassifier(num_classes, seed=seed, filters=(4, 6, 4), kernels=(3, 3, 3))
 
 
 def separable_dataset(n_per_class=24, seed=0):
@@ -93,7 +93,7 @@ class TestTrain:
 
     def test_autoencoder_reconstruction_path(self):
         x, _ = separable_dataset(20, seed=9)
-        model = models.build_autoencoder(seed=9, filters=(4, 6, 4), kernels=(3, 3, 3))
+        model = models.Autoencoder(seed=9, filters=(4, 6, 4), kernels=(3, 3, 3))
         config = TrainConfig(epochs=8, batch_size=16, seed=9)
         model, history = train(model, (x[:24], None), (x[24:], None), config)
         assert history.train_losses[-1] < history.train_losses[0]
