@@ -1,4 +1,4 @@
-"""Command-line interface: synth, train, extract, evaluate, gradcheck, cyclestats.
+"""Command-line interface: synth, train, extract, evaluate, gradcheck.
 
 Exit codes: 0 success, 1 usage/validation error, 2 runtime/convergence
 error (including a failed gradient check). Every artifact-producing
@@ -23,7 +23,6 @@ from . import __version__, models
 from .augment import augment_dataset, normalize_kind
 from .data.canonical import (
     export_features_csv,
-    load_annotations_csv,
     load_features_csv,
     write_canonical_csv,
 )
@@ -35,7 +34,7 @@ from .nn.gradcheck import gradient_check
 from .nn.training import TrainConfig, train
 from .ocsvm import DEFAULT_NU
 from .pipeline import load_normalized_frames
-from .signal import FRAME_LEN, cycle_stats
+from .signal import FRAME_LEN
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -331,21 +330,6 @@ def cmd_gradcheck(args, argv):
     return 0
 
 
-def cmd_cyclestats(args, argv):
-    annotations = load_annotations_csv(args.annotations)
-    if not annotations:
-        raise InvalidInputError(f"{args.annotations}: no annotations")
-    stats = cycle_stats(annotations)
-    print(f"cycles: {stats.lengths.size}")
-    print(f"mean length: {stats.mean:.2f} samples")
-    print(f"median length: {stats.median:.2f} samples")
-    print(f"coverage at {FRAME_LEN}: {stats.coverage_at(FRAME_LEN):.4f}")
-    print("histogram:")
-    for length in sorted(stats.histogram):
-        print(f"  {length:4d}: {stats.histogram[length]}")
-    return 0
-
-
 # --- parser -------------------------------------------------------------
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -405,9 +389,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of all backward passes")
     p.add_argument("--seed", type=int, default=0)
-
-    p = add("cyclestats", cmd_cyclestats, "cycle-length statistics from annotations")
-    p.add_argument("--annotations", required=True, help="annotations CSV")
 
     return parser, parsers
 

@@ -2,7 +2,6 @@
 
 from .canonical import (
     export_features_csv,
-    load_annotations_csv,
     load_canonical_csv,
     load_features_csv,
     write_canonical_csv,
@@ -11,7 +10,7 @@ from .container import ModelContainer, load_model, save_model
 from .synthetic import SyntheticConfig, generate_synthetic
 
 __all__ = [
-    "ModelContainer", "SyntheticConfig", "export_features_csv",
-    "generate_synthetic", "load_annotations_csv", "load_canonical_csv",
-    "load_features_csv", "load_model", "save_model", "write_canonical_csv",
+    "ModelContainer", "SyntheticConfig", "export_features_csv", "generate_synthetic",
+    "load_canonical_csv", "load_features_csv", "load_model", "save_model",
+    "write_canonical_csv",
 ]

@@ -1,37 +1,115 @@
-"""Canonical CSV formats: gait recordings, cycle annotations, feature exports.
+"""Canonical CSV formats: gait recordings and feature exports.
 
 The recording format has header ``subject,session,recording,t,ax,ay,az``
 with rows grouped by (subject, session, recording) and t in seconds,
-strictly increasing within a recording. Floats are written with
-shortest-round-trip formatting, so load(write(x)) is lossless. The
-loaders fail at ``path:line`` on a malformed or nan/inf field.
+strictly increasing within a recording. The feature format has header
+``subject,session,recording,frame,f0..f{D-1}``, one row per vector.
+Floats are written with shortest-round-trip formatting, so
+load(write(x)) is lossless; a writer builds the text of a whole
+recording, or of a whole feature file, and writes it at once.
+
+The loaders read a plain file (exact header, LF line ends, no quotes,
+CRs or blank lines) in one pass over its text: field counts are checked
+from the comma count and the floats are parsed by one ``np.loadtxt``.
+A file that pass does not accept is read again by a per-row csv
+scanner. It reads the unusual but valid files (CRLF ends, quoted fields,
+blank lines, no final newline) and fails at ``path:line`` on every
+error: a bad field count, float or frame number, nan/inf, and
+non-increasing timestamps. Only a wrong header names the file alone.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from itertools import groupby
 
 import numpy as np
 
 from ..errors import FormatError, InvalidInputError
-from ..signal import CycleAnnotation, RawRecording
+from ..signal import RawRecording
 
 RECORDING_HEADER = ["subject", "session", "recording", "t", "ax", "ay", "az"]
-ANNOTATION_HEADER = ["subject", "session", "recording", "boundary"]
+FEATURE_KEY = ["subject", "session", "recording", "frame"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_line(fields) -> str:
+    """``fields`` as csv.writer writes them, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _float_rows(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as comma-separated shortest-round-trip floats."""
+    return [",".join(map(repr, row)) for row in values.tolist()]
+
+
+def _read_plain(path, first_float: int):
+    """(header fields, data lines, floats) of a file that needs no csv parsing.
+
+    ``floats`` holds fields ``first_float`` onwards of every data line,
+    (N, header fields - first_float). None when the file has CR or quote
+    characters, blank lines or no final newline, when a line has another
+    field count than the header (np.loadtxt rejects short lines; then the
+    total comma count rules out long ones), or when a float is bad or not
+    finite.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if not text.endswith("\n") or "\r" in text or '"' in text or "\n\n" in text:
+        return None
+    header, *lines = text[:-1].split("\n")
+    header = header.split(",")
+    if text.count(",") != (len(header) - 1) * (len(lines) + 1):
+        return None
+    if not lines:
+        return header, lines, np.empty((0, len(header) - first_float))
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                            usecols=range(first_float, len(header)), ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[0] != len(lines) or not np.isfinite(values).all():
+        return None
+    return header, lines, values
 
 
 def load_canonical_csv(path) -> list[RawRecording]:
-    """One RawRecording per (subject, session, recording) group, file order."""
-    groups: dict[tuple[str, str, str], tuple[list, list]] = {}
+    """One RawRecording per (subject, session, recording) group, first-appearance order."""
+    recordings = _load_plain_canonical(path)
+    return _scan_canonical(path) if recordings is None else recordings
+
+
+def _load_plain_canonical(path) -> list[RawRecording] | None:
+    plain = _read_plain(path, 3)
+    if plain is None or plain[0] != RECORDING_HEADER:
+        return None
+    _, lines, values = plain
+    # runs of consecutive rows with one key, then each key's runs in file order
+    runs: dict[str, list[np.ndarray]] = {}
+    start = 0
+    for key, rows in groupby(line.rsplit(",", 4)[0] for line in lines):
+        stop = start + len(list(rows))
+        runs.setdefault(key, []).append(np.arange(start, stop))
+        start = stop
+    recordings = []
+    for key, parts in runs.items():
+        rows = np.concatenate(parts)
+        try:
+            recordings.append(RawRecording(*key.split(","), values[rows, 0], values[rows, 1:]))
+        except InvalidInputError:
+            return None  # non-increasing timestamps: the scanner names the line
+    return recordings
+
+
+def _scan_canonical(path) -> list[RawRecording]:
+    groups: dict[tuple[str, str, str], tuple[list, list, list]] = {}
+    non_finite_line = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORDING_HEADER:
+        if next(reader, None) != RECORDING_HEADER:
             raise FormatError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -39,66 +117,36 @@ def load_canonical_csv(path) -> list[RawRecording]:
             if len(row) != 7:
                 raise FormatError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
             try:
-                t = float(row[3])
-                acc = (float(row[4]), float(row[5]), float(row[6]))
+                floats = [float(v) for v in row[3:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-            key = (row[0], row[1], row[2])
-            ts, xs = groups.setdefault(key, ([], []))
-            ts.append(t)
-            xs.append(acc)
+            if non_finite_line is None and not all(map(math.isfinite, floats)):
+                non_finite_line = lineno
+            linenos, ts, xs = groups.setdefault((row[0], row[1], row[2]), ([], [], []))
+            linenos.append(lineno)
+            ts.append(floats[0])
+            xs.append(floats[1:])
     recordings = []
-    for (subject, session, recording), (ts, xs) in groups.items():
+    for (subject, session, recording), (linenos, ts, xs) in groups.items():
         t_arr, x_arr = np.asarray(ts), np.asarray(xs)
         if not (np.isfinite(t_arr).all() and np.isfinite(x_arr).all()):
-            raise FormatError(f"{path}:{_first_non_finite_line(path, 3)}: non-finite value")
-        if t_arr.size > 1 and not np.all(np.diff(t_arr) > 0):
+            raise FormatError(f"{path}:{non_finite_line}: non-finite value")
+        increasing = np.diff(t_arr) > 0
+        if not increasing.all():
             raise InvalidInputError(
-                f"{path}: non-monotonic timestamps in recording "
-                f"({subject}, {session}, {recording})")
+                f"{path}:{linenos[int(np.argmin(increasing)) + 1]}: non-monotonic "
+                f"timestamps in recording ({subject}, {session}, {recording})")
         recordings.append(RawRecording(subject, session, recording, t_arr, x_arr))
     return recordings
 
 
-def _first_non_finite_line(path, first_float: int) -> int:
-    """Line number of the first data row with a nan/inf among its float fields."""
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno > 1 and row and not all(math.isfinite(float(v)) for v in row[first_float:]):
-                return lineno
-    raise AssertionError(f"{path}: no non-finite field")
-
-
 def write_canonical_csv(recordings: list[RawRecording], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDING_HEADER)
+        fh.write(",".join(RECORDING_HEADER) + "\n")
         for rec in recordings:
-            for t, (ax, ay, az) in zip(rec.timestamps, rec.samples):
-                writer.writerow([rec.subject_id, rec.session_id, rec.recording_id,
-                                 _fmt(t), _fmt(ax), _fmt(ay), _fmt(az)])
-
-
-def load_annotations_csv(path) -> list[CycleAnnotation]:
-    """Cycle boundaries, header ``subject,session,recording,boundary``."""
-    groups: dict[tuple[str, str, str], list[int]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ANNOTATION_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(ANNOTATION_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                boundary = int(row[3])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            groups.setdefault((row[0], row[1], row[2]), []).append(boundary)
-    return [CycleAnnotation(s, sess, rec, np.asarray(b))
-            for (s, sess, rec), b in groups.items()]
+            prefix = _csv_line(rec.key) + ","
+            rows = _float_rows(np.column_stack([rec.timestamps, rec.samples]))
+            fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
 
 def export_features_csv(path, sources, vectors: np.ndarray) -> None:
@@ -108,27 +156,50 @@ def export_features_csv(path, sources, vectors: np.ndarray) -> None:
         raise InvalidInputError(
             f"need one source per vector: {len(sources)} sources, {vectors.shape} vectors")
     dim = vectors.shape[1]
+    sep = "," if dim else ""
+    rows = _float_rows(vectors.astype(np.float64, copy=False))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject", "session", "recording", "frame"]
-                        + [f"f{i}" for i in range(dim)])
-        for (subject, session, recording, frame), vec in zip(sources, vectors):
-            writer.writerow([subject, session, recording, frame]
-                            + [_fmt(v) for v in vec])
+        fh.write("".join([",".join(FEATURE_KEY + [f"f{i}" for i in range(dim)]) + "\n"]
+                         + [_csv_line(source) + sep + row + "\n"
+                            for source, row in zip(sources, rows)]))
 
 
 def load_features_csv(path):
     """Returns (sources, vectors): source tuples and an (N, D) float array."""
+    features = _load_plain_features(path)
+    return _scan_features(path) if features is None else features
+
+
+def _feature_dim(header) -> int | None:
+    """D of a feature header given as a field list; None if it is not one."""
+    if (header is None or len(header) < 5 or header[:4] != FEATURE_KEY
+            or any(h != f"f{i}" for i, h in enumerate(header[4:]))):
+        return None
+    return len(header) - 4
+
+
+def _load_plain_features(path):
+    plain = _read_plain(path, 4)
+    if plain is None or _feature_dim(plain[0]) is None:
+        return None
+    _, lines, vectors = plain
+    try:
+        sources = [(s, sess, rec, int(frame))
+                   for s, sess, rec, frame, _ in (line.split(",", 4) for line in lines)]
+    except ValueError:
+        return None
+    return sources, vectors
+
+
+def _scan_features(path):
     sources: list[tuple[str, str, str, int]] = []
     rows: list[list[float]] = []
+    non_finite_line = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if (header is None or len(header) < 5
-                or header[:4] != ["subject", "session", "recording", "frame"]
-                or any(h != f"f{i}" for i, h in enumerate(header[4:]))):
+        dim = _feature_dim(next(reader, None))
+        if dim is None:
             raise FormatError(f"{path}: not a feature CSV")
-        dim = len(header) - 4
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -139,7 +210,8 @@ def load_features_csv(path):
                 rows.append([float(v) for v in row[4:]])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-    vectors = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
-    if not np.isfinite(vectors).all():
-        raise FormatError(f"{path}:{_first_non_finite_line(path, 4)}: non-finite value")
-    return sources, vectors
+            if non_finite_line is None and not all(map(math.isfinite, rows[-1])):
+                non_finite_line = lineno
+    if non_finite_line is not None:
+        raise FormatError(f"{path}:{non_finite_line}: non-finite value")
+    return sources, np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)

@@ -1,4 +1,4 @@
-"""Raw recordings to normalized fixed-length frames, plus cycle statistics.
+"""Raw recordings to normalized fixed-length frames.
 
 The pipeline order is resample_linear -> segment_frames -> zscore.
 Frames travel as one ``Frames`` batch: a (N, 128, 3) array plus a table
@@ -10,7 +10,7 @@ their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,44 +96,6 @@ class Frames:
                       [s for b in batches for s in b.sources])
 
 
-@dataclass(frozen=True)
-class CycleAnnotation:
-    """Step-cycle boundaries (sample indices) for one recording."""
-
-    subject_id: str
-    session_id: str
-    recording_id: str
-    boundaries: np.ndarray  # strictly increasing sample indices
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=np.int64)
-        if b.ndim != 1 or b.size < 2:
-            raise InvalidInputError("annotation needs at least two boundaries (one cycle)")
-        if not np.all(np.diff(b) >= 1):
-            raise InvalidInputError(
-                f"cycle boundaries must be strictly increasing (recording {self.recording_id!r})"
-            )
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def cycle_lengths(self):
-        return np.diff(self.boundaries)
-
-
-@dataclass
-class CycleStats:
-    """Cycle-length summary over a set of annotations."""
-
-    mean: float
-    median: float
-    histogram: dict[int, int]
-    lengths: np.ndarray = field(repr=False)
-
-    def coverage_at(self, frame_len: int) -> float:
-        """Fraction of cycles fully covered by a frame of ``frame_len`` samples."""
-        return float(np.mean(self.lengths <= frame_len))
-
-
 def resample_linear(rec: RawRecording, target_hz: float = 100.0) -> RawRecording:
     """Resample a recording onto a uniform grid by linear interpolation.
 
@@ -190,18 +152,3 @@ def zscore(frames: Frames) -> Frames:
     live = std >= DEGENERATE_STDEV
     out = np.where(live, (v - mean) / np.where(live, std, 1.0), 0.0)
     return Frames(out, frames.sources)
-
-
-def cycle_stats(annotations: list[CycleAnnotation]) -> CycleStats:
-    """Aggregate cycle-length mean, median, histogram and coverage."""
-    if not annotations:
-        raise InvalidInputError("cycle_stats needs at least one annotation")
-    lengths = np.concatenate([a.cycle_lengths for a in annotations])
-    values, counts = np.unique(lengths, return_counts=True)
-    histogram = {int(v): int(c) for v, c in zip(values, counts)}
-    return CycleStats(
-        mean=float(np.mean(lengths)),
-        median=float(np.median(lengths)),
-        histogram=histogram,
-        lengths=lengths,
-    )

@@ -1,10 +1,15 @@
 """End-to-end CLI runs: exit codes, byte-identical outputs, manifests, located errors."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import gaitverify
 from gaitverify import models
 from gaitverify.cli import main
 from gaitverify.data.container import save_model
@@ -256,3 +261,57 @@ def test_non_finite_feature_value_exits_one_at_its_line(features, tmp_path, caps
         assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
     assert f"error: {bad}:5: non-finite value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_extract_with_truncated_container_exits_one(features, tmp_path, capsys):
+    path = tmp_path / "trunc.gvf"
+    save_model(models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=0))),
+               path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
+                 "--out", str(out)]) == 1
+    assert f"error: {path}: container truncated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_canonical_csv_with_wrong_header_exits_one(tmp_path, capsys):
+    data = tmp_path / "gait.csv"
+    data.write_text("subject,session,recording,time,ax,ay,az\ns01,1,r1,0.0,1,1,1\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert (f"error: {data}: expected header subject,session,recording,t,ax,ay,az"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_feature_csv_with_wrong_header_exits_one(features, tmp_path, capsys):
+    bad = tmp_path / "features.csv"
+    bad.write_text(features.read_text().replace("frame,f0,", "frame,x0,", 1))
+    out = tmp_path / "report.csv"
+    assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
+    assert f"error: {bad}: not a feature CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_monotonic_timestamps_exit_one_at_their_line(tmp_path, capsys):
+    rows = recording_rows("r1", 200) + recording_rows("r2", 200)
+    rows[300] = rows[300][:3] + (rows[299][3],) + rows[300][4:]
+    data = canonical_csv(tmp_path / "gait.csv", rows)
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert (f"error: {data}:302: non-monotonic timestamps in recording (s01, 1, r2)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(gaitverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, gaitverify.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"

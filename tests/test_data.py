@@ -1,10 +1,14 @@
+import csv
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gaitverify.data import canonical
 from gaitverify.data.canonical import (
+    RECORDING_HEADER,
     export_features_csv,
-    load_annotations_csv,
     load_canonical_csv,
     load_features_csv,
     write_canonical_csv,
@@ -64,9 +68,11 @@ class TestCanonicalCsv:
         path = tmp_path / "nm.csv"
         path.write_text("subject,session,recording,t,ax,ay,az\n"
                         "s01,1,r9,0.02,1,1,1\n"
+                        "s01,1,r9,0.03,1,1,1\n"
                         "s01,1,r9,0.01,1,1,1\n")
-        with pytest.raises(InvalidInputError, match="r9"):
+        with pytest.raises(InvalidInputError) as err:
             load_canonical_csv(path)
+        assert str(err.value) == f"{path}:4: non-monotonic timestamps in recording (s01, 1, r9)"
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -212,13 +218,255 @@ class TestFeaturesCsv:
         assert len(header.split(",")) == 4 + 384
 
 
-class TestAnnotationsCsv:
-    def test_load_groups_boundaries(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("subject,session,recording,boundary\n"
-                        "s01,1,r1,0\ns01,1,r1,100\ns01,1,r1,210\n"
-                        "s02,1,r1,5\ns02,1,r1,115\n")
-        anns = load_annotations_csv(path)
-        assert len(anns) == 2
-        npt.assert_array_equal(anns[0].cycle_lengths, [100, 110])
-        npt.assert_array_equal(anns[1].cycle_lengths, [110])
+# --- per-row oracles ----------------------------------------------------
+# The csv-module reader and writer that canonical.py's whole-array paths
+# replaced, kept as the reference: for every file the loaders must return
+# what these return or raise what these raise, and the writers must write
+# the same bytes. Ordering errors name their line, as the loaders do.
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _first_non_finite_line(path, first_float):
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno > 1 and row and not all(math.isfinite(float(v)) for v in row[first_float:]):
+                return lineno
+    raise AssertionError(f"{path}: no non-finite field")
+
+
+def oracle_load_canonical(path):
+    groups = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != RECORDING_HEADER:
+            raise FormatError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 7:
+                raise FormatError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
+            try:
+                t = float(row[3])
+                acc = (float(row[4]), float(row[5]), float(row[6]))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            lines, ts, xs = groups.setdefault((row[0], row[1], row[2]), ([], [], []))
+            lines.append(lineno)
+            ts.append(t)
+            xs.append(acc)
+    recordings = []
+    for (subject, session, recording), (lines, ts, xs) in groups.items():
+        t_arr, x_arr = np.asarray(ts), np.asarray(xs)
+        if not (np.isfinite(t_arr).all() and np.isfinite(x_arr).all()):
+            raise FormatError(f"{path}:{_first_non_finite_line(path, 3)}: non-finite value")
+        steps = np.diff(t_arr)
+        if np.any(steps <= 0):
+            line = lines[np.flatnonzero(steps <= 0)[0] + 1]
+            raise InvalidInputError(f"{path}:{line}: non-monotonic timestamps in recording "
+                                    f"({subject}, {session}, {recording})")
+        recordings.append(RawRecording(subject, session, recording, t_arr, x_arr))
+    return recordings
+
+
+def oracle_write_canonical(recordings, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RECORDING_HEADER)
+        for rec in recordings:
+            for t, (ax, ay, az) in zip(rec.timestamps, rec.samples):
+                writer.writerow([rec.subject_id, rec.session_id, rec.recording_id,
+                                 _fmt(t), _fmt(ax), _fmt(ay), _fmt(az)])
+
+
+def oracle_export_features(path, sources, vectors):
+    dim = vectors.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject", "session", "recording", "frame"]
+                        + [f"f{i}" for i in range(dim)])
+        for (subject, session, recording, frame), vec in zip(sources, vectors):
+            writer.writerow([subject, session, recording, frame] + [_fmt(v) for v in vec])
+
+
+def oracle_load_features(path):
+    sources, rows = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if (header is None or len(header) < 5
+                or header[:4] != ["subject", "session", "recording", "frame"]
+                or any(h != f"f{i}" for i, h in enumerate(header[4:]))):
+            raise FormatError(f"{path}: not a feature CSV")
+        dim = len(header) - 4
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != dim + 4:
+                raise FormatError(f"{path}:{lineno}: expected {dim + 4} fields, got {len(row)}")
+            try:
+                sources.append((row[0], row[1], row[2], int(row[3])))
+                rows.append([float(v) for v in row[4:]])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    vectors = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+    if not np.isfinite(vectors).all():
+        raise FormatError(f"{path}:{_first_non_finite_line(path, 4)}: non-finite value")
+    return sources, vectors
+
+
+def outcome(load, path):
+    """What a loader returns, as comparable values, or the type and text of its error."""
+    try:
+        result = load(path)
+    except Exception as exc:  # the oracle and the loader must fail alike
+        return type(exc), str(exc)
+    if isinstance(result, list):
+        return [(r.key, r.timestamps.dtype, r.timestamps.tobytes(), r.samples.shape,
+                 r.samples.tobytes()) for r in result]
+    sources, vectors = result
+    return sources, vectors.dtype, vectors.shape, vectors.tobytes()
+
+
+CANONICAL_HEADER = "subject,session,recording,t,ax,ay,az\n"
+GOOD_ROWS = ["s01,1,r1,0.0,1.5,-2.0,3.0", "s01,1,r1,0.01,4.0,5e-07,6.0",
+             "s02,2,r1,0.0,7.0,8.0,9.0", "s02,2,r1,0.01,1.0,1.0,1.0"]
+
+
+def rows_text(rows, end="\n"):
+    return "".join(row + end for row in rows)
+
+
+CANONICAL_CASES = {
+    "plain": CANONICAL_HEADER + rows_text(GOOD_ROWS),
+    "crlf": rows_text([CANONICAL_HEADER.strip()] + GOOD_ROWS, "\r\n"),
+    "blank_lines": CANONICAL_HEADER + "\n" + rows_text(GOOD_ROWS[:2]) + "\n\n"
+    + rows_text(GOOD_ROWS[2:]) + "\n",
+    "no_final_newline": CANONICAL_HEADER + rows_text(GOOD_ROWS)[:-1],
+    "quoted": CANONICAL_HEADER + '"s,01",1,r1,0.0,1,2,3\n"s,01","1",r1,"0.5",1,2,3\n',
+    "non_contiguous": CANONICAL_HEADER + rows_text(
+        [GOOD_ROWS[0], GOOD_ROWS[2], GOOD_ROWS[1], GOOD_ROWS[3], "s01,1,r1,0.02,0,0,0"]),
+    "short_row": CANONICAL_HEADER + rows_text(GOOD_ROWS[:3] + ["s02,2,r1,0.01,1.0,1.0"]),
+    "long_row": CANONICAL_HEADER + rows_text(GOOD_ROWS[:3] + ["s02,2,r1,0.01,1,1,1,1"]),
+    "long_and_short_row": CANONICAL_HEADER + rows_text(
+        ["s01,1,r1,0.0,1,1,1,1", "s01,1,r1,0.01,1,1"]),
+    "bad_float": CANONICAL_HEADER + rows_text(GOOD_ROWS[:3] + ["s02,2,r1,oops,1,1,1"]),
+    "empty_float": CANONICAL_HEADER + rows_text(GOOD_ROWS[:3] + ["s02,2,r1,0.5,,1,1"]),
+    "python_only_floats": CANONICAL_HEADER + rows_text(["s01,1,r1,0.0,1_0, 2 ,+3",
+                                                        "s01,1,r1,1e-2,٣,2,3"]),
+    "nan": CANONICAL_HEADER + rows_text(GOOD_ROWS[:3] + ["s02,2,r1,0.01,nan,1,1"]),
+    "inf": CANONICAL_HEADER + rows_text(GOOD_ROWS[:1] + ["s01,1,r1,inf,1,1,1"] + GOOD_ROWS[2:]),
+    "-inf": CANONICAL_HEADER + rows_text(GOOD_ROWS[:3] + ["s02,2,r1,0.01,1,-inf,1"]),
+    "non_monotonic_group_before_nan_group": CANONICAL_HEADER + rows_text(
+        ["s01,1,r1,0.0,1,1,1", "s02,1,r1,0.0,1,1,nan", "s01,1,r1,0.0,1,1,1"]),
+    "non_monotonic": CANONICAL_HEADER + rows_text(
+        GOOD_ROWS + ["s02,2,r1,0.03,1,1,1", "s02,2,r1,0.02,1,1,1"]),
+    "repeated_t_non_contiguous": CANONICAL_HEADER + rows_text(
+        GOOD_ROWS + ["s01,1,r1,0.01,0,0,0"]),
+    "header_only": CANONICAL_HEADER,
+    "wrong_header": "subject,session,recording,time,ax,ay,az\n" + rows_text(GOOD_ROWS),
+    "empty_file": "",
+    "whitespace_line": CANONICAL_HEADER + rows_text(GOOD_ROWS[:2] + ["   "] + GOOD_ROWS[2:]),
+}
+
+FEATURE_HEADER = "subject,session,recording,frame,f0,f1,f2\n"
+GOOD_FEATURES = ["s01,1,r1,0,0.5,-1.25,3e-08", "s01,1,r1,1,0.1,0.2,0.30000000000000004",
+                 "s02,2,r1,0,1.0,2.0,3.0"]
+
+FEATURE_CASES = {
+    "plain": FEATURE_HEADER + rows_text(GOOD_FEATURES),
+    "crlf": rows_text([FEATURE_HEADER.strip()] + GOOD_FEATURES, "\r\n"),
+    "blank_lines": FEATURE_HEADER + rows_text(GOOD_FEATURES[:1]) + "\n" + rows_text(
+        GOOD_FEATURES[1:]) + "\n",
+    "no_final_newline": FEATURE_HEADER + rows_text(GOOD_FEATURES)[:-1],
+    "quoted": FEATURE_HEADER + '"s,01",1,r1,0,1,2,3\n"s01","1",r1,"7","4",5,6\n',
+    "non_contiguous": FEATURE_HEADER + rows_text(
+        [GOOD_FEATURES[0], GOOD_FEATURES[2], GOOD_FEATURES[1]]),
+    "short_row": FEATURE_HEADER + rows_text(GOOD_FEATURES + ["s02,2,r1,1,1.0,2.0"]),
+    "long_row": FEATURE_HEADER + rows_text(GOOD_FEATURES + ["s02,2,r1,1,1.0,2.0,3.0,4.0"]),
+    "bad_float": FEATURE_HEADER + rows_text(GOOD_FEATURES + ["s02,2,r1,1,1.0,x,3.0"]),
+    "nan": FEATURE_HEADER + rows_text(GOOD_FEATURES[:1] + ["s01,1,r1,1,nan,1,1"]),
+    "inf": FEATURE_HEADER + rows_text(GOOD_FEATURES + ["s02,2,r1,1,1,1,inf"]),
+    "-inf": FEATURE_HEADER + rows_text(["s01,1,r1,1,-inf,1,1"] + GOOD_FEATURES),
+    "frame_not_integer": FEATURE_HEADER + rows_text(GOOD_FEATURES + ["s02,2,r1,1.5,1,1,1"]),
+    "frame_python_int": FEATURE_HEADER + rows_text(GOOD_FEATURES + ["s02,2,r1, +1_0 ,1,1,1"]),
+    "bad_frame_before_non_finite": FEATURE_HEADER + rows_text(
+        ["s01,1,r1,0,nan,1,1", "s01,1,r1,x,1,1,1"]),
+    "header_only": FEATURE_HEADER,
+    "wrong_header": "subject,session,recording,frame,f1,f2\n" + rows_text(GOOD_FEATURES),
+    "key_only_header": "subject,session,recording,frame\ns01,1,r1,0\n",
+    "empty_file": "",
+}
+
+
+class TestFastPathParity:
+    @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+    def test_canonical_load_matches_oracle(self, tmp_path, case):
+        path = tmp_path / "gait.csv"
+        path.write_bytes(CANONICAL_CASES[case].encode())
+        assert outcome(load_canonical_csv, path) == outcome(oracle_load_canonical, path)
+
+    @pytest.mark.parametrize("case", sorted(FEATURE_CASES))
+    def test_features_load_matches_oracle(self, tmp_path, case):
+        path = tmp_path / "features.csv"
+        path.write_bytes(FEATURE_CASES[case].encode())
+        assert outcome(load_features_csv, path) == outcome(oracle_load_features, path)
+
+    def test_plain_files_never_reach_the_scanner(self, tmp_path, monkeypatch):
+        def scanner(path):
+            raise AssertionError(f"{path} was scanned row by row")
+
+        monkeypatch.setattr(canonical, "_scan_canonical", scanner)
+        monkeypatch.setattr(canonical, "_scan_features", scanner)
+        for name, text, load in (("g.csv", CANONICAL_CASES["plain"], load_canonical_csv),
+                                 ("h.csv", CANONICAL_CASES["header_only"], load_canonical_csv),
+                                 ("f.csv", FEATURE_CASES["plain"], load_features_csv),
+                                 ("e.csv", FEATURE_CASES["header_only"], load_features_csv)):
+            path = tmp_path / name
+            path.write_text(text)
+            load(path)
+
+    # the evaluation populations of the benchmark's fcn-cd, ae-sd and
+    # raw-matrix workloads, and their shared training population
+    @pytest.mark.parametrize("subjects, seconds, sessions, drift", [
+        (8, 30.0, 1, 0.0), (30, 20.0, 2, 0.3), (30, 40.0, 1, 0.0), (40, 20.0, 2, 0.3)])
+    def test_canonical_write_matches_oracle_bytes(self, tmp_path, subjects, seconds,
+                                                  sessions, drift):
+        recs = generate_synthetic(SyntheticConfig(
+            num_subjects=subjects, recording_seconds=seconds, sessions=sessions,
+            cross_day_drift=drift, seed=subjects))
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_canonical_csv(recs, ours)
+        oracle_write_canonical(recs, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        assert outcome(load_canonical_csv, ours) == outcome(oracle_load_canonical, oracle)
+
+    def test_canonical_write_quotes_keys_like_csv(self, tmp_path):
+        recs = [RawRecording('s,"1"', "1", "r 1", [0.0, 0.01], np.ones((2, 3))),
+                RawRecording("s2", "", "r\n2", [1e-300, 2.5e300], -np.ones((2, 3)) / 3)]
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_canonical_csv(recs, ours)
+        oracle_write_canonical(recs, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
+        assert outcome(load_canonical_csv, ours) == outcome(oracle_load_canonical, oracle)
+
+    @pytest.mark.parametrize("dtype, dim", [(np.float32, 128), (np.float64, 128),
+                                            (np.float64, 384), (np.int64, 3)])
+    def test_features_write_matches_oracle_bytes(self, tmp_path, dtype, dim):
+        rng = np.random.default_rng(dim)
+        vectors = (rng.standard_normal((930, dim)) * 10.0 ** rng.integers(-8, 8, (930, dim)))
+        vectors = vectors.astype(dtype)
+        sources = [(f"s{i % 31:02d}", "1", "r,1" if i % 7 == 0 else "r1", i)
+                   for i in range(930)]
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        export_features_csv(ours, sources, vectors)
+        oracle_export_features(oracle, sources, vectors)
+        assert ours.read_bytes() == oracle.read_bytes()
+        assert outcome(load_features_csv, ours) == outcome(oracle_load_features, oracle)
+
+    def test_features_write_with_no_rows(self, tmp_path):
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        export_features_csv(ours, [], np.empty((0, 5)))
+        oracle_export_features(oracle, [], np.empty((0, 5)))
+        assert ours.read_bytes() == oracle.read_bytes()

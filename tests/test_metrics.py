@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.evaluate import (
     UserResult,
+    _tie_averaged_ranks,
     aggregate_scores,
     eer,
     roc_auc,
@@ -42,6 +44,23 @@ def sweep_eer(genuine, impostor):
 
 
 class TestRocAuc:
+    @pytest.mark.parametrize("scores", [
+        [0.5], [2.0, 1.0], [1.0, 1.0, 1.0], [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
+        [-0.0, 0.0, 1e-300, -1e-300], [np.inf, -np.inf, 0.0, np.inf]])
+    def test_ranks_equal_scipy_rankdata(self, scores):
+        x = np.asarray(scores, dtype=np.float64)
+        assert _tie_averaged_ranks(x).tobytes() == rankdata(x).tobytes()
+
+    def test_ranks_equal_scipy_rankdata_on_tie_heavy_and_float32_scores(self):
+        rng = np.random.default_rng(5)
+        for trial in range(400):
+            x = np.round(rng.standard_normal(int(rng.integers(1, 300))), trial % 3)
+            if trial % 2:
+                x = (x + rng.standard_normal(x.size) * 1e-9).astype(np.float32).astype(np.float64)
+            ranks = _tie_averaged_ranks(x)
+            assert ranks.dtype == np.float64
+            assert ranks.tobytes() == rankdata(x).tobytes(), trial
+
     def test_perfect_separation(self):
         assert roc_auc([0.9, 0.8], [0.1, 0.2]) == 1.0
 

@@ -4,10 +4,8 @@ import pytest
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.signal import (
-    CycleAnnotation,
     Frames,
     RawRecording,
-    cycle_stats,
     resample_linear,
     segment_frames,
     zscore,
@@ -198,29 +196,3 @@ class TestFrames:
         assert both.sources == a.sources + b.sources
         npt.assert_array_equal(both.values, np.concatenate([a.values, b.values]))
         assert len(Frames.concat([])) == 0
-
-
-def annotation(boundaries, recording="r1"):
-    return CycleAnnotation("s01", "1", recording, np.asarray(boundaries))
-
-
-class TestCycleStats:
-    def test_simple_mean_median(self):
-        # cycles of lengths 100, 110, 120
-        stats = cycle_stats([annotation([0, 100, 210, 330])])
-        assert stats.mean == 110
-        assert stats.median == 110
-
-    def test_coverage_fraction(self):
-        stats = cycle_stats([annotation([0, 90, 180, 310])])  # 90, 90, 130
-        assert stats.coverage_at(128) == pytest.approx(2 / 3)
-        assert stats.histogram == {90: 2, 130: 1}
-
-    def test_aggregates_across_annotations(self):
-        stats = cycle_stats([annotation([0, 100]), annotation([5, 115], "r2")])
-        assert stats.mean == 105
-        assert sorted(stats.histogram) == [100, 110]
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cycle_stats([])
