@@ -239,7 +239,7 @@ def cmd_train(args, argv):
 
     save_model(models.to_container(encoder, meta), args.out)
     history_path = str(args.out) + ".history.csv"
-    with open(history_path, "w") as fh:
+    with open(history_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
         for e in history.epochs:
             fh.write(f"{e.epoch},{e.train_loss:.10g},{e.val_loss:.10g},{e.lr:.10g}\n")

@@ -8,10 +8,12 @@ Floats are written with shortest-round-trip formatting, so
 load(write(x)) is lossless; a writer builds the text of a whole
 recording, or of a whole feature file, and writes it at once.
 
-The loaders read a plain file (exact header, LF line ends, no quotes,
-CRs or blank lines) in one pass over its text: field counts are checked
-from the comma count and the floats are parsed by one ``np.loadtxt``.
-A file that pass does not accept is read again by a per-row csv
+Files are UTF-8 whatever the locale; a loader given other bytes fails at
+``path:line`` of the first byte that does not decode. The loaders read a
+plain file (exact header, LF line ends, no quotes, CRs or blank lines)
+in one pass over its text: field counts are checked from the comma
+count and the floats are parsed by one ``np.loadtxt``.
+A file that pass does not accept is parsed again by a per-row csv
 scanner. It reads the unusual but valid files (CRLF ends, quoted fields,
 blank lines, no final newline) and fails at ``path:line`` on every
 error: a bad field count, float or frame number, nan/inf, and
@@ -46,8 +48,19 @@ def _float_rows(values: np.ndarray) -> list[str]:
     return [",".join(map(repr, row)) for row in values.tolist()]
 
 
-def _read_plain(path, first_float: int):
-    """(header fields, data lines, floats) of a file that needs no csv parsing.
+def _read_text(path) -> str:
+    """The UTF-8 text of a file, line ends untranslated."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def _read_plain(text: str, first_float: int):
+    """(header fields, data lines, floats) of a file text that needs no csv parsing.
 
     ``floats`` holds fields ``first_float`` onwards of every data line,
     (N, header fields - first_float). None when the file has CR or quote
@@ -56,8 +69,6 @@ def _read_plain(path, first_float: int):
     total comma count rules out long ones), or when a float is bad or not
     finite.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
     if not text.endswith("\n") or "\r" in text or '"' in text or "\n\n" in text:
         return None
     header, *lines = text[:-1].split("\n")
@@ -78,12 +89,13 @@ def _read_plain(path, first_float: int):
 
 def load_canonical_csv(path) -> list[RawRecording]:
     """One RawRecording per (subject, session, recording) group, first-appearance order."""
-    recordings = _load_plain_canonical(path)
-    return _scan_canonical(path) if recordings is None else recordings
+    text = _read_text(path)
+    recordings = _load_plain_canonical(text)
+    return _scan_canonical(path, text) if recordings is None else recordings
 
 
-def _load_plain_canonical(path) -> list[RawRecording] | None:
-    plain = _read_plain(path, 3)
+def _load_plain_canonical(text: str) -> list[RawRecording] | None:
+    plain = _read_plain(text, 3)
     if plain is None or plain[0] != RECORDING_HEADER:
         return None
     _, lines, values = plain
@@ -104,10 +116,10 @@ def _load_plain_canonical(path) -> list[RawRecording] | None:
     return recordings
 
 
-def _scan_canonical(path) -> list[RawRecording]:
+def _scan_canonical(path, text: str) -> list[RawRecording]:
     groups: dict[tuple[str, str, str], tuple[list, list, list]] = {}
     non_finite_line = None
-    with open(path, newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != RECORDING_HEADER:
             raise FormatError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
@@ -141,7 +153,7 @@ def _scan_canonical(path) -> list[RawRecording]:
 
 
 def write_canonical_csv(recordings: list[RawRecording], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(RECORDING_HEADER) + "\n")
         for rec in recordings:
             prefix = _csv_line(rec.key) + ","
@@ -158,7 +170,7 @@ def export_features_csv(path, sources, vectors: np.ndarray) -> None:
     dim = vectors.shape[1]
     sep = "," if dim else ""
     rows = _float_rows(vectors.astype(np.float64, copy=False))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join([",".join(FEATURE_KEY + [f"f{i}" for i in range(dim)]) + "\n"]
                          + [_csv_line(source) + sep + row + "\n"
                             for source, row in zip(sources, rows)]))
@@ -166,8 +178,9 @@ def export_features_csv(path, sources, vectors: np.ndarray) -> None:
 
 def load_features_csv(path):
     """Returns (sources, vectors): source tuples and an (N, D) float array."""
-    features = _load_plain_features(path)
-    return _scan_features(path) if features is None else features
+    text = _read_text(path)
+    features = _load_plain_features(text)
+    return _scan_features(path, text) if features is None else features
 
 
 def _feature_dim(header) -> int | None:
@@ -178,8 +191,8 @@ def _feature_dim(header) -> int | None:
     return len(header) - 4
 
 
-def _load_plain_features(path):
-    plain = _read_plain(path, 4)
+def _load_plain_features(text: str):
+    plain = _read_plain(text, 4)
     if plain is None or _feature_dim(plain[0]) is None:
         return None
     _, lines, vectors = plain
@@ -191,11 +204,11 @@ def _load_plain_features(path):
     return sources, vectors
 
 
-def _scan_features(path):
+def _scan_features(path, text: str):
     sources: list[tuple[str, str, str, int]] = []
     rows: list[list[float]] = []
     non_finite_line = None
-    with open(path, newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         dim = _feature_dim(next(reader, None))
         if dim is None:

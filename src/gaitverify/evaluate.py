@@ -289,7 +289,7 @@ def run_protocol(sources, vectors, spec: ProtocolSpec, nu: float = ocsvm.DEFAULT
 
 def write_report_csv(report: EvalReport, path) -> None:
     """Per-user rows plus one __summary__ footer row with mean (stdev)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("user_id,auc,eer\n")
         for u in report.users:
             fh.write(f"{u.user_id},{u.auc:.10g},{u.eer:.10g}\n")

@@ -146,7 +146,7 @@ class Encoder(_Model):
     def forward(self, x: np.ndarray, train: bool = False, update_stats: bool = True) -> np.ndarray:
         return self.net.forward(x, train, update_stats)
 
-    def transform(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def transform(self, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Inference-mode feature matrix (N, 128) for frames (N, 128, 3).
 
         Equals net.forward(x, train=False) up to rounding, with each batch
@@ -155,6 +155,12 @@ class Encoder(_Model):
         s = gamma / sqrt(running_var + eps), so every block runs as one
         convolution and an in-place ReLU. The folded kernels are rebuilt
         on every call from the current parameters and running statistics.
+
+        Frames run in batches of ``batch_size`` rows, by default the 32 of
+        a training step, so the working set (activations and im2col copies,
+        about 17 MB for the default encoder) is bounded whatever N is.
+        Within one batch size the result is deterministic; other batch
+        sizes may round differently.
         """
         if self.batches_tracked == 0:
             raise InvalidStateError(
@@ -167,7 +173,9 @@ class Encoder(_Model):
                 h = ops.conv1d_forward(h, w, b)
                 np.maximum(h, 0, out=h)
             out.append(ops.gap_forward(h))
-        return np.concatenate(out, axis=0) if out else np.empty((0, self.filters[-1]))
+        if not out:
+            return np.empty((0, self.filters[-1]), dtype=blocks[-1][0].dtype)
+        return np.concatenate(out, axis=0)
 
     def _folded_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(kernel, bias) of each conv with its inference batch norm folded in."""
@@ -188,16 +196,14 @@ class Encoder(_Model):
 
 class Autoencoder(_Model):
     def __init__(self, seed: int, filters=DEFAULT_FILTERS, kernels=DEFAULT_KERNELS,
-                 learned_position: bool = True, dtype=np.float32):
+                 dtype=np.float32):
         self.filters = tuple(filters)
         self.kernels = tuple(kernels)
-        self.learned_position = learned_position
         self.seed = seed
         self.num_classes = None
         rng = np.random.default_rng(seed)
         self.encoder = _encoder_net(rng, self.filters, self.kernels, dtype)
         dec_layers = [LatentBroadcast(FRAME_LEN, self.filters[-1],
-                                      learned_position=learned_position,
                                       name="dec.expand", dtype=dtype)]
         dec_layers += conv_block(self.kernels[-1], self.filters[-1], self.filters[0],
                                  rng, name="dec.block1", dtype=dtype)
@@ -263,8 +269,6 @@ def _arch_meta(model, arch: str) -> dict[str, str]:
     }
     if isinstance(model, FCNClassifier):
         meta["num_classes"] = str(model.num_classes)
-    if isinstance(model, Autoencoder):
-        meta["learned_position"] = str(int(model.learned_position))
     return meta
 
 
@@ -312,8 +316,11 @@ def from_container(container: ModelContainer):
         model = FCNClassifier(_ints(meta, "num_classes")[0], seed=0,
                               filters=filters, kernels=kernels)
     elif arch == _ARCH_AE:
-        model = Autoencoder(seed=0, filters=filters, kernels=kernels,
-                            learned_position=bool(_ints(meta, "learned_position", "1")[0]))
+        if meta.get("learned_position", "1") != "1":
+            raise FormatError(f"container metadata learned_position="
+                              f"{meta['learned_position']!r}: only the learned "
+                              "latent broadcast is supported")
+        model = Autoencoder(seed=0, filters=filters, kernels=kernels)
     elif arch == _ARCH_ENCODER:
         rng = np.random.default_rng(0)
         model = Encoder(_encoder_net(rng, filters, kernels, np.float32), filters, kernels)

@@ -15,8 +15,6 @@ from .layers import (
 from .ops import (
     batchnorm_backward,
     batchnorm_forward,
-    broadcast_backward,
-    broadcast_forward,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -37,8 +35,8 @@ __all__ = [
     "GlobalAveragePool", "GradCheckReport", "History", "LatentBroadcast",
     "Parameter", "PlateauScheduler", "ReLU", "Sequential", "TrainConfig",
     "batchnorm_backward", "batchnorm_forward",
-    "broadcast_backward", "broadcast_forward", "conv1d_backward",
-    "conv1d_forward", "conv_block", "dense_backward", "dense_forward",
+    "conv1d_backward", "conv1d_forward", "conv_block",
+    "dense_backward", "dense_forward",
     "evaluate_loss", "gap_backward", "gap_forward", "gradient_check",
     "mse_loss", "relu_backward", "relu_forward",
     "softmax", "softmax_crossentropy", "train",

@@ -172,44 +172,32 @@ class GlobalAveragePool(Layer):
 class LatentBroadcast(Layer):
     """Expand a latent (B,C) to (B,T,C) for the decoder.
 
-    With learned_position=False this is a plain tile (the adjoint of GAP).
-    With learned_position=True each time step applies a learnable affine,
-    y[b,t,c] = z[b,c]*scale[t,c] + shift[t,c], initialized to the exact
-    tile (scale=1, shift=0). Plain tiling makes every decoder output
-    time-constant away from the padding edges, which starves the encoder
-    of gradient; the learned affine restores a usable reconstruction path
-    while starting from the same tiling.
+    Each time step applies a learnable affine, y[b,t,c] = z[b,c]*scale[t,c]
+    + shift[t,c], initialized to the plain tile (scale=1, shift=0). A plain
+    tile makes every decoder output time-constant away from the padding
+    edges, which starves the encoder of gradient; the learned affine
+    restores a usable reconstruction path while starting from that tile.
     """
 
-    def __init__(self, t: int, channels: int, learned_position: bool = True,
-                 name: str = "expand", dtype=np.float32):
+    def __init__(self, t: int, channels: int, name: str = "expand", dtype=np.float32):
         self.name = name
-        self.t = t
         self.channels = channels
-        self.learned_position = learned_position
-        if learned_position:
-            self.scale = Parameter(f"{name}.scale", np.ones((t, channels), dtype=dtype))
-            self.shift = Parameter(f"{name}.shift", np.zeros((t, channels), dtype=dtype))
+        self.scale = Parameter(f"{name}.scale", np.ones((t, channels), dtype=dtype))
+        self.shift = Parameter(f"{name}.shift", np.zeros((t, channels), dtype=dtype))
         self._z = None
 
     def forward(self, z, train, update_stats=True):
         if z.ndim != 2 or z.shape[1] != self.channels:
             raise InvalidInputError(f"expected latent (B,{self.channels}), got {z.shape}")
         self._z = z
-        if not self.learned_position:
-            return ops.broadcast_forward(z, self.t)
         return z[:, None, :] * self.scale.value + self.shift.value
 
     def backward(self, grad_y):
-        if not self.learned_position:
-            return ops.broadcast_backward(grad_y)
         self.scale.grad += (grad_y * self._z[:, None, :]).sum(axis=0)
         self.shift.grad += grad_y.sum(axis=0)
         return (grad_y * self.scale.value).sum(axis=1)
 
     def parameters(self):
-        if not self.learned_position:
-            return []
         return [self.scale, self.shift]
 
 

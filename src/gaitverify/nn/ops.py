@@ -6,13 +6,26 @@ length-preserving ("same" zero padding, stride 1): for kernel size K the
 left pad is floor((K-1)/2) and the right pad is ceil((K-1)/2), which
 also covers even K.
 
-Convolution runs on BLAS through im2col: ``_im2col`` copies the padded
-input into one contiguous (B*T, K*Cin) matrix whose row b*T+t holds the
-K input rows that output step t sees, k-major then channel
-(cols[b*T+t, k*Cin+ci] = xpad[b, t+k, ci]). The kernel flattens the same
-way to (K*Cin, Cout), so the forward pass is cols @ w, the weight
-gradient cols.T @ grad_y, and the input gradient grad_y @ w.T reshaped to
-(B, T, K, Cin), folded back onto the input by K shifted adds (col2im).
+Convolution runs on BLAS and copies only the narrow side of the layer
+into an im2col matrix. ``_im2col`` turns a padded (B, T, C) array into one
+contiguous (B*T', K*C) matrix whose row b*T'+t holds the K rows that
+window t sees, k-major then channel (cols[b*T'+t, k*C+c] = xpad[b, t+k, c]).
+``_fold_taps`` is its adjoint: it sums a (B, T, K, C) array of per-tap
+products back onto the time axis with K shifted adds.
+
+- Cin <= Cout (the input side is narrow): the forward pass is
+  im2col(x) @ w with the kernel flattened to (K*Cin, Cout), the weight
+  gradient im2col(x).T @ grad_y, and the input gradient grad_y @ w.T
+  reshaped to (B, T, K, Cin) and folded back by the shifted adds (col2im).
+- Cout < Cin (the output side is narrow): the forward pass multiplies
+  first, x (B*T, Cin) by the tap-reversed kernel laid out as
+  (Cin, K*Cout), and folds the (B, T, K, Cout) products with the same
+  shifted adds. The backward pass runs im2col on grad_y, padded by K-1
+  on both sides, so the weight gradient is xpad.T @ gcols and the input
+  gradient gcols @ w, cropped to the T unpadded rows.
+
+Either way the copied matrix has K*min(Cin, Cout) columns, so a layer
+such as 256 -> 3 channels never copies its wide input K times.
 """
 
 from __future__ import annotations
@@ -27,12 +40,26 @@ def _pad_lr(k: int) -> tuple[int, int]:
     return (k - 1) // 2, k - (k - 1) // 2 - 1
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Contiguous (B*T, K*Cin) im2col matrix of x (B, T, Cin), zero-padded."""
-    pad_l, pad_r = _pad_lr(k)
-    xp = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0)))
-    windows = sliding_window_view(xp, k, axis=1)  # (B, T, Cin, K) view
-    return windows.transpose(0, 1, 3, 2).reshape(x.shape[0] * x.shape[1], -1)
+def _im2col(x: np.ndarray, k: int, pad: tuple[int, int]) -> np.ndarray:
+    """Contiguous (B*T', K*C) im2col matrix of x (B, T, C) zero-padded by ``pad``.
+
+    T' = T + pad[0] + pad[1] - K + 1 windows per sequence.
+    """
+    xp = np.pad(x, ((0, 0), pad, (0, 0)))
+    windows = sliding_window_view(xp, k, axis=1)  # (B, T', C, K) view
+    return windows.transpose(0, 1, 3, 2).reshape(-1, k * x.shape[2])
+
+
+def _fold_taps(cols: np.ndarray, start: int) -> np.ndarray:
+    """(B, T, C) array out[:, t] = sum_k cols[:, t + start - k, k] over in-range rows."""
+    bsz, t, kk, c = cols.shape
+    out = np.zeros((bsz, t, c), dtype=cols.dtype)
+    for k in range(kk):
+        d = start - k
+        lo, hi = max(0, -d), min(t, t - d)
+        if lo < hi:
+            out[:, lo:hi] += cols[:, lo + d:hi + d, k]
+    return out
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,9 +70,16 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[2] != cin or b.shape[0] != cout:
         raise InvalidInputError(
             f"conv1d shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    y = _im2col(x, kk) @ w.reshape(kk * cin, cout)
+    bsz, t, _ = x.shape
+    pad_l, pad_r = _pad_lr(kk)
+    if cin <= cout:
+        y = (_im2col(x, kk, (pad_l, pad_r)) @ w.reshape(kk * cin, cout)).reshape(bsz, t, cout)
+    else:
+        # taps reversed, so y[t] = sum_j taps[t + pad_r - j, j] is a shifted add
+        w_rev = w[::-1].transpose(1, 0, 2).reshape(cin, kk * cout)
+        y = _fold_taps((x.reshape(bsz * t, cin) @ w_rev).reshape(bsz, t, kk, cout), pad_r)
     y += b
-    return y.reshape(x.shape[0], x.shape[1], cout)
+    return y
 
 
 def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
@@ -55,16 +89,21 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
     if grad_y.shape != (bsz, t, cout):
         raise InvalidInputError(
             f"conv1d backward shape mismatch: grad_y {grad_y.shape}, expected {(bsz, t, cout)}")
-    gy = grad_y.reshape(bsz * t, cout)
     grad_b = grad_y.sum(axis=(0, 1))
-    grad_w = (_im2col(x, kk).T @ gy).reshape(kk, cin, cout)
-    grad_cols = (gy @ w.reshape(kk * cin, cout).T).reshape(bsz, t, kk, cin)
-    # col2im: input row t+k-pad_l collects tap k of output row t
     pad_l, pad_r = _pad_lr(kk)
-    grad_xp = np.zeros((bsz, t + pad_l + pad_r, cin), dtype=x.dtype)
-    for k in range(kk):
-        grad_xp[:, k:k + t, :] += grad_cols[:, :, k, :]
-    grad_x = grad_xp[:, pad_l:pad_l + t, :]
+    if cin <= cout:
+        gy = grad_y.reshape(bsz * t, cout)
+        grad_w = (_im2col(x, kk, (pad_l, pad_r)).T @ gy).reshape(kk, cin, cout)
+        grad_cols = (gy @ w.reshape(kk * cin, cout).T).reshape(bsz, t, kk, cin)
+        # col2im: input row t collects tap k of output row t + pad_l - k
+        return _fold_taps(grad_cols, pad_l), grad_w, grad_b
+    # gcols[b*tp+u, j*Cout+co] = grad_y[b, u+j-(K-1), co]: tap K-1-j of padded input row u
+    tp = t + kk - 1
+    gcols = _im2col(grad_y, kk, (kk - 1, kk - 1))
+    xpad = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0))).reshape(bsz * tp, cin)
+    grad_w = (xpad.T @ gcols).reshape(cin, kk, cout)[:, ::-1].transpose(1, 0, 2)
+    w_rev = w[::-1].transpose(0, 2, 1).reshape(kk * cout, cin)
+    grad_x = (gcols @ w_rev).reshape(bsz, tp, cin)[:, pad_l:pad_l + t]
     return grad_x, grad_w, grad_b
 
 
@@ -139,17 +178,6 @@ def gap_forward(x: np.ndarray) -> np.ndarray:
 
 def gap_backward(grad_y: np.ndarray, t: int) -> np.ndarray:
     return np.repeat(grad_y[:, None, :], t, axis=1) / t
-
-
-def broadcast_forward(z: np.ndarray, t: int) -> np.ndarray:
-    """Tile a latent (B,C) across t time steps: the adjoint-style GAP inverse."""
-    if z.ndim != 2:
-        raise InvalidInputError(f"broadcast expects (B,C), got {z.shape}")
-    return np.repeat(z[:, None, :], t, axis=1)
-
-
-def broadcast_backward(grad_y: np.ndarray) -> np.ndarray:
-    return grad_y.sum(axis=1)
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

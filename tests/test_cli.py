@@ -295,6 +295,26 @@ def test_feature_csv_with_wrong_header_exits_one(features, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_canonical_csv_not_utf8_exits_one_at_its_line(tmp_path, capsys):
+    data = tmp_path / "gait.csv"
+    data.write_bytes(b"subject,session,recording,t,ax,ay,az\ns\xff1,1,r1,0.0,1,1,1\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert f"error: {data}:2: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_feature_csv_not_utf8_exits_one_at_its_line(features, tmp_path, capsys):
+    lines = features.read_bytes().split(b"\n")
+    lines[3] = b"\xe9" + lines[3]
+    bad = tmp_path / "features.csv"
+    bad.write_bytes(b"\n".join(lines))
+    out = tmp_path / "report.csv"
+    assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
+    assert f"error: {bad}:4: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_monotonic_timestamps_exit_one_at_their_line(tmp_path, capsys):
     rows = recording_rows("r1", 200) + recording_rows("r2", 200)
     rows[300] = rows[300][:3] + (rows[299][3],) + rows[300][4:]

@@ -63,10 +63,11 @@ class TestGradientCheck:
         names = {t.name for t in report.tensors}
         assert "dec.expand.scale" in names  # inverse-GAP path included
 
-    def test_plain_tiling_autoencoder_path(self):
+    def test_autoencoder_even_kernels_path(self):
+        # even K pads one step more on the right; block3 and dec.out (Cout < Cin)
+        # take the output-side convolution, the other layers the input side
         rng = np.random.default_rng(4)
-        model = models.Autoencoder(seed=4, filters=(4, 6, 4), kernels=(3, 3, 3),
-                                         learned_position=False)
+        model = models.Autoencoder(seed=4, filters=(4, 6, 4), kernels=(4, 2, 6))
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
         report = gradient_check(model, x, None, max_exhaustive=100000)

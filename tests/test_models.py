@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -258,8 +260,37 @@ class TestFoldedTransform:
             npt.assert_array_equal(encoder.transform(x), first, err_msg=name)
 
     def test_empty_input(self):
+        for dtype in (np.float32, np.float64):
+            _, encoder = self.encoders(dtype)[0]
+            got = encoder.transform(np.empty((0, 128, 3), dtype))
+            assert got.shape == (0, 128)
+            assert got.dtype == dtype
+
+    def test_batch_size_changes_only_rounding(self):
+        x = np.random.default_rng(28).standard_normal((45, 128, 3)).astype(np.float32)
+        for name, encoder in self.encoders(np.float32):
+            default = encoder.transform(x)
+            npt.assert_array_equal(default, encoder.transform(x, batch_size=32), err_msg=name)
+            for batch_size in (1, 7, len(x)):
+                npt.assert_allclose(encoder.transform(x, batch_size=batch_size), default,
+                                    rtol=1e-6, atol=1e-7, err_msg=f"{name}: {batch_size}")
+
+    def test_working_set_does_not_grow_with_frames(self):
         _, encoder = self.encoders(np.float32)[0]
-        assert encoder.transform(np.empty((0, 128, 3), np.float32)).shape == (0, 128)
+
+        def peak(n):
+            x = np.random.default_rng(29).standard_normal((n, 128, 3)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = encoder.transform(x)
+                return tracemalloc.get_traced_memory()[1] - base, out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(64)
+        large, out_bytes = peak(930)
+        assert large - small <= out_bytes + 2 * 2**20
 
     def test_untrained_encoder_raises(self):
         encoder = models.strip_classifier(models.FCNClassifier(3, seed=26))
@@ -320,6 +351,12 @@ class TestContainerRoundTrip:
         reloaded = models.from_container(load_model(path))
         npt.assert_array_equal(ae.forward(x, train=False),
                                reloaded.forward(x, train=False))
+
+    def test_plain_tiling_autoencoder_is_a_format_error(self):
+        container = models.to_container(models.Autoencoder(seed=18))
+        container.metadata["learned_position"] = "0"
+        with pytest.raises(FormatError, match="learned_position"):
+            models.from_container(container)
 
     def test_missing_metadata_is_a_format_error(self):
         encoder = models.strip_classifier(models.FCNClassifier(3, seed=19))

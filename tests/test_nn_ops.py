@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -245,7 +247,9 @@ EDGE_CONV_SHAPES = [(2, 3, 4), (4, 5, 3), (6, 2, 2), (1, 3, 2)]
 class TestConv1dAgainstReference:
     @pytest.mark.parametrize("k,cin,cout,t", [s + (32,) for s in MODEL_CONV_SHAPES]
                              + [s + (9,) for s in EDGE_CONV_SHAPES]
-                             + [(8, 3, 4, 3), (8, 2, 3, 1), (5, 4, 2, 2), (4, 3, 3, 2)])
+                             + [(8, 3, 4, 3), (8, 2, 3, 1), (5, 4, 2, 2), (4, 3, 3, 2)]
+                             # either side of the Cin <= Cout branch, and T < K on the output side
+                             + [(3, 129, 128, 32), (3, 128, 129, 32), (8, 256, 3, 5)])
     def test_forward_and_backward_match_reference(self, k, cin, cout, t):
         rng = np.random.default_rng(k * 1000 + cin + cout + t)
         x = rng.standard_normal((3, t, cin))
@@ -258,11 +262,30 @@ class TestConv1dAgainstReference:
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 10, 3)).astype(np.float32)
-        w = rng.standard_normal((8, 3, 4)).astype(np.float32)
-        gy = rng.standard_normal((2, 10, 4)).astype(np.float32)
-        assert ops.conv1d_forward(x, w, np.zeros(4, np.float32)).dtype == np.float32
-        assert all(g.dtype == np.float32 for g in ops.conv1d_backward(x, w, gy))
+        for cin, cout in [(3, 4), (6, 2)]:
+            x = rng.standard_normal((2, 10, cin)).astype(np.float32)
+            w = rng.standard_normal((8, cin, cout)).astype(np.float32)
+            gy = rng.standard_normal((2, 10, cout)).astype(np.float32)
+            assert ops.conv1d_forward(x, w, np.zeros(cout, np.float32)).dtype == np.float32
+            grads = ops.conv1d_backward(x, w, gy)
+            assert [g.dtype for g in grads] == [np.float32] * 3, (cin, cout)
+
+    def test_narrow_output_copies_no_wide_im2col(self):
+        # dec.out at the training batch: a (B*T, K*Cin) im2col of x would take 8x its size
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((32, 128, 256)).astype(np.float32)
+        w = rng.standard_normal((8, 256, 3)).astype(np.float32)
+        b = np.zeros(3, np.float32)
+        gy = rng.standard_normal((32, 128, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ops.conv1d_forward(x, w, b)
+            ops.conv1d_backward(x, w, gy)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
 
 
 class TestBatchNormAgainstReference:
@@ -322,22 +345,6 @@ class TestReluAndGap:
             return float(np.sum(ops.gap_forward(x) * gy))
 
         npt.assert_allclose(gx, central_diff(loss, x), rtol=1e-6, atol=1e-9)
-
-
-class TestBroadcast:
-    def test_tile_and_adjoint(self):
-        rng = np.random.default_rng(11)
-        z = rng.standard_normal((2, 4))
-        y = ops.broadcast_forward(z, 6)
-        assert y.shape == (2, 6, 4)
-        npt.assert_array_equal(y[:, 3, :], z)
-        gy = rng.standard_normal((2, 6, 4))
-
-        def loss():
-            return float(np.sum(ops.broadcast_forward(z, 6) * gy))
-
-        npt.assert_allclose(ops.broadcast_backward(gy), central_diff(loss, z),
-                            rtol=1e-6, atol=1e-9)
 
 
 class TestDense:
