@@ -147,6 +147,13 @@ def _check_required(deferred: list[argparse.Action], args: argparse.Namespace):
                           f"(as a flag or in --config)")
 
 
+def _check_out_dir(args: argparse.Namespace):
+    """Fail before any work when the directory of --out does not exist."""
+    out = getattr(args, "out", None)
+    if out is not None and not Path(out).parent.is_dir():
+        raise _UsageError(f"{out}: directory {Path(out).parent} does not exist")
+
+
 def _gamma(text: str):
     if text == "auto":
         return "auto"
@@ -404,6 +411,7 @@ def main(argv=None) -> int:
             return 1
         _apply_config_file(parsers[args.command], args, argv)
         _check_required(required[args.command], args)
+        _check_out_dir(args)
         return args.func(args, argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -171,7 +171,7 @@ class Encoder(_Model):
             h = x[s:s + batch_size]
             for w, b in blocks:
                 h = ops.conv1d_forward(h, w, b)
-                np.maximum(h, 0, out=h)
+                ops.relu_forward(h)
             out.append(ops.gap_forward(h))
         if not out:
             return np.empty((0, self.filters[-1]), dtype=blocks[-1][0].dtype)

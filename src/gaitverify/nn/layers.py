@@ -4,6 +4,22 @@ A layer owns its Parameter objects; forward() stores whatever backward()
 needs. Batch-norm running statistics are only committed when the forward
 pass is invoked with update_stats=True, so loss evaluations (validation,
 finite differences) are side-effect free.
+
+Cache rules, which keep one stored activation per block boundary:
+
+- Every layer except ReLU returns a fresh array from forward() and never
+  writes into its input.
+- ReLU overwrites its input with max(x, 0) and caches that array, so it
+  may only follow a layer that returns a fresh array (here always a
+  BatchNorm). The Conv1d, GlobalAveragePool or Dense after it caches or
+  reads the same object; nothing writes into it until the next forward.
+- BatchNorm caches only its normalized input ``xhat``; its output is the
+  array the ReLU then overwrites. ReLU.backward masks ``grad_y`` in place,
+  which is the fresh gradient returned by the layer after it.
+- BatchNorm drops the previous step's cache before it computes the new
+  one (ReLU allocates nothing). Caches stay alive after backward(), so
+  the next forward pass reuses memory the heap already holds instead of
+  faulting in new pages.
 """
 
 from __future__ import annotations
@@ -105,6 +121,7 @@ class BatchNorm(Layer):
         self._cache = None
 
     def forward(self, x, train, update_stats=True):
+        self._cache = None
         y, cache, new_rm, new_rv = ops.batchnorm_forward(
             x, self.gamma.value, self.beta.value,
             self.running_mean, self.running_var,
@@ -149,8 +166,8 @@ class ReLU(Layer):
         self._x = None
 
     def forward(self, x, train, update_stats=True):
-        self._x = x
-        return ops.relu_forward(x)
+        self._x = ops.relu_forward(x)
+        return self._x
 
     def backward(self, grad_y):
         return ops.relu_backward(self._x, grad_y)

@@ -116,6 +116,11 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     statistics are returned rather than mutated so a forward pass has no
     side effects; train mode uses batch statistics (population variance)
     and updates running ones as running <- momentum*running + (1-momentum)*batch.
+
+    x is left unchanged. The cache holds ``xhat``, the normalized input,
+    and y is a separate fresh array that the caller may overwrite (the
+    ReLU after it does). In train mode y reuses the buffer of the squared
+    deviations, so either mode allocates two arrays of x's size.
     """
     axes = tuple(range(x.ndim - 1))
     if train:
@@ -124,16 +129,18 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             raise InvalidInputError("batchnorm train mode needs at least 2 values per channel")
         mean = x.mean(axis=axes)
         xhat = x - mean
-        var = np.square(xhat).mean(axis=axes)
+        sq = np.square(xhat)
+        var = sq.mean(axis=axes)
         new_rm = momentum * running_mean + (1.0 - momentum) * mean
         new_rv = momentum * running_var + (1.0 - momentum) * var
     else:
         mean, var = running_mean, running_var
         new_rm, new_rv = running_mean, running_var
         xhat = x - mean
+        sq = None
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    y = xhat * gamma
+    y = np.multiply(xhat, gamma, out=sq)
     y += beta
     cache = (xhat, inv_std, gamma, train)
     return y, cache, new_rm, new_rv
@@ -162,11 +169,21 @@ def batchnorm_backward(grad_y: np.ndarray, cache):
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """max(x, 0), written into x; returns x itself.
+
+    The caller gives up x: only pass an array nothing else reads as the
+    pre-activation, such as the fresh output of the layer before.
+    """
+    return np.maximum(x, 0, out=x)
 
 
-def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    return grad_y * (x > 0)
+def relu_backward(y: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
+    """grad_y * (y > 0), written into grad_y; returns grad_y itself.
+
+    y may be the ReLU's input or its output: both are positive at the same
+    places, and the gradient at 0 is 0.
+    """
+    return np.multiply(grad_y, y > 0, out=grad_y)
 
 
 def gap_forward(x: np.ndarray) -> np.ndarray:

@@ -335,3 +335,22 @@ def test_cli_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--subjects", "3", "--seconds", "8"],
+    ["train", "--mode", "ae", "--epochs", "1", "--data", "GAIT"],
+    ["train", "--mode", "e2e", "--epochs", "1", "--data", "GAIT"],
+    ["extract", "--raw", "--data", "GAIT"],
+    ["evaluate", "--features", "FEATURES", "--protocol", "sd1"],
+])
+def test_missing_output_directory_exits_one_before_any_work(features, tmp_path, capsys,
+                                                            command):
+    paths = {"GAIT": str(features.with_name("gait.csv")), "FEATURES": str(features)}
+    out = tmp_path / "missing" / "out.csv"
+    argv = [paths.get(arg, arg) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: directory {out.parent} does not exist\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -126,6 +126,80 @@ class TestAutoencoder:
         assert ae.trainable_parameter_count() == ENCODER_PARAMS + DECODER_PARAMS
 
 
+def cached_arrays(model):
+    """Distinct base arrays that the model's layers keep between calls."""
+    bases = {}
+    for net in model._nets():
+        for layer in models._iter_layers(net):
+            for name, value in vars(layer).items():
+                if not name.startswith("_"):
+                    continue
+                for a in value if isinstance(value, tuple) else (value,):
+                    if isinstance(a, np.ndarray):
+                        while isinstance(a.base, np.ndarray):
+                            a = a.base
+                        bases[id(a)] = a
+    return list(bases.values())
+
+
+class TestTrainingCaches:
+    """One stored activation per block boundary; no stale cache leaks into a step."""
+
+    X = np.random.default_rng(30).standard_normal((32, 128, 3)).astype(np.float32)
+
+    @staticmethod
+    def cases():
+        # (name, model, labels, cache MiB after one step at batch 32)
+        return [("autoencoder", models.Autoencoder(seed=31), None, 30.2),
+                ("fcn", models.FCNClassifier(5, seed=32), np.arange(32) % 5, 16.2)]
+
+    def test_cached_bytes_after_one_step(self):
+        for name, model, y, mib in self.cases():
+            model.loss_and_backward(self.X, y)
+            held = sum(a.nbytes for a in cached_arrays(model))
+            assert held <= mib * 2**20, f"{name}: {held / 2**20:.2f} MiB"
+
+    def test_relu_cache_is_the_next_conv_input(self):
+        for (name, model, y, _), pairs in zip(self.cases(), (4, 2)):
+            model.loss_and_backward(self.X, y)
+            seen = 0
+            for net in model._nets():
+                layers = models._iter_layers(net)
+                for relu, conv in zip(layers, layers[1:]):
+                    if isinstance(relu, ReLU) and isinstance(conv, Conv1d):
+                        assert relu._x is conv._x, f"{name}: {relu.name}"
+                        seen += 1
+            assert seen == pairs, name
+
+    def test_repeated_steps_equal_a_fresh_copy(self):
+        for name, model, y, _ in self.cases():
+            fresh = model.copy()
+            runs = []
+            for m in (model, model, fresh):
+                loss = m.loss_and_backward(self.X, y, update_stats=False)
+                runs.append((loss, {p.name: p.grad.copy() for p in m.parameters()}))
+            for loss, grads in runs[1:]:
+                assert loss == runs[0][0], name
+                for key, g in grads.items():
+                    assert g.tobytes() == runs[0][1][key].tobytes(), f"{name}: {key}"
+
+    def test_inputs_are_left_unchanged(self):
+        x = self.X.copy()
+        for name, model, y, _ in self.cases():
+            calls = [lambda: model.forward(x, train=True),
+                     lambda: model.forward(x, train=False),
+                     lambda: model.loss_only(x, y),
+                     lambda: model.loss_only(x, y, train=True),
+                     lambda: model.loss_and_backward(x, y)]
+            for i, call in enumerate(calls):
+                call()
+                assert x.tobytes() == self.X.tobytes(), f"{name}: call {i}"
+            encoder = (model.get_encoder() if isinstance(model, models.Autoencoder)
+                       else models.strip_classifier(model))
+            encoder.transform(x)
+            assert x.tobytes() == self.X.tobytes(), f"{name}: transform"
+
+
 class TestStripClassifier:
     def test_outputs_equal_gap_activations_exactly(self):
         fcn = models.FCNClassifier(7, seed=6)

@@ -326,6 +326,37 @@ class TestReluAndGap:
         g = ops.relu_backward(np.array([-1.0, 2.0]), np.array([3.0, 4.0]))
         npt.assert_array_equal(g, [0.0, 4.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_forward_writes_into_its_argument(self, dtype):
+        x = np.random.default_rng(11).standard_normal((4, 9, 5)).astype(dtype)
+        x[0, :3] = 0.0
+        x[1, 0, 0] = -0.0
+        want = np.where(x > 0, x, 0).astype(dtype)
+        got = ops.relu_forward(x)
+        assert got is x
+        assert got.dtype == dtype
+        npt.assert_array_equal(got, want)
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_backward_masks_grad_y_in_place(self, dtype):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4, 9, 5)).astype(dtype)
+        x[0, :3] = 0.0
+        grad_y = rng.standard_normal(x.shape).astype(dtype)
+        want = grad_y * (x > 0)
+        x_before = x.copy()
+        got = ops.relu_backward(x, grad_y)
+        assert got is grad_y
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert (got[0, :3] == 0).all()
+        npt.assert_array_equal(x, x_before)
+        # the mask of the output equals the mask of the input, zeros included
+        grad_y = rng.standard_normal(x.shape).astype(dtype)
+        want = grad_y * (x > 0)
+        assert ops.relu_backward(ops.relu_forward(x), grad_y).tobytes() == want.tobytes()
+
     def test_gap_constant_in_time(self):
         x = np.ones((2, 10, 3)) * np.array([1.0, 2.0, 3.0])
         npt.assert_allclose(ops.gap_forward(x), [[1, 2, 3], [1, 2, 3]])
