@@ -94,12 +94,17 @@ def _parse_config_file(path) -> dict[str, tuple[int, str]]:
     return values
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace,
                        argv: list[str]):
     """Fill options from --config FILE; explicit flags keep precedence.
 
-    A value that fails its option's type or choices is a usage error that
-    names the file, line and key.
+    A value that fails its option's type or choices, or a flag's value
+    that is none of 1/true/yes/on or 0/false/no/off (any case), is a
+    usage error that names the file, line and key.
     """
     if not getattr(args, "config", None):
         return
@@ -114,7 +119,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             lineno, raw = values[key]
             where = f"{args.config}:{lineno}: {key}"
             if isinstance(action, argparse._StoreTrueAction):
-                setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
+                flag = raw.lower()
+                if flag not in _TRUE + _FALSE:
+                    raise _UsageError(f"{where}: {raw!r} is not a boolean")
+                setattr(args, key, flag in _TRUE)
                 continue
             try:
                 value = action.type(raw) if action.type else raw
@@ -270,12 +278,8 @@ def cmd_extract(args, argv):
     else:
         if not args.model:
             raise _UsageError("--model is required unless --raw is given")
-        model = models.from_container(load_model(args.model))
-        if isinstance(model, models.FCNClassifier):
-            model = models.strip_classifier(model)
-        elif isinstance(model, models.Autoencoder):
-            model = model.get_encoder()
-        vectors = model.transform(models.frames_to_array(frames))
+        encoder = models.from_container(load_model(args.model))
+        vectors = encoder.transform(models.frames_to_array(frames))
         inputs.append(args.model)
     export_features_csv(args.out, frames.sources, vectors)
     print(f"wrote {args.out}: {vectors.shape[0]} vectors of dimension {vectors.shape[1]}")

@@ -6,6 +6,13 @@ kernel 3) into global average pooling and a dense softmax head. The
 autoencoder reuses the same encoder and mirrors the blocks in reverse
 order for the decoder; the final convolution maps back to 3 channels with
 no batch norm or ReLU so reconstructions can be negative.
+
+A model's whole state is ``arrays()``: name -> live array, every
+parameter value and then every batch-norm running statistic. Training
+snapshots, their restore and the container format all read it, so it
+also fixes the container's tensor order. Only encoders are serialized:
+both training modes exist to produce one, and ``train`` ships only the
+encoder of the FCN or the autoencoder.
 """
 
 from __future__ import annotations
@@ -47,32 +54,25 @@ class _Model:
     def parameters(self):
         return [p for net in self._nets() for p in net.parameters()]
 
-    def state(self):
-        return [s for net in self._nets() for s in net.state()]
-
-    def trainable_parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The model's whole state: name -> live array, parameters then running statistics."""
+        out = {p.name: p.value for p in self.parameters()}
+        for net in self._nets():
+            out.update(net.state())
+        return out
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        snap = {p.name: p.value.copy() for p in self.parameters()}
-        for name, arr in self.state():
-            snap[name] = arr.copy()
-        return snap
+        return {name: a.copy() for name, a in self.arrays().items()}
 
     def load_snapshot(self, snap: dict[str, np.ndarray]):
-        for p in self.parameters():
-            p.value = snap[p.name].copy()
-        for net in self._nets():
-            for name, _ in net.state():
-                net.set_state(name, snap[name].copy())
+        """Write every array of ``snap`` into the model's own arrays, in place."""
+        for name, a in self.arrays().items():
+            a[...] = snap[name]
 
     def cast(self, dtype):
         for net in self._nets():
             net.cast(dtype)
         return self
-
-    def copy(self):
-        return copy.deepcopy(self)
 
     def zero_grads(self):
         zero_grads(self.parameters())
@@ -115,10 +115,6 @@ class FCNClassifier(_Model):
         feats = self.body.forward(x, train, update_stats)
         return self.head.forward(feats, train, update_stats)
 
-    def features(self, x: np.ndarray, train: bool = False, update_stats: bool = True) -> np.ndarray:
-        """Pre-head GAP activations (B, 128)."""
-        return self.body.forward(x, train, update_stats)
-
     def loss_only(self, x, y, train: bool = False, update_stats: bool = False) -> float:
         logits = self.forward(x, train, update_stats)
         loss, _ = ops.softmax_crossentropy(logits, y)
@@ -142,9 +138,6 @@ class Encoder(_Model):
 
     def _nets(self):
         return [self.net]
-
-    def forward(self, x: np.ndarray, train: bool = False, update_stats: bool = True) -> np.ndarray:
-        return self.net.forward(x, train, update_stats)
 
     def transform(self, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Inference-mode feature matrix (N, 128) for frames (N, 128, 3).
@@ -255,40 +248,22 @@ def raw_features(values: np.ndarray) -> np.ndarray:
 
 # --- serialization ------------------------------------------------------
 
-_ARCH_FCN = "fcn-classifier"
-_ARCH_AE = "autoencoder"
 _ARCH_ENCODER = "fcn-encoder"
 
 
-def _arch_meta(model, arch: str) -> dict[str, str]:
-    meta = {
-        "arch": arch,
-        "filters": ",".join(str(f) for f in model.filters),
-        "kernels": ",".join(str(k) for k in model.kernels),
-        "feature_dim": str(model.filters[-1]),
-    }
-    if isinstance(model, FCNClassifier):
-        meta["num_classes"] = str(model.num_classes)
-    return meta
-
-
-def to_container(model, extra_metadata: dict[str, str] | None = None) -> ModelContainer:
-    if isinstance(model, FCNClassifier):
-        arch = _ARCH_FCN
-    elif isinstance(model, Autoencoder):
-        arch = _ARCH_AE
-    elif isinstance(model, Encoder):
-        arch = _ARCH_ENCODER
-    else:
-        raise InvalidInputError(f"cannot serialize {type(model).__name__}")
-    container = ModelContainer(metadata=_arch_meta(model, arch))
+def to_container(encoder: Encoder, extra_metadata: dict[str, str] | None = None) -> ModelContainer:
+    """The encoder's arrays(), in order, with its architecture as metadata."""
+    container = ModelContainer(metadata={
+        "arch": _ARCH_ENCODER,
+        "filters": ",".join(str(f) for f in encoder.filters),
+        "kernels": ",".join(str(k) for k in encoder.kernels),
+        "feature_dim": str(encoder.filters[-1]),
+    })
     if extra_metadata:
         container.metadata.update(extra_metadata)
-    for p in model.parameters():
-        container.add(p.name, p.value)
-    for name, arr in model.state():
+    for name, arr in encoder.arrays().items():
         container.add(name, arr)
-    container.metadata["batches_tracked"] = str(model.batches_tracked)
+    container.metadata["batches_tracked"] = str(encoder.batches_tracked)
     return container
 
 
@@ -303,37 +278,42 @@ def _ints(meta: dict[str, str], key: str, default: str | None = None) -> tuple[i
         raise FormatError(f"container metadata {key!r} is not integers: {text!r}") from None
 
 
-def from_container(container: ModelContainer):
-    """Rebuild a model from a container produced by to_container.
+def from_container(container: ModelContainer) -> Encoder:
+    """Rebuild an encoder from a container produced by to_container.
 
-    Missing or malformed metadata and missing tensors raise FormatError.
+    Missing or malformed metadata, and a missing, extra or misshapen
+    tensor, raise FormatError naming the key or tensor. Every tensor is
+    checked against the encoder's arrays() before any is written.
     """
     meta = container.metadata
-    arch = meta.get("arch")
+    if meta.get("arch") != _ARCH_ENCODER:
+        raise FormatError(f"container metadata 'arch' is {meta.get('arch')!r}, "
+                          f"expected {_ARCH_ENCODER!r}")
     filters = _ints(meta, "filters")
     kernels = _ints(meta, "kernels")
-    if arch == _ARCH_FCN:
-        model = FCNClassifier(_ints(meta, "num_classes")[0], seed=0,
-                              filters=filters, kernels=kernels)
-    elif arch == _ARCH_AE:
-        if meta.get("learned_position", "1") != "1":
-            raise FormatError(f"container metadata learned_position="
-                              f"{meta['learned_position']!r}: only the learned "
-                              "latent broadcast is supported")
-        model = Autoencoder(seed=0, filters=filters, kernels=kernels)
-    elif arch == _ARCH_ENCODER:
-        rng = np.random.default_rng(0)
-        model = Encoder(_encoder_net(rng, filters, kernels, np.float32), filters, kernels)
-    else:
-        raise InvalidInputError(f"unknown architecture {arch!r} in container")
-    snap = {name: container.get(name) for name in container.names()}
-    try:
-        model.load_snapshot(snap)
-    except KeyError as exc:
-        raise FormatError(f"container lacks tensor {exc.args[0]!r}") from None
+    if len(filters) != len(kernels) or min(filters + kernels) < 1:
+        raise FormatError(f"container metadata 'filters' {meta['filters']!r} and 'kernels' "
+                          f"{meta['kernels']!r} must be equally many positive integers")
+    if _ints(meta, "feature_dim") != filters[-1:]:
+        raise FormatError(f"container metadata 'feature_dim' {meta['feature_dim']!r} "
+                          f"is not the last filter count {filters[-1]}")
+    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels, np.float32),
+                      filters, kernels)
+    arrays = encoder.arrays()
+    stored = set(container.names())
+    for name, a in arrays.items():
+        if name not in stored:
+            raise FormatError(f"container lacks tensor {name!r}")
+        if container.get(name).shape != a.shape:
+            raise FormatError(f"container tensor {name!r} has shape {container.get(name).shape}, "
+                              f"expected {a.shape}")
+    extra = [name for name in container.names() if name not in arrays]
+    if extra:
+        raise FormatError(f"container tensor {extra[0]!r} is not part of a "
+                          f"{len(filters)}-block encoder")
+    encoder.load_snapshot({name: container.get(name) for name in arrays})
     tracked = _ints(meta, "batches_tracked", "0")[0]
-    for net in model._nets():
-        for layer in _iter_layers(net):
-            if isinstance(layer, BatchNorm):
-                layer.batches_tracked = tracked
-    return model
+    for layer in encoder.net.layers:
+        if isinstance(layer, BatchNorm):
+            layer.batches_tracked = tracked
+    return encoder

@@ -20,6 +20,8 @@ Cache rules, which keep one stored activation per block boundary:
   one (ReLU allocates nothing). Caches stay alive after backward(), so
   the next forward pass reuses memory the heap already holds instead of
   faulting in new pages.
+- BatchNorm writes its running statistics in place, so an array once
+  handed out by state() stays the live statistic until cast() replaces it.
 """
 
 from __future__ import annotations
@@ -69,9 +71,6 @@ class Layer:
     # (name, array) pairs of non-trainable state, e.g. running statistics
     def state(self) -> list[tuple[str, np.ndarray]]:
         return []
-
-    def set_state(self, name: str, value: np.ndarray):
-        raise KeyError(name)
 
     def cast(self, dtype):
         for p in self.parameters():
@@ -128,8 +127,8 @@ class BatchNorm(Layer):
             train=train, momentum=self.momentum, eps=self.eps)
         self._cache = cache
         if train and update_stats:
-            self.running_mean = new_rm.astype(self.running_mean.dtype)
-            self.running_var = new_rv.astype(self.running_var.dtype)
+            self.running_mean[...] = new_rm
+            self.running_var[...] = new_rv
             self.batches_tracked += 1
         return y
 
@@ -145,14 +144,6 @@ class BatchNorm(Layer):
     def state(self):
         return [(f"{self.name}.running_mean", self.running_mean),
                 (f"{self.name}.running_var", self.running_var)]
-
-    def set_state(self, name, value):
-        if name.endswith("running_mean"):
-            self.running_mean = value.astype(self.running_mean.dtype)
-        elif name.endswith("running_var"):
-            self.running_var = value.astype(self.running_var.dtype)
-        else:
-            raise KeyError(name)
 
     def cast(self, dtype):
         super().cast(dtype)
@@ -263,14 +254,6 @@ class Sequential(Layer):
 
     def state(self):
         return [s for layer in self.layers for s in layer.state()]
-
-    def set_state(self, name, value):
-        for layer in self.layers:
-            for sname, _ in layer.state():
-                if sname == name:
-                    layer.set_state(name, value)
-                    return
-        raise KeyError(name)
 
     def cast(self, dtype):
         for layer in self.layers:

@@ -65,8 +65,8 @@ def train_ocsvm(x, nu: float = DEFAULT_NU, gamma="auto",
     if gamma == "auto":
         gamma = auto_gamma(x)
     gamma = float(gamma)
-    if gamma <= 0:
-        raise InvalidInputError(f"gamma must be positive, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise InvalidInputError(f"gamma must be positive and finite, got {gamma}")
 
     # Canonical row order makes the solver order-independent.
     order = np.lexsort(x.T[::-1])

@@ -7,12 +7,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaitverify
 from gaitverify import models
 from gaitverify.cli import main
-from gaitverify.data.container import save_model
+from gaitverify.data.container import ModelContainer, save_model
 
 WINDOWS = range(1, 6)
 
@@ -119,6 +120,84 @@ def test_extract_with_container_missing_filters_exits_one(features, tmp_path, ca
     assert main(["extract", "--model", str(path), "--data", str(data),
                  "--out", str(tmp_path / "f.csv")]) == 1
     assert "error: container metadata lacks 'filters'" in capsys.readouterr().err
+
+
+def three_block_container():
+    fcn = models.FCNClassifier(3, seed=0)
+    fcn.body.forward(np.random.default_rng(0).standard_normal((4, 128, 3)), train=True)
+    return models.to_container(models.strip_classifier(fcn))
+
+
+def modified(container, tensors=(), **metadata):
+    """A copy of ``container`` with tensors replaced or added, and metadata changed."""
+    tensors = dict(tensors)
+    out = ModelContainer({**container.metadata, **metadata})
+    for name in container.names():
+        out.add(name, tensors.pop(name, container.get(name)))
+    for name, values in tensors.items():
+        out.add(name, values)
+    return out
+
+
+@pytest.mark.parametrize("tensors, metadata, message", [
+    ({"block1.bn.gamma": np.ones(1)}, {},
+     "container tensor 'block1.bn.gamma' has shape (1,), expected (128,)"),
+    ({"block2.bn.running_mean": np.zeros(1)}, {},
+     "container tensor 'block2.bn.running_mean' has shape (1,), expected (256,)"),
+    ({"block1.conv.w": np.zeros((8, 3, 64))}, {},
+     "container tensor 'block1.conv.w' has shape (8, 3, 64), expected (8, 3, 128)"),
+    ({"head.w": np.zeros((128, 3))}, {},
+     "container tensor 'head.w' is not part of a 3-block encoder"),
+    ({}, {"filters": "128,256", "kernels": "8,5", "feature_dim": "256"},
+     "container tensor 'block3.conv.w' is not part of a 2-block encoder"),
+    ({}, {"feature_dim": "256"},
+     "container metadata 'feature_dim' '256' is not the last filter count 128"),
+    ({}, {"arch": "autoencoder"},
+     "container metadata 'arch' is 'autoencoder', expected 'fcn-encoder'"),
+    ({}, {"kernels": "8,5"}, "container metadata 'filters' '128,256,128' and 'kernels' '8,5' "
+                             "must be equally many positive integers"),
+    ({}, {"filters": "128,0,128"}, "container metadata 'filters' '128,0,128' and 'kernels' "
+                                   "'8,5,3' must be equally many positive integers"),
+], ids=["gamma-shape", "running-mean-shape", "conv-shape", "extra-tensor", "dropped-block",
+        "feature-dim", "arch", "kernel-count", "zero-filters"])
+def test_extract_with_malformed_container_exits_one_naming_it(features, tmp_path, capsys,
+                                                             tensors, metadata, message):
+    path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
+    save_model(modified(three_block_container(), tensors, **metadata), path)
+    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
+
+
+def test_misspelled_boolean_in_config_exits_one_with_location(features, tmp_path, capsys):
+    config, out = tmp_path / "run.cfg", tmp_path / "f.csv"
+    data = str(features.with_name("gait.csv"))
+    config.write_text("# raw features\nraw = ture\n")
+    assert main(["extract", "--data", data, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:2: raw: 'ture' is not a boolean\n"
+    assert not out.exists()
+    for word in ("On", "YES", "1", "true"):
+        config.write_text(f"raw = {word}\n")
+        assert main(["extract", "--data", data, "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == features.read_bytes(), word
+    for word in ("off", "No", "0", "FALSE"):
+        config.write_text(f"raw = {word}\n")
+        assert main(["extract", "--data", data, "--config", str(config),
+                     "--out", str(tmp_path / "g.csv")]) == 1
+        assert "--model is required unless --raw is given" in capsys.readouterr().err, word
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_gamma_exits_one(features, tmp_path, capsys, gamma):
+    out = tmp_path / "report.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(features, out, "1", "--protocol", "sd1", "--gamma", gamma) == 1
+    assert capsys.readouterr().err == f"error: gamma must be positive and finite, got {gamma}\n"
+    assert not out.exists()
 
 
 def test_required_option_from_config(features, tmp_path):

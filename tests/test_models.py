@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from gaitverify.data.container import ModelContainer, load_model, save_model
 from gaitverify.errors import FormatError, InvalidInputError, InvalidStateError
 from gaitverify.nn import ops
 from gaitverify.nn.layers import BatchNorm, Conv1d, GlobalAveragePool, ReLU, Sequential
+from gaitverify.nn.optim import Adam
 from gaitverify.nn.training import TrainConfig, train
 from gaitverify.signal import Frames
 
@@ -60,7 +62,8 @@ class TestBuildFcn:
     def test_parameter_count_closed_form(self):
         for k in (2, 10, 50):
             fcn = models.FCNClassifier(k, seed=0)
-            assert fcn.trainable_parameter_count() == ENCODER_PARAMS + HEAD_PARAMS_PER_CLASS * k
+            assert sum(p.size for p in fcn.parameters()) == (ENCODER_PARAMS
+                                                            + HEAD_PARAMS_PER_CLASS * k)
 
     def test_block_spec(self):
         fcn = models.FCNClassifier(2, seed=0)
@@ -123,7 +126,7 @@ class TestAutoencoder:
 
     def test_parameter_count_closed_form(self):
         ae = models.Autoencoder(seed=0)
-        assert ae.trainable_parameter_count() == ENCODER_PARAMS + DECODER_PARAMS
+        assert sum(p.size for p in ae.parameters()) == ENCODER_PARAMS + DECODER_PARAMS
 
 
 def cached_arrays(model):
@@ -173,7 +176,7 @@ class TestTrainingCaches:
 
     def test_repeated_steps_equal_a_fresh_copy(self):
         for name, model, y, _ in self.cases():
-            fresh = model.copy()
+            fresh = copy.deepcopy(model)
             runs = []
             for m in (model, model, fresh):
                 loss = m.loss_and_backward(self.X, y, update_stats=False)
@@ -206,7 +209,8 @@ class TestStripClassifier:
         x = np.random.default_rng(6).standard_normal((4, 128, 3)).astype(np.float32)
         fit_batchnorm(fcn, x)
         encoder = models.strip_classifier(fcn)
-        npt.assert_array_equal(encoder.forward(x, train=False), fcn.features(x, train=False))
+        npt.assert_array_equal(encoder.net.forward(x, train=False),
+                               fcn.body.forward(x, train=False))
 
     def test_output_dim_independent_of_classes(self):
         for k in (2, 9, 50):
@@ -310,14 +314,14 @@ class TestFoldedTransform:
         for name, encoder in self.encoders(np.float32):
             got = encoder.transform(x, batch_size=4)
             assert got.dtype == np.float32, name
-            npt.assert_allclose(got, encoder.forward(x, train=False),
+            npt.assert_allclose(got, encoder.net.forward(x, train=False),
                                 rtol=1e-5, atol=1e-6, err_msg=name)
 
     def test_equals_unfolded_forward_float64(self):
         x = np.random.default_rng(24).standard_normal((10, 128, 3))
         for name, encoder in self.encoders(np.float64):
             npt.assert_allclose(encoder.transform(x, batch_size=4),
-                                encoder.forward(x, train=False),
+                                encoder.net.forward(x, train=False),
                                 rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_leaves_parameters_and_running_statistics_unchanged(self):
@@ -400,37 +404,26 @@ class TestRawFeatures:
 
 
 class TestContainerRoundTrip:
-    def test_fcn_round_trip_bit_exact(self, tmp_path):
-        fcn = models.FCNClassifier(6, seed=17)
-        x = np.random.default_rng(17).standard_normal((4, 128, 3)).astype(np.float32)
-        fit_batchnorm(fcn, x)
-        path = tmp_path / "fcn.gvf"
-        save_model(models.to_container(fcn), path)
-        reloaded = models.from_container(load_model(path))
-        for a, b in zip(fcn.parameters(), reloaded.parameters()):
-            assert a.name == b.name
-            npt.assert_array_equal(a.value, b.value)
-        for (na, sa), (nb, sb) in zip(fcn.state(), reloaded.state()):
-            assert na == nb
-            npt.assert_array_equal(sa, sb)
-        npt.assert_array_equal(fcn.forward(x, train=False),
-                               reloaded.forward(x, train=False))
+    @staticmethod
+    def encoder(seed):
+        fcn = models.FCNClassifier(3, seed=seed)
+        x = np.random.default_rng(seed).standard_normal((4, 128, 3)).astype(np.float32)
+        return models.strip_classifier(fit_batchnorm(fcn, x))
 
-    def test_autoencoder_round_trip(self, tmp_path):
-        ae = models.Autoencoder(seed=18)
-        x = np.random.default_rng(18).standard_normal((4, 128, 3)).astype(np.float32)
-        fit_batchnorm(ae, x)
-        path = tmp_path / "ae.gvf"
-        save_model(models.to_container(ae), path)
-        reloaded = models.from_container(load_model(path))
-        npt.assert_array_equal(ae.forward(x, train=False),
-                               reloaded.forward(x, train=False))
+    def test_reload_and_resave_is_byte_identical(self, tmp_path):
+        path, again = tmp_path / "encoder.gvf", tmp_path / "again.gvf"
+        save_model(models.to_container(self.encoder(17)), path)
+        save_model(models.to_container(models.from_container(load_model(path))), again)
+        assert again.read_bytes() == path.read_bytes()
 
-    def test_plain_tiling_autoencoder_is_a_format_error(self):
-        container = models.to_container(models.Autoencoder(seed=18))
-        container.metadata["learned_position"] = "0"
-        with pytest.raises(FormatError, match="learned_position"):
-            models.from_container(container)
+    def test_arrays_fix_the_tensor_order(self):
+        encoder = self.encoder(18)
+        container = models.to_container(encoder, {"mode": "e2e"})
+        names = [p.name for p in encoder.parameters()]
+        names += [f"block{i}.bn.{s}" for i in (1, 2, 3) for s in ("running_mean", "running_var")]
+        assert container.names() == list(encoder.arrays()) == names
+        assert list(container.metadata) == ["arch", "filters", "kernels", "feature_dim",
+                                            "mode", "batches_tracked"]
 
     def test_missing_metadata_is_a_format_error(self):
         encoder = models.strip_classifier(models.FCNClassifier(3, seed=19))
@@ -441,9 +434,9 @@ class TestContainerRoundTrip:
                 models.from_container(container)
 
     def test_malformed_metadata_is_a_format_error(self):
-        container = models.to_container(models.FCNClassifier(3, seed=20))
-        container.metadata["num_classes"] = "three"
-        with pytest.raises(FormatError, match="'num_classes' is not integers"):
+        container = models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=20)))
+        container.metadata["filters"] = "128,256,many"
+        with pytest.raises(FormatError, match="'filters' is not integers"):
             models.from_container(container)
 
     def test_missing_tensor_is_a_format_error(self):
@@ -453,3 +446,32 @@ class TestContainerRoundTrip:
             container.add(name, full.get(name))
         with pytest.raises(FormatError, match=f"lacks tensor '{full.names()[0]}'"):
             models.from_container(container)
+
+
+class TestSnapshot:
+    X = np.random.default_rng(33).standard_normal((16, 128, 3)).astype(np.float32)
+
+    def test_restore_after_training_steps_is_bit_exact_and_in_place(self):
+        for name, model, y in [("autoencoder", models.Autoencoder(seed=34), None),
+                               ("fcn", models.FCNClassifier(4, seed=35), np.arange(16) % 4)]:
+            optimizer = Adam(model.parameters())
+
+            def step():
+                model.loss_and_backward(self.X, y)
+                optimizer.step()
+
+            step()
+            live = model.arrays()
+            snap = model.snapshot()
+            assert all(snap[k] is not a for k, a in live.items()), name
+            step()
+            step()
+            assert any(snap[k].tobytes() != a.tobytes() for k, a in live.items()), name
+            model.load_snapshot(snap)
+            restored = model.arrays()
+            assert list(restored) == list(snap), name
+            for key, a in restored.items():
+                assert a is live[key], f"{name}: {key}"
+                assert a.dtype == snap[key].dtype and a.tobytes() == snap[key].tobytes(), \
+                    f"{name}: {key}"
+            assert all(p.value is live[p.name] for p in optimizer.params), name

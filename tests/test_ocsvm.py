@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -28,6 +31,15 @@ def brute_force_objective(x, nu, gamma, step=0.01):
 
 
 class TestTrainOcsvm:
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        x = np.random.default_rng(0).standard_normal((6, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(f"gamma must be positive and finite, got {gamma}")):
+                ocsvm.train_ocsvm(x, gamma=gamma)
+
     def test_two_identical_points_capped_equal_shares(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
         model = ocsvm.train_ocsvm(x, nu=1.0, gamma=1.0)
