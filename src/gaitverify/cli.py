@@ -16,6 +16,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .data.canonical import (
 )
 from .data.container import load_model, save_model
 from .data.synthetic import SyntheticConfig, generate_synthetic
-from .errors import ConvergenceError, FormatError, GaitVerifyError, InvalidInputError
+from .errors import FormatError, GaitVerifyError, InvalidInputError
 from .evaluate import ProtocolSpec, format_summary, run_protocol, write_report_csv
 from .nn.gradcheck import gradient_check
 from .nn.training import TrainConfig, train
@@ -98,40 +99,57 @@ _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                       argv: list[str]):
-    """Fill options from --config FILE; explicit flags keep precedence.
+class _ConfigValue(NamedTuple):
+    """An option's unconverted value from --config, as a subparser default."""
 
-    A value that fails its option's type or choices, or a flag's value
-    that is none of 1/true/yes/on or 0/false/no/off (any case), is a
-    usage error that names the file, line and key.
+    where: str  # path:line: key
+    raw: str
+
+
+def _config_defaults(parsers: dict[str, _Parser], command: str, path) -> dict:
+    """``command``'s options in --config FILE, as _ConfigValue defaults.
+
+    Every key must be an option of some command, so that one file can
+    serve every command; a key that is none is a usage error at its line.
     """
-    if not getattr(args, "config", None):
-        return
-    values = _parse_config_file(args.config)
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
+    known = {a.dest for p in parsers.values() for a in p._actions}
+    own = {a.dest for a in parsers[command]._actions} - {"help", "config"}
+    defaults = {}
+    for key, (lineno, raw) in _parse_config_file(path).items():
+        if key not in known:
+            raise _UsageError(f"{path}:{lineno}: unknown option {key!r}")
+        if key in own:
+            defaults[key] = _ConfigValue(f"{path}:{lineno}: {key}", raw)
+    return defaults
+
+
+def _convert_config_values(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """Convert the options that still hold their --config value.
+
+    Parsing replaced the value of every option given as a flag, so flags
+    win in every spelling argparse accepts. A value that fails its
+    option's type or choices, or a flag's value that is none of
+    1/true/yes/on or 0/false/no/off (any case), is a usage error that
+    names the file, line and key.
+    """
     for action in parser._actions:
-        if not action.option_strings or action.dest in ("help", "config"):
+        value = getattr(args, action.dest, None)
+        if not isinstance(value, _ConfigValue):
             continue
-        key = action.dest
-        if key in values and key not in explicit:
-            lineno, raw = values[key]
-            where = f"{args.config}:{lineno}: {key}"
-            if isinstance(action, argparse._StoreTrueAction):
-                flag = raw.lower()
-                if flag not in _TRUE + _FALSE:
-                    raise _UsageError(f"{where}: {raw!r} is not a boolean")
-                setattr(args, key, flag in _TRUE)
-                continue
-            try:
-                value = action.type(raw) if action.type else raw
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise _UsageError(f"{where}: {exc}") from None
-            if action.choices is not None and value not in action.choices:
-                raise _UsageError(f"{where}: {raw!r} is not one of "
-                                  f"{', '.join(map(str, action.choices))}")
-            setattr(args, key, value)
+        where, raw = value
+        if isinstance(action, argparse._StoreTrueAction):
+            if raw.lower() not in _TRUE + _FALSE:
+                raise _UsageError(f"{where}: {raw!r} is not a boolean")
+            setattr(args, action.dest, raw.lower() in _TRUE)
+            continue
+        try:
+            value = action.type(raw) if action.type else raw
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise _UsageError(f"{where}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise _UsageError(f"{where}: {raw!r} is not one of "
+                              f"{', '.join(map(str, action.choices))}")
+        setattr(args, action.dest, value)
 
 
 def _defer_required(parser: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -413,25 +431,20 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help()
             return 1
-        _apply_config_file(parsers[args.command], args, argv)
+        if args.config:
+            command = parsers[args.command]
+            command.set_defaults(**_config_defaults(parsers, args.command, args.config))
+            args = parser.parse_args(argv)
+            _convert_config_values(command, args)
         _check_required(required[args.command], args)
         _check_out_dir(args)
         return args.func(args, argv)
-    except _UsageError as exc:
+    except (_UsageError, InvalidInputError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInputError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
+    except GaitVerifyError as exc:  # ConvergenceError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GaitVerifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -9,23 +9,24 @@ load(write(x)) is lossless; a writer builds the text of a whole
 recording, or of a whole feature file, and writes it at once.
 
 Files are UTF-8 whatever the locale; a loader given other bytes fails at
-``path:line`` of the first byte that does not decode. The loaders read a
-plain file (exact header, LF line ends, no quotes, CRs or blank lines)
-in one pass over its text: field counts are checked from the comma
-count and the floats are parsed by one ``np.loadtxt``.
-A file that pass does not accept is parsed again by a per-row csv
-scanner. It reads the unusual but valid files (CRLF ends, quoted fields,
-blank lines, no final newline) and fails at ``path:line`` on every
-error: a bad field count, float or frame number, nan/inf, and
-non-increasing timestamps. Only a wrong header names the file alone.
+``path:line`` of the first byte that does not decode. Both loaders call
+one tokenizer, which gives a key per data row, a float64 array of the
+other fields and each row's line number. A plain file (LF line ends, no
+quotes, CRs or blank lines) is read by one ``np.loadtxt``. Any other
+file (CRLF ends, quoted fields, blank lines, no final newline), or one
+with a float that ``np.loadtxt`` rejects, is read by ``csv.reader`` with
+Python's ``float`` and ``int``. Either way the first bad field count,
+key or float fails at ``path:line``, and a wrong header names the file
+alone. The nan/inf and increasing-timestamp checks then run once on the
+arrays, at the kept line numbers, so no file is parsed twice.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,96 +60,101 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
 
 
-def _read_plain(text: str, first_float: int):
-    """(header fields, data lines, floats) of a file text that needs no csv parsing.
+def _tokenize(path, header_error, n_key: int, key):
+    """(keys, values, lines) of the data rows of a CSV file.
 
-    ``floats`` holds fields ``first_float`` onwards of every data line,
-    (N, header fields - first_float). None when the file has CR or quote
-    characters, blank lines or no final newline, when a line has another
-    field count than the header (np.loadtxt rejects short lines; then the
-    total comma count rules out long ones), or when a float is bad or not
-    finite.
+    ``header_error(fields)`` is None for a good header and the reason for a
+    bad one. Each data row gives ``key(fields)``, which reads the first
+    ``n_key`` fields, a row of ``values`` (N, header fields - n_key) from
+    the float fields, and its line number; blank rows are skipped. Errors
+    are raised at ``path:line``, the first one in file order.
     """
-    if not text.endswith("\n") or "\r" in text or '"' in text or "\n\n" in text:
-        return None
-    header, *lines = text[:-1].split("\n")
-    header = header.split(",")
-    if text.count(",") != (len(header) - 1) * (len(lines) + 1):
-        return None
-    if not lines:
-        return header, lines, np.empty((0, len(header) - first_float))
-    try:
-        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                            usecols=range(first_float, len(header)), ndmin=2)
-    except ValueError:
-        return None
-    if values.shape[0] != len(lines) or not np.isfinite(values).all():
-        return None
-    return header, lines, values
+    text = _read_text(path)
+    plain = text.endswith("\n") and not ("\r" in text or '"' in text or "\n\n" in text)
+    if plain:
+        header, *lines = text[:-1].split("\n")
+        header = header.split(",")
+    else:
+        rows = csv.reader(io.StringIO(text, newline=""))
+        header = next(rows, None)
+    error = header_error(header)
+    if error is not None:
+        raise FormatError(f"{path}: {error}")
+    width = len(header)
+    # the header's field count on every line: np.loadtxt rejects short lines,
+    # and the total comma count then rules out long ones
+    if plain and text.count(",") == (width - 1) * (len(lines) + 1):
+        try:
+            values = (np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                                 usecols=range(n_key, width), ndmin=2)
+                      if lines else np.empty((0, width - n_key)))
+        except ValueError:
+            pass  # a float only Python reads, or a bad one: csv.reader locates it
+        else:
+            # a line that starts with the previous key's text has that key:
+            # runs of rows share one key object and split no further
+            keys, prefix = [], "\n"
+            for lineno, line in enumerate(lines, start=2):
+                if not line.startswith(prefix):
+                    fields = line.split(",", n_key)
+                    try:
+                        row_key = key(fields)
+                    except ValueError as exc:
+                        raise FormatError(f"{path}:{lineno}: {exc}") from None
+                    prefix = line[:len(line) - len(fields[-1])]
+                keys.append(row_key)
+            return keys, values, np.arange(2, len(lines) + 2)
+    if plain:
+        rows = csv.reader(io.StringIO(text, newline=""))
+        next(rows)
+    keys, floats, lines = [], [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            keys.append(key(row))
+            floats.append([float(v) for v in row[n_key:]])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        lines.append(lineno)
+    values = np.array(floats, dtype=np.float64).reshape(len(floats), width - n_key)
+    return keys, values, np.array(lines, dtype=np.intp)
+
+
+def _check_finite(path, values: np.ndarray, lines: np.ndarray, rows=slice(None)) -> None:
+    """Fail at the file's first line with nan/inf if ``values[rows]`` holds one."""
+    if not np.isfinite(values[rows]).all():
+        first = np.argmin(np.isfinite(values).all(axis=1))
+        raise FormatError(f"{path}:{lines[first]}: non-finite value")
+
+
+def _recording_header_error(header) -> str | None:
+    return None if header == RECORDING_HEADER else f"expected header {','.join(RECORDING_HEADER)}"
 
 
 def load_canonical_csv(path) -> list[RawRecording]:
     """One RawRecording per (subject, session, recording) group, first-appearance order."""
-    text = _read_text(path)
-    recordings = _load_plain_canonical(text)
-    return _scan_canonical(path, text) if recordings is None else recordings
-
-
-def _load_plain_canonical(text: str) -> list[RawRecording] | None:
-    plain = _read_plain(text, 3)
-    if plain is None or plain[0] != RECORDING_HEADER:
-        return None
-    _, lines, values = plain
+    keys, values, lines = _tokenize(path, _recording_header_error, 3, itemgetter(0, 1, 2))
     # runs of consecutive rows with one key, then each key's runs in file order
-    runs: dict[str, list[np.ndarray]] = {}
+    runs: dict[tuple[str, str, str], list[np.ndarray]] = {}
     start = 0
-    for key, rows in groupby(line.rsplit(",", 4)[0] for line in lines):
-        stop = start + len(list(rows))
+    for key, run in groupby(keys):
+        stop = start + len(list(run))
         runs.setdefault(key, []).append(np.arange(start, stop))
         start = stop
     recordings = []
     for key, parts in runs.items():
         rows = np.concatenate(parts)
-        try:
-            recordings.append(RawRecording(*key.split(","), values[rows, 0], values[rows, 1:]))
-        except InvalidInputError:
-            return None  # non-increasing timestamps: the scanner names the line
-    return recordings
-
-
-def _scan_canonical(path, text: str) -> list[RawRecording]:
-    groups: dict[tuple[str, str, str], tuple[list, list, list]] = {}
-    non_finite_line = None
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != RECORDING_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(RECORDING_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise FormatError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
-            try:
-                floats = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if non_finite_line is None and not all(map(math.isfinite, floats)):
-                non_finite_line = lineno
-            linenos, ts, xs = groups.setdefault((row[0], row[1], row[2]), ([], [], []))
-            linenos.append(lineno)
-            ts.append(floats[0])
-            xs.append(floats[1:])
-    recordings = []
-    for (subject, session, recording), (linenos, ts, xs) in groups.items():
-        t_arr, x_arr = np.asarray(ts), np.asarray(xs)
-        if not (np.isfinite(t_arr).all() and np.isfinite(x_arr).all()):
-            raise FormatError(f"{path}:{non_finite_line}: non-finite value")
-        increasing = np.diff(t_arr) > 0
+        _check_finite(path, values, lines, rows)
+        timestamps = values[rows, 0]
+        increasing = np.diff(timestamps) > 0
         if not increasing.all():
             raise InvalidInputError(
-                f"{path}:{linenos[int(np.argmin(increasing)) + 1]}: non-monotonic "
-                f"timestamps in recording ({subject}, {session}, {recording})")
-        recordings.append(RawRecording(subject, session, recording, t_arr, x_arr))
+                f"{path}:{lines[rows[np.argmin(increasing) + 1]]}: non-monotonic "
+                f"timestamps in recording ({', '.join(key)})")
+        recordings.append(RawRecording(*key, timestamps, values[rows, 1:]))
     return recordings
 
 
@@ -171,60 +177,24 @@ def export_features_csv(path, sources, vectors: np.ndarray) -> None:
     sep = "," if dim else ""
     rows = _float_rows(vectors.astype(np.float64, copy=False))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join([",".join(FEATURE_KEY + [f"f{i}" for i in range(dim)]) + "\n"]
+        fh.write("".join([",".join(_feature_header(dim)) + "\n"]
                          + [_csv_line(source) + sep + row + "\n"
                             for source, row in zip(sources, rows)]))
 
 
+def _feature_header(dim: int) -> list[str]:
+    return FEATURE_KEY + [f"f{i}" for i in range(dim)]
+
+
+def _feature_header_error(header) -> str | None:
+    if header is None or len(header) < 5 or header != _feature_header(len(header) - 4):
+        return "not a feature CSV"
+    return None
+
+
 def load_features_csv(path):
     """Returns (sources, vectors): source tuples and an (N, D) float array."""
-    text = _read_text(path)
-    features = _load_plain_features(text)
-    return _scan_features(path, text) if features is None else features
-
-
-def _feature_dim(header) -> int | None:
-    """D of a feature header given as a field list; None if it is not one."""
-    if (header is None or len(header) < 5 or header[:4] != FEATURE_KEY
-            or any(h != f"f{i}" for i, h in enumerate(header[4:]))):
-        return None
-    return len(header) - 4
-
-
-def _load_plain_features(text: str):
-    plain = _read_plain(text, 4)
-    if plain is None or _feature_dim(plain[0]) is None:
-        return None
-    _, lines, vectors = plain
-    try:
-        sources = [(s, sess, rec, int(frame))
-                   for s, sess, rec, frame, _ in (line.split(",", 4) for line in lines)]
-    except ValueError:
-        return None
+    sources, vectors, lines = _tokenize(path, _feature_header_error, 4,
+                                        lambda row: (row[0], row[1], row[2], int(row[3])))
+    _check_finite(path, vectors, lines)
     return sources, vectors
-
-
-def _scan_features(path, text: str):
-    sources: list[tuple[str, str, str, int]] = []
-    rows: list[list[float]] = []
-    non_finite_line = None
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        dim = _feature_dim(next(reader, None))
-        if dim is None:
-            raise FormatError(f"{path}: not a feature CSV")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 4:
-                raise FormatError(f"{path}:{lineno}: expected {dim + 4} fields, got {len(row)}")
-            try:
-                sources.append((row[0], row[1], row[2], int(row[3])))
-                rows.append([float(v) for v in row[4:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if non_finite_line is None and not all(map(math.isfinite, rows[-1])):
-                non_finite_line = lineno
-    if non_finite_line is not None:
-        raise FormatError(f"{path}:{non_finite_line}: non-finite value")
-    return sources, np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)

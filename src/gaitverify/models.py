@@ -110,19 +110,19 @@ class FCNClassifier(_Model):
     def _nets(self):
         return [self.body, self.head]
 
-    def forward(self, x: np.ndarray, train: bool = False, update_stats: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Logits (B, num_classes) for a batch of frames (B, 128, 3)."""
-        feats = self.body.forward(x, train, update_stats)
-        return self.head.forward(feats, train, update_stats)
+        feats = self.body.forward(x, train)
+        return self.head.forward(feats, train)
 
-    def loss_only(self, x, y, train: bool = False, update_stats: bool = False) -> float:
-        logits = self.forward(x, train, update_stats)
+    def loss_only(self, x, y, train: bool = False) -> float:
+        logits = self.forward(x, train)
         loss, _ = ops.softmax_crossentropy(logits, y)
         return loss
 
-    def loss_and_backward(self, x, y, train: bool = True, update_stats: bool = True) -> float:
+    def loss_and_backward(self, x, y) -> float:
         self.zero_grads()
-        logits = self.forward(x, train, update_stats)
+        logits = self.forward(x, train=True)
         loss, dlogits = ops.softmax_crossentropy(logits, y)
         self.body.backward(self.head.backward(dlogits))
         return loss
@@ -209,19 +209,19 @@ class Autoencoder(_Model):
     def _nets(self):
         return [self.encoder, self.decoder]
 
-    def forward(self, x: np.ndarray, train: bool = False, update_stats: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Reconstruction (B, 128, 3) of a batch of frames."""
-        z = self.encoder.forward(x, train, update_stats)
-        return self.decoder.forward(z, train, update_stats)
+        z = self.encoder.forward(x, train)
+        return self.decoder.forward(z, train)
 
-    def loss_only(self, x, y=None, train: bool = False, update_stats: bool = False) -> float:
-        x_hat = self.forward(x, train, update_stats)
+    def loss_only(self, x, y=None, train: bool = False) -> float:
+        x_hat = self.forward(x, train)
         loss, _ = ops.mse_loss(x, x_hat)
         return loss
 
-    def loss_and_backward(self, x, y=None, train: bool = True, update_stats: bool = True) -> float:
+    def loss_and_backward(self, x, y=None) -> float:
         self.zero_grads()
-        x_hat = self.forward(x, train, update_stats)
+        x_hat = self.forward(x, train=True)
         loss, dx_hat = ops.mse_loss(x, x_hat)
         self.encoder.backward(self.decoder.backward(dx_hat))
         return loss

@@ -52,11 +52,11 @@ def gradient_check(model, x: np.ndarray, y=None, epsilon: float = 1e-5,
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    model.loss_and_backward(x, y, train=True, update_stats=False)
+    model.loss_and_backward(x, y)
     analytic = {p.name: p.grad.copy() for p in model.parameters()}
 
     def loss_at() -> float:
-        return model.loss_only(x, y, train=True, update_stats=False)
+        return model.loss_only(x, y, train=True)
 
     report = GradCheckReport()
     for p in model.parameters():

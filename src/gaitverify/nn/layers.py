@@ -1,9 +1,9 @@
 """Layer objects wrapping the functional ops with parameters and caches.
 
 A layer owns its Parameter objects; forward() stores whatever backward()
-needs. Batch-norm running statistics are only committed when the forward
-pass is invoked with update_stats=True, so loss evaluations (validation,
-finite differences) are side-effect free.
+needs. A training-mode pass commits each batch norm's running statistics;
+only inference-mode passes (validation, feature extraction) are free of
+side effects.
 
 Cache rules, which keep one stored activation per block boundary:
 
@@ -59,7 +59,7 @@ class Layer:
 
     name = "layer"
 
-    def forward(self, x, train: bool, update_stats: bool = True):
+    def forward(self, x, train: bool):
         raise NotImplementedError
 
     def backward(self, grad_y):
@@ -91,7 +91,7 @@ class Conv1d(Layer):
         self.b = Parameter(f"{name}.b", np.zeros(out_channels, dtype=dtype))
         self._x = None
 
-    def forward(self, x, train, update_stats=True):
+    def forward(self, x, train):
         self._x = x
         return ops.conv1d_forward(x, self.w.value, self.b.value)
 
@@ -119,14 +119,14 @@ class BatchNorm(Layer):
         self.batches_tracked = 0
         self._cache = None
 
-    def forward(self, x, train, update_stats=True):
+    def forward(self, x, train):
         self._cache = None
         y, cache, new_rm, new_rv = ops.batchnorm_forward(
             x, self.gamma.value, self.beta.value,
             self.running_mean, self.running_var,
             train=train, momentum=self.momentum, eps=self.eps)
         self._cache = cache
-        if train and update_stats:
+        if train:
             self.running_mean[...] = new_rm
             self.running_var[...] = new_rv
             self.batches_tracked += 1
@@ -156,7 +156,7 @@ class ReLU(Layer):
         self.name = name
         self._x = None
 
-    def forward(self, x, train, update_stats=True):
+    def forward(self, x, train):
         self._x = ops.relu_forward(x)
         return self._x
 
@@ -169,7 +169,7 @@ class GlobalAveragePool(Layer):
         self.name = name
         self._t = None
 
-    def forward(self, x, train, update_stats=True):
+    def forward(self, x, train):
         self._t = x.shape[1]
         return ops.gap_forward(x)
 
@@ -194,7 +194,7 @@ class LatentBroadcast(Layer):
         self.shift = Parameter(f"{name}.shift", np.zeros((t, channels), dtype=dtype))
         self._z = None
 
-    def forward(self, z, train, update_stats=True):
+    def forward(self, z, train):
         if z.ndim != 2 or z.shape[1] != self.channels:
             raise InvalidInputError(f"expected latent (B,{self.channels}), got {z.shape}")
         self._z = z
@@ -220,7 +220,7 @@ class Dense(Layer):
         self.b = Parameter(f"{name}.b", np.zeros(out_dim, dtype=dtype))
         self._x = None
 
-    def forward(self, x, train, update_stats=True):
+    def forward(self, x, train):
         self._x = x
         return ops.dense_forward(x, self.w.value, self.b.value)
 
@@ -239,9 +239,9 @@ class Sequential(Layer):
         self.name = name
         self.layers = layers
 
-    def forward(self, x, train, update_stats=True):
+    def forward(self, x, train):
         for layer in self.layers:
-            x = layer.forward(x, train, update_stats)
+            x = layer.forward(x, train)
         return x
 
     def backward(self, grad_y):

@@ -101,7 +101,7 @@ def train(model, train_set, val_set, config: TrainConfig):
         total = 0.0
         for idx in _batches(n, config.batch_size, order):
             yb = None if y_train is None else y_train[idx]
-            loss = model.loss_and_backward(x_train[idx], yb, train=True)
+            loss = model.loss_and_backward(x_train[idx], yb)
             optimizer.step()
             total += loss * idx.size
         train_loss = total / n

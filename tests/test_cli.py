@@ -234,6 +234,37 @@ def test_explicit_required_flag_beats_config(features, tmp_path):
     assert "same_day_s1" in summary and "cross_day" not in summary
 
 
+
+@pytest.mark.parametrize("flag", [["--proto", "cd"], ["--protocol=cd"], ["--pro=cd"]])
+def test_explicit_flag_beats_config_in_every_spelling(features, tmp_path, flag):
+    config = tmp_path / "c.cfg"
+    config.write_text("protocol = sd1\n")
+    out = tmp_path / "r.csv"
+    assert evaluate(features, out, "1", *flag, "--config", str(config)) == 0
+    summary = out.with_name(out.name + ".summary.txt").read_text()
+    assert "cross_day" in summary and "same_day_s1" not in summary
+
+
+@pytest.mark.parametrize("key", ["protocl", "windw"])
+def test_unknown_config_key_exits_one_at_its_line(features, tmp_path, capsys, key):
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{key} = sd1\n")
+    out = tmp_path / "r.csv"
+    assert evaluate(features, out, "1", "--protocol", "sd1", "--config", str(config)) == 1
+    assert capsys.readouterr().err == f"error: {config}:1: unknown option {key!r}\n"
+    assert not out.exists()
+
+
+def test_config_key_of_another_command_is_allowed(tmp_path):
+    # one shared file: synth ignores evaluate's protocol and reads its own seed
+    config = tmp_path / "shared.cfg"
+    config.write_text("protocol = sd1\nseed = 4\n")
+    ours, flag = tmp_path / "ours.csv", tmp_path / "flag.csv"
+    synth = ["synth", "--subjects", "2", "--seconds", "3"]
+    assert main([*synth, "--config", str(config), "--out", str(ours)]) == 0
+    assert main([*synth, "--seed", "4", "--out", str(flag)]) == 0
+    assert ours.read_bytes() == flag.read_bytes()
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     assert "gradient check passed" in capsys.readouterr().out

@@ -400,6 +400,44 @@ FEATURE_CASES = {
 }
 
 
+BAD_FLOATS = ["oops", "", "1.0.0", "1e", "--1", " 2 ", "1_0", "\u0663", "0x10", "1,5", "1e400",
+              "+.5", "5.", "infinity", "1d3", "0b1"]
+BAD_FRAMES = ["1.5", "x", "", " +1_0 ", "-3", "1e3", "\u0663", "0x1", "00", "9" * 30]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "-Infinity", "+nan"]
+
+
+def mutate(rng, text, n_key):
+    """``text`` with one to three seeded changes to its fields or line ends."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    end, blank_at, final_newline = "\n", None, True
+    for kind in rng.choice(["crlf", "quote_key", "blank_line", "no_final_newline",
+                            "corrupt_float", "corrupt_frame", "non_finite", "swap_t"],
+                           size=rng.integers(1, 4)):
+        row = rows[rng.integers(len(rows))]
+        if kind == "crlf":
+            end = "\r\n"
+        elif kind == "quote_key":
+            i = rng.integers(n_key)
+            row[i] = '"' + row[i] + (',x"' if rng.random() < 0.3 else '"')
+        elif kind == "blank_line":
+            blank_at = rng.integers(len(rows) + 1)
+        elif kind == "no_final_newline":
+            final_newline = False
+        elif kind == "corrupt_float":
+            row[rng.integers(n_key, len(row))] = str(rng.choice(BAD_FLOATS))
+        elif kind == "corrupt_frame" and n_key == 4:
+            row[3] = str(rng.choice(BAD_FRAMES))
+        elif kind == "non_finite":
+            row[rng.integers(n_key, len(row))] = str(rng.choice(NON_FINITE))
+        elif kind == "swap_t":
+            other = rows[rng.integers(len(rows))]
+            row[n_key], other[n_key] = other[n_key], row[n_key]
+    lines = [",".join(fields) for fields in [header] + rows]
+    if blank_at is not None:
+        lines.insert(blank_at + 1, "")
+    return end.join(lines) + (end if final_newline else "")
+
+
 class TestFastPathParity:
     @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
     def test_canonical_load_matches_oracle(self, tmp_path, case):
@@ -414,18 +452,50 @@ class TestFastPathParity:
         assert outcome(load_features_csv, path) == outcome(oracle_load_features, path)
 
     def test_plain_files_never_reach_the_scanner(self, tmp_path, monkeypatch):
-        def scanner(path):
-            raise AssertionError(f"{path} was scanned row by row")
+        # nan/inf, ordering and frame errors are located on the arrays of
+        # the one np.loadtxt pass, without parsing the file again
+        cases = [(CANONICAL_CASES, name, load_canonical_csv, oracle_load_canonical)
+                 for name in ("plain", "header_only", "wrong_header", "non_contiguous", "nan",
+                              "inf", "-inf", "non_monotonic", "repeated_t_non_contiguous",
+                              "non_monotonic_group_before_nan_group")]
+        cases += [(FEATURE_CASES, name, load_features_csv, oracle_load_features)
+                  for name in ("plain", "header_only", "wrong_header", "key_only_header",
+                               "non_contiguous", "nan", "inf", "-inf", "frame_not_integer",
+                               "frame_python_int", "bad_frame_before_non_finite")]
+        expected = []
+        for i, (texts, name, _, oracle) in enumerate(cases):
+            path = tmp_path / f"{i}.csv"
+            path.write_bytes(texts[name].encode())
+            expected.append(outcome(oracle, path))
 
-        monkeypatch.setattr(canonical, "_scan_canonical", scanner)
-        monkeypatch.setattr(canonical, "_scan_features", scanner)
-        for name, text, load in (("g.csv", CANONICAL_CASES["plain"], load_canonical_csv),
-                                 ("h.csv", CANONICAL_CASES["header_only"], load_canonical_csv),
-                                 ("f.csv", FEATURE_CASES["plain"], load_features_csv),
-                                 ("e.csv", FEATURE_CASES["header_only"], load_features_csv)):
-            path = tmp_path / name
-            path.write_text(text)
-            load(path)
+        def reader(*args, **kwargs):
+            raise AssertionError("a plain file reached csv.reader")
+
+        monkeypatch.setattr(canonical.csv, "reader", reader)
+        for i, (_, name, load, _) in enumerate(cases):
+            assert outcome(load, tmp_path / f"{i}.csv") == expected[i], name
+
+    def test_quoted_features_name_a_bad_frame_before_a_later_bad_float(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text(FEATURE_HEADER + '"s01",1,r1,0,1,2,3\n"s01",1,r1,x,1,2,3\n'
+                        '"s01",1,r1,2,1,oops,3\n')
+        assert outcome(load_features_csv, path) == outcome(oracle_load_features, path)
+        with pytest.raises(FormatError, match=r"features\.csv:3: invalid literal for int"):
+            load_features_csv(path)
+
+    @pytest.mark.parametrize("load, oracle, base, n_key", [
+        (load_canonical_csv, oracle_load_canonical, CANONICAL_CASES["plain"], 3),
+        (load_features_csv, oracle_load_features, FEATURE_CASES["plain"], 4),
+    ], ids=["canonical", "features"])
+    def test_mutated_files_match_oracle(self, tmp_path, load, oracle, base, n_key):
+        # seeded mutations of the plain case, one to three per file: each
+        # loader must accept, return and reject exactly what the oracle does
+        rng = np.random.default_rng(0)
+        path = tmp_path / "mutated.csv"
+        for _ in range(200):
+            text = mutate(rng, base, n_key)
+            path.write_bytes(text.encode())
+            assert outcome(load, path) == outcome(oracle, path), repr(text)
 
     # the evaluation populations of the benchmark's fcn-cd, ae-sd and
     # raw-matrix workloads, and their shared training population

@@ -16,14 +16,14 @@ class LinearModel:
     def parameters(self):
         return self.net.parameters()
 
-    def loss_only(self, x, y, train=False, update_stats=False):
+    def loss_only(self, x, y, train=False):
         d = self.net.forward(x, train) - y
         return float(np.mean(d * d))
 
-    def loss_and_backward(self, x, y, train=True, update_stats=True):
+    def loss_and_backward(self, x, y):
         for p in self.parameters():
             p.grad[...] = 0
-        out = self.net.forward(x, train)
+        out = self.net.forward(x, train=True)
         d = out - y
         self.net.backward(2.0 * d / d.size)
         return float(np.mean(d * d))

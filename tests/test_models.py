@@ -179,7 +179,7 @@ class TestTrainingCaches:
             fresh = copy.deepcopy(model)
             runs = []
             for m in (model, model, fresh):
-                loss = m.loss_and_backward(self.X, y, update_stats=False)
+                loss = m.loss_and_backward(self.X, y)
                 runs.append((loss, {p.name: p.grad.copy() for p in m.parameters()}))
             for loss, grads in runs[1:]:
                 assert loss == runs[0][0], name
