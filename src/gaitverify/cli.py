@@ -57,9 +57,10 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _config_digest(args: argparse.Namespace) -> str:
-    skip = {"func", "config"}
-    items = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _config_digest(args: argparse.Namespace, **replace) -> str:
+    """Short SHA-256 of the parsed options; ``replace`` overrides some, e.g. a path by content."""
+    items = {k: v for k, v in sorted({**vars(args), **replace}.items())
+             if k not in ("func", "config")}
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
@@ -91,7 +92,10 @@ def _parse_config_file(path) -> dict[str, tuple[int, str]]:
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = (lineno, val.strip())
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise _UsageError(f"{path}:{lineno}: {key!r} is already set at line {values[key][0]}")
+        values[key] = (lineno, val.strip())
     return values
 
 
@@ -250,7 +254,8 @@ def cmd_train(args, argv):
     x_train = models.frames_to_array(train_frames)
     x_val = models.frames_to_array(val_frames)
     meta = {"mode": args.mode, "augment": augment_kind, "seed": str(args.seed),
-            "epochs": str(args.epochs), "train_config_digest": _config_digest(args)}
+            "epochs": str(args.epochs),
+            "train_config_digest": _config_digest(args, data=_sha256(args.data), out=None)}
 
     if args.mode == "e2e":
         subjects = [s[0] for s in frames.sources]

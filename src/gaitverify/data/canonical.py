@@ -60,6 +60,15 @@ def _read_text(path) -> str:
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
 
 
+def _csv_rows(path, text: str):
+    """csv.reader rows of ``text``; a csv.Error (an over-long field) fails at path:line."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{rows.line_num}: {exc}") from None
+
+
 def _tokenize(path, header_error, n_key: int, key):
     """(keys, values, lines) of the data rows of a CSV file.
 
@@ -75,7 +84,7 @@ def _tokenize(path, header_error, n_key: int, key):
         header, *lines = text[:-1].split("\n")
         header = header.split(",")
     else:
-        rows = csv.reader(io.StringIO(text, newline=""))
+        rows = _csv_rows(path, text)
         header = next(rows, None)
     error = header_error(header)
     if error is not None:
@@ -105,7 +114,7 @@ def _tokenize(path, header_error, n_key: int, key):
                 keys.append(row_key)
             return keys, values, np.arange(2, len(lines) + 2)
     if plain:
-        rows = csv.reader(io.StringIO(text, newline=""))
+        rows = _csv_rows(path, text)
         next(rows)
     keys, floats, lines = [], [], []
     for lineno, row in enumerate(rows, start=2):

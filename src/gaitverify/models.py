@@ -5,7 +5,10 @@ conv/batch-norm/ReLU blocks (128 filters kernel 8, 256 kernel 5, 128
 kernel 3) into global average pooling and a dense softmax head. The
 autoencoder reuses the same encoder and mirrors the blocks in reverse
 order for the decoder; the final convolution maps back to 3 channels with
-no batch norm or ReLU so reconstructions can be negative.
+no batch norm or ReLU so reconstructions can be negative. Each block is
+one ``ConvBlock``, and every inference-mode pass (validation loss and
+``Encoder.transform``) runs it with its batch norm folded into the
+convolution.
 
 A model's whole state is ``arrays()``: name -> live array, every
 parameter value and then every batch-norm running statistic. Training
@@ -25,24 +28,17 @@ from .data.container import ModelContainer
 from .errors import FormatError, InvalidInputError, InvalidStateError
 from .nn import ops
 from .nn.layers import (
-    BatchNorm,
     Conv1d,
+    ConvBlock,
     Dense,
     GlobalAveragePool,
     LatentBroadcast,
-    ReLU,
     Sequential,
-    conv_block,
-    zero_grads,
 )
 from .signal import FRAME_LEN, N_CHANNELS, Frames
 
 DEFAULT_FILTERS = (128, 256, 128)
 DEFAULT_KERNELS = (8, 5, 3)
-
-
-def _iter_layers(net):
-    return net.layers if isinstance(net, Sequential) else [net]
 
 
 class _Model:
@@ -75,20 +71,23 @@ class _Model:
         return self
 
     def zero_grads(self):
-        zero_grads(self.parameters())
+        for p in self.parameters():
+            p.grad[...] = 0
+
+    def blocks(self) -> list[ConvBlock]:
+        return [layer for net in self._nets() if isinstance(net, Sequential)
+                for layer in net.layers if isinstance(layer, ConvBlock)]
 
     @property
     def batches_tracked(self) -> int:
-        counts = [layer.batches_tracked for net in self._nets()
-                  for layer in _iter_layers(net) if isinstance(layer, BatchNorm)]
-        return min(counts) if counts else 0
+        return min((block.bn.batches_tracked for block in self.blocks()), default=0)
 
 
-def _encoder_net(rng, filters, kernels, dtype) -> Sequential:
+def _encoder_net(rng, filters, kernels) -> Sequential:
     layers = []
     chans = N_CHANNELS
     for i, (f, k) in enumerate(zip(filters, kernels), start=1):
-        layers += conv_block(k, chans, f, rng, name=f"block{i}", dtype=dtype)
+        layers.append(ConvBlock(k, chans, f, rng, name=f"block{i}"))
         chans = f
     layers.append(GlobalAveragePool(name="gap"))
     return Sequential(layers, "encoder")
@@ -96,16 +95,13 @@ def _encoder_net(rng, filters, kernels, dtype) -> Sequential:
 
 class FCNClassifier(_Model):
     def __init__(self, num_classes: int, seed: int, filters=DEFAULT_FILTERS,
-                 kernels=DEFAULT_KERNELS, dtype=np.float32):
+                 kernels=DEFAULT_KERNELS):
         if num_classes < 2:
             raise InvalidInputError(f"classifier needs >= 2 classes, got {num_classes}")
         self.num_classes = num_classes
-        self.filters = tuple(filters)
-        self.kernels = tuple(kernels)
-        self.seed = seed
         rng = np.random.default_rng(seed)
-        self.body = _encoder_net(rng, self.filters, self.kernels, dtype)
-        self.head = Dense(self.filters[-1], num_classes, rng, name="head", dtype=dtype)
+        self.body = _encoder_net(rng, filters, kernels)
+        self.head = Dense(filters[-1], num_classes, rng, name="head")
 
     def _nets(self):
         return [self.body, self.head]
@@ -131,80 +127,52 @@ class FCNClassifier(_Model):
 class Encoder(_Model):
     """Universal feature extractor: conv blocks ending in global average pooling."""
 
-    def __init__(self, net: Sequential, filters=DEFAULT_FILTERS, kernels=DEFAULT_KERNELS):
+    def __init__(self, net: Sequential):
         self.net = net
-        self.filters = tuple(filters)
-        self.kernels = tuple(kernels)
 
     def _nets(self):
         return [self.net]
 
+    @property
+    def filters(self) -> tuple[int, ...]:
+        return tuple(block.conv.out_channels for block in self.blocks())
+
+    @property
+    def kernels(self) -> tuple[int, ...]:
+        return tuple(block.conv.kernel_size for block in self.blocks())
+
     def transform(self, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Inference-mode feature matrix (N, 128) for frames (N, 128, 3).
 
-        Equals net.forward(x, train=False) up to rounding, with each batch
-        norm folded into the convolution before it: in inference mode
-        BN(conv(x)) = conv(x; w*s, (b - running_mean)*s + beta) with
-        s = gamma / sqrt(running_var + eps), so every block runs as one
-        convolution and an in-place ReLU. The folded kernels are rebuilt
-        on every call from the current parameters and running statistics.
+        The batches of net.forward(x, train=False): each block runs as one
+        convolution with its batch norm folded in, reading the current
+        parameters and running statistics and changing neither.
 
         Frames run in batches of ``batch_size`` rows, by default the 32 of
         a training step, so the working set (activations and im2col copies,
         about 17 MB for the default encoder) is bounded whatever N is.
         Within one batch size the result is deterministic; other batch
-        sizes may round differently.
+        sizes may round differently. An empty x still runs one (empty)
+        batch, so the result has the encoder's dtype.
         """
         if self.batches_tracked == 0:
             raise InvalidStateError(
                 "encoder has no finalized running statistics; train it first")
-        blocks = self._folded_blocks()
-        out = []
-        for s in range(0, x.shape[0], batch_size):
-            h = x[s:s + batch_size]
-            for w, b in blocks:
-                h = ops.conv1d_forward(h, w, b)
-                ops.relu_forward(h)
-            out.append(ops.gap_forward(h))
-        if not out:
-            return np.empty((0, self.filters[-1]), dtype=blocks[-1][0].dtype)
-        return np.concatenate(out, axis=0)
-
-    def _folded_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(kernel, bias) of each conv with its inference batch norm folded in."""
-        layers = self.net.layers
-        n = (len(layers) - 1) // 3
-        spec = [Conv1d, BatchNorm, ReLU] * n + [GlobalAveragePool]
-        if n < 1 or [type(layer) for layer in layers] != spec:
-            raise InvalidStateError(
-                "encoder net must be [Conv1d, BatchNorm, ReLU] x n + GlobalAveragePool, got "
-                + ", ".join(type(layer).__name__ for layer in layers))
-        blocks = []
-        for conv, bn in zip(layers[0::3], layers[1::3]):
-            scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
-            bias = (conv.b.value - bn.running_mean) * scale + bn.beta.value
-            blocks.append((conv.w.value * scale, bias))
-        return blocks
+        return np.concatenate([self.net.forward(x[s:s + batch_size], train=False)
+                               for s in range(0, len(x), batch_size) or [0]])
 
 
 class Autoencoder(_Model):
-    def __init__(self, seed: int, filters=DEFAULT_FILTERS, kernels=DEFAULT_KERNELS,
-                 dtype=np.float32):
-        self.filters = tuple(filters)
-        self.kernels = tuple(kernels)
-        self.seed = seed
+    def __init__(self, seed: int, filters=DEFAULT_FILTERS, kernels=DEFAULT_KERNELS):
         self.num_classes = None
         rng = np.random.default_rng(seed)
-        self.encoder = _encoder_net(rng, self.filters, self.kernels, dtype)
-        dec_layers = [LatentBroadcast(FRAME_LEN, self.filters[-1],
-                                      name="dec.expand", dtype=dtype)]
-        dec_layers += conv_block(self.kernels[-1], self.filters[-1], self.filters[0],
-                                 rng, name="dec.block1", dtype=dtype)
-        dec_layers += conv_block(self.kernels[-2], self.filters[0], self.filters[1],
-                                 rng, name="dec.block2", dtype=dtype)
-        dec_layers.append(Conv1d(self.kernels[0], self.filters[1], N_CHANNELS,
-                                 rng, name="dec.out", dtype=dtype))
-        self.decoder = Sequential(dec_layers, "decoder")
+        self.encoder = _encoder_net(rng, filters, kernels)
+        self.decoder = Sequential([
+            LatentBroadcast(FRAME_LEN, filters[-1], name="dec.expand"),
+            ConvBlock(kernels[-1], filters[-1], filters[0], rng, name="dec.block1"),
+            ConvBlock(kernels[-2], filters[0], filters[1], rng, name="dec.block2"),
+            Conv1d(kernels[0], filters[1], N_CHANNELS, rng, name="dec.out"),
+        ], "decoder")
 
     def _nets(self):
         return [self.encoder, self.decoder]
@@ -228,12 +196,12 @@ class Autoencoder(_Model):
 
     def get_encoder(self) -> Encoder:
         """Detach a deep copy of the encoder for feature extraction."""
-        return Encoder(copy.deepcopy(self.encoder), self.filters, self.kernels)
+        return Encoder(copy.deepcopy(self.encoder))
 
 
 def strip_classifier(fcn: FCNClassifier) -> Encoder:
     """Drop the dense head; the result maps frames to the GAP activations."""
-    return Encoder(copy.deepcopy(fcn.body), fcn.filters, fcn.kernels)
+    return Encoder(copy.deepcopy(fcn.body))
 
 
 def frames_to_array(frames: Frames, dtype=np.float32) -> np.ndarray:
@@ -297,8 +265,7 @@ def from_container(container: ModelContainer) -> Encoder:
     if _ints(meta, "feature_dim") != filters[-1:]:
         raise FormatError(f"container metadata 'feature_dim' {meta['feature_dim']!r} "
                           f"is not the last filter count {filters[-1]}")
-    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels, np.float32),
-                      filters, kernels)
+    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels))
     arrays = encoder.arrays()
     stored = set(container.names())
     for name, a in arrays.items():
@@ -313,7 +280,6 @@ def from_container(container: ModelContainer) -> Encoder:
                           f"{len(filters)}-block encoder")
     encoder.load_snapshot({name: container.get(name) for name in arrays})
     tracked = _ints(meta, "batches_tracked", "0")[0]
-    for layer in encoder.net.layers:
-        if isinstance(layer, BatchNorm):
-            layer.batches_tracked = tracked
+    for block in encoder.blocks():
+        block.bn.batches_tracked = tracked
     return encoder

@@ -1,11 +1,11 @@
 """Finite-difference validation of every backward pass.
 
-Losses are evaluated in train mode (batch statistics) with running-stat
-updates disabled, so repeated evaluations of the same point are
-identical. Small parameter tensors are checked coordinate by coordinate
-with central differences; large tensors are checked with dense random
-direction probes, where the derivative along each probe involves every
-coordinate of the tensor. Everything runs in double precision.
+Losses are evaluated in train mode (batch statistics); no train-mode loss
+reads the running statistics it moves, so repeated evaluations of the
+same point are identical. Small parameter tensors are checked coordinate
+by coordinate with central differences; large tensors are checked with
+dense random direction probes, where the derivative along each probe
+involves every coordinate of the tensor. Everything runs in double precision.
 """
 
 from __future__ import annotations

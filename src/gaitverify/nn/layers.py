@@ -1,9 +1,10 @@
 """Layer objects wrapping the functional ops with parameters and caches.
 
-A layer owns its Parameter objects; forward() stores whatever backward()
-needs. A training-mode pass commits each batch norm's running statistics;
-only inference-mode passes (validation, feature extraction) are free of
-side effects.
+A layer owns its Parameter objects, created in float32 (cast() is the one
+precision switch); forward() stores whatever backward() needs. A
+training-mode pass commits each batch norm's running statistics. An
+inference-mode pass (validation, feature extraction) runs each ConvBlock
+as one convolution with its batch norm folded in and moves no statistic.
 
 Cache rules, which keep one stored activation per block boundary:
 
@@ -11,11 +12,13 @@ Cache rules, which keep one stored activation per block boundary:
   writes into its input.
 - ReLU overwrites its input with max(x, 0) and caches that array, so it
   may only follow a layer that returns a fresh array (here always a
-  BatchNorm). The Conv1d, GlobalAveragePool or Dense after it caches or
-  reads the same object; nothing writes into it until the next forward.
+  BatchNorm). The layer after it caches or reads the same object; nothing
+  writes into it until the next forward.
 - BatchNorm caches only its normalized input ``xhat``; its output is the
-  array the ReLU then overwrites. ReLU.backward masks ``grad_y`` in place,
-  which is the fresh gradient returned by the layer after it.
+  array the ReLU then overwrites.
+- ReLU.backward masks ``grad_y`` in place and BatchNorm.backward writes
+  its input gradient into it, so a block holds no second gradient of its
+  output's size. Every backward() returns a contiguous gradient.
 - BatchNorm drops the previous step's cache before it computes the new
   one (ReLU allocates nothing). Caches stay alive after backward(), so
   the next forward pass reuses memory the heap already holds instead of
@@ -49,9 +52,9 @@ class Parameter:
         self.grad = np.zeros_like(self.value)
 
 
-def glorot_uniform(shape, fan_in, fan_out, rng, dtype):
+def glorot_uniform(shape, fan_in, fan_out, rng):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Layer:
@@ -79,7 +82,7 @@ class Layer:
 
 class Conv1d(Layer):
     def __init__(self, kernel_size: int, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, name: str = "conv", dtype=np.float32):
+                 rng: np.random.Generator, name: str = "conv"):
         self.name = name
         self.kernel_size = kernel_size
         self.in_channels = in_channels
@@ -87,8 +90,8 @@ class Conv1d(Layer):
         fan_in = kernel_size * in_channels
         fan_out = kernel_size * out_channels
         self.w = Parameter(f"{name}.w", glorot_uniform(
-            (kernel_size, in_channels, out_channels), fan_in, fan_out, rng, dtype))
-        self.b = Parameter(f"{name}.b", np.zeros(out_channels, dtype=dtype))
+            (kernel_size, in_channels, out_channels), fan_in, fan_out, rng))
+        self.b = Parameter(f"{name}.b", np.zeros(out_channels, dtype=np.float32))
         self._x = None
 
     def forward(self, x, train):
@@ -106,30 +109,25 @@ class Conv1d(Layer):
 
 
 class BatchNorm(Layer):
-    def __init__(self, channels: int, name: str = "bn", momentum: float = 0.99,
-                 eps: float = 1e-3, dtype=np.float32):
+    """Batch statistics only: inference folds the running ones into a ConvBlock."""
+
+    def __init__(self, channels: int, name: str = "bn"):
         self.name = name
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=dtype))
-        self.beta = Parameter(f"{name}.beta", np.zeros(channels, dtype=dtype))
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=np.float32))
+        self.beta = Parameter(f"{name}.beta", np.zeros(channels, dtype=np.float32))
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
         self.batches_tracked = 0
         self._cache = None
 
     def forward(self, x, train):
         self._cache = None
-        y, cache, new_rm, new_rv = ops.batchnorm_forward(
-            x, self.gamma.value, self.beta.value,
-            self.running_mean, self.running_var,
-            train=train, momentum=self.momentum, eps=self.eps)
-        self._cache = cache
-        if train:
-            self.running_mean[...] = new_rm
-            self.running_var[...] = new_rv
-            self.batches_tracked += 1
+        y, self._cache, new_rm, new_rv = ops.batchnorm_forward(
+            x, self.gamma.value, self.beta.value, self.running_mean, self.running_var)
+        self.running_mean[...] = new_rm
+        self.running_var[...] = new_rv
+        self.batches_tracked += 1
         return y
 
     def backward(self, grad_y):
@@ -187,11 +185,11 @@ class LatentBroadcast(Layer):
     restores a usable reconstruction path while starting from that tile.
     """
 
-    def __init__(self, t: int, channels: int, name: str = "expand", dtype=np.float32):
+    def __init__(self, t: int, channels: int, name: str = "expand"):
         self.name = name
         self.channels = channels
-        self.scale = Parameter(f"{name}.scale", np.ones((t, channels), dtype=dtype))
-        self.shift = Parameter(f"{name}.shift", np.zeros((t, channels), dtype=dtype))
+        self.scale = Parameter(f"{name}.scale", np.ones((t, channels), dtype=np.float32))
+        self.shift = Parameter(f"{name}.shift", np.zeros((t, channels), dtype=np.float32))
         self._z = None
 
     def forward(self, z, train):
@@ -211,13 +209,13 @@ class LatentBroadcast(Layer):
 
 class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str = "dense", dtype=np.float32):
+                 name: str = "dense"):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.w = Parameter(f"{name}.w", glorot_uniform(
-            (in_dim, out_dim), in_dim, out_dim, rng, dtype))
-        self.b = Parameter(f"{name}.b", np.zeros(out_dim, dtype=dtype))
+            (in_dim, out_dim), in_dim, out_dim, rng))
+        self.b = Parameter(f"{name}.b", np.zeros(out_dim, dtype=np.float32))
         self._x = None
 
     def forward(self, x, train):
@@ -260,16 +258,26 @@ class Sequential(Layer):
             layer.cast(dtype)
 
 
-def conv_block(kernel_size: int, in_channels: int, out_channels: int,
-               rng: np.random.Generator, name: str, dtype=np.float32) -> list[Layer]:
-    """Convolution + batch norm + ReLU, the repeating unit of all models here."""
-    return [
-        Conv1d(kernel_size, in_channels, out_channels, rng, name=f"{name}.conv", dtype=dtype),
-        BatchNorm(out_channels, name=f"{name}.bn", dtype=dtype),
-        ReLU(name=f"{name}.relu"),
-    ]
+class ConvBlock(Sequential):
+    """Conv1d -> BatchNorm -> ReLU, the repeating unit of all models here.
 
+    A training pass runs the members' own forward() and backward() in
+    order. An inference pass folds the batch norm into the convolution:
+    with s = gamma / sqrt(running_var + eps), BN(conv(x)) = conv(x; w*s,
+    (b - running_mean)*s + beta), rebuilt on every call, then an in-place
+    ReLU. It touches no cache and no statistic.
+    """
 
-def zero_grads(params: list[Parameter]):
-    for p in params:
-        p.grad[...] = 0
+    def __init__(self, kernel_size: int, in_channels: int, out_channels: int,
+                 rng: np.random.Generator, name: str):
+        self.conv = Conv1d(kernel_size, in_channels, out_channels, rng, name=f"{name}.conv")
+        self.bn = BatchNorm(out_channels, name=f"{name}.bn")
+        super().__init__([self.conv, self.bn, ReLU(name=f"{name}.relu")], name)
+
+    def forward(self, x, train):
+        if train:
+            return super().forward(x, train)
+        conv, bn = self.conv, self.bn
+        scale = bn.gamma.value / np.sqrt(bn.running_var + ops.BN_EPS)
+        bias = (conv.b.value - bn.running_mean) * scale + bn.beta.value
+        return ops.relu_forward(ops.conv1d_forward(x, conv.w.value * scale, bias))

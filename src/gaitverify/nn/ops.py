@@ -22,7 +22,8 @@ products back onto the time axis with K shifted adds.
   (Cin, K*Cout), and folds the (B, T, K, Cout) products with the same
   shifted adds. The backward pass runs im2col on grad_y, padded by K-1
   on both sides, so the weight gradient is xpad.T @ gcols and the input
-  gradient gcols @ w, cropped to the T unpadded rows.
+  gradient gcols @ w, cropped to the T unpadded rows. The crop is copied,
+  so either branch returns a contiguous input gradient.
 
 Either way the copied matrix has K*min(Cin, Cout) columns, so a layer
 such as 256 -> 3 channels never copies its wide input K times.
@@ -103,69 +104,67 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
     xpad = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0))).reshape(bsz * tp, cin)
     grad_w = (xpad.T @ gcols).reshape(cin, kk, cout)[:, ::-1].transpose(1, 0, 2)
     w_rev = w[::-1].transpose(0, 2, 1).reshape(kk * cout, cin)
-    grad_x = (gcols @ w_rev).reshape(bsz, tp, cin)[:, pad_l:pad_l + t]
-    return grad_x, grad_w, grad_b
+    grad_x = (gcols @ w_rev).reshape(bsz, tp, cin)
+    del gcols, xpad  # freed before the contiguous copy of the crop
+    return grad_x[:, pad_l:pad_l + t].copy(), grad_w, grad_b
+
+
+BN_MOMENTUM, BN_EPS = 0.99, 1e-3
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       running_mean: np.ndarray, running_var: np.ndarray,
-                      train: bool, momentum: float = 0.99, eps: float = 1e-3):
+                      momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
     """Per-channel batch normalization over the batch and time axes.
 
-    Returns (y, cache, new_running_mean, new_running_var). Running
-    statistics are returned rather than mutated so a forward pass has no
-    side effects; train mode uses batch statistics (population variance)
-    and updates running ones as running <- momentum*running + (1-momentum)*batch.
+    Normalizes with batch statistics (population variance) and returns
+    (y, cache, new_running_mean, new_running_var), running <- momentum*
+    running + (1-momentum)*batch, without mutating the running statistics.
+    Inference reads them through the fold in ``layers.ConvBlock``.
 
     x is left unchanged. The cache holds ``xhat``, the normalized input,
-    and y is a separate fresh array that the caller may overwrite (the
-    ReLU after it does). In train mode y reuses the buffer of the squared
-    deviations, so either mode allocates two arrays of x's size.
+    and y is a separate fresh array, the buffer of the squared deviations,
+    that the caller may overwrite (the ReLU after it does).
     """
     axes = tuple(range(x.ndim - 1))
-    if train:
-        n = int(np.prod([x.shape[a] for a in axes]))
-        if n < 2:
-            raise InvalidInputError("batchnorm train mode needs at least 2 values per channel")
-        mean = x.mean(axis=axes)
-        xhat = x - mean
-        sq = np.square(xhat)
-        var = sq.mean(axis=axes)
-        new_rm = momentum * running_mean + (1.0 - momentum) * mean
-        new_rv = momentum * running_var + (1.0 - momentum) * var
-    else:
-        mean, var = running_mean, running_var
-        new_rm, new_rv = running_mean, running_var
-        xhat = x - mean
-        sq = None
+    n = int(np.prod([x.shape[a] for a in axes]))
+    if n < 2:
+        raise InvalidInputError("batchnorm needs at least 2 values per channel")
+    mean = x.mean(axis=axes)
+    xhat = x - mean
+    y = np.square(xhat)
+    var = y.mean(axis=axes)
+    new_rm = momentum * running_mean + (1.0 - momentum) * mean
+    new_rv = momentum * running_var + (1.0 - momentum) * var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    y = np.multiply(xhat, gamma, out=sq)
+    np.multiply(xhat, gamma, out=y)
     y += beta
-    cache = (xhat, inv_std, gamma, train)
-    return y, cache, new_rm, new_rv
+    return y, (xhat, inv_std, gamma), new_rm, new_rv
 
 
 def batchnorm_backward(grad_y: np.ndarray, cache):
-    """Gradients for x, gamma, beta given the forward cache."""
-    xhat, inv_std, gamma, train = cache
+    """Gradients for x, gamma, beta given the forward cache.
+
+    grad_x is written into grad_y, which is returned as grad_x: pass a
+    gradient nothing else reads, such as the one a ReLU has just masked.
+    """
+    xhat, inv_std, gamma = cache
     if grad_y.shape != xhat.shape:
         raise InvalidInputError(
             f"batchnorm backward shape mismatch: grad_y {grad_y.shape}, x {xhat.shape}")
     axes = tuple(range(grad_y.ndim - 1))
-    grad_gamma = (grad_y * xhat).sum(axis=axes)
+    tmp = grad_y * xhat
+    grad_gamma = tmp.sum(axis=axes)
     grad_beta = grad_y.sum(axis=axes)
-    if not train:
-        return grad_y * (gamma * inv_std), grad_gamma, grad_beta
     # Batch statistics depend on x, so the mean/variance terms feed back:
     # grad_x = gamma*inv_std * (grad_y - grad_beta/n - xhat*grad_gamma/n),
     # where grad_beta and grad_gamma are the sums the parameter gradients need.
     n = float(np.prod([grad_y.shape[a] for a in axes]))
-    grad_x = xhat * (grad_gamma / n)
-    np.subtract(grad_y, grad_x, out=grad_x)
-    grad_x -= grad_beta / n
-    grad_x *= gamma * inv_std
-    return grad_x, grad_gamma, grad_beta
+    grad_y -= np.multiply(xhat, grad_gamma / n, out=tmp)
+    grad_y -= grad_beta / n
+    grad_y *= gamma * inv_std
+    return grad_y, grad_gamma, grad_beta
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def _batches(n: int, batch_size: int, order=None):
 
 
 def evaluate_loss(model, x: np.ndarray, y, batch_size: int = 256) -> float:
-    """Mean loss over a dataset in inference mode (running batch-norm stats)."""
+    """Mean loss over a dataset in inference mode (batch norm folded, running stats)."""
     total = 0.0
     for idx in _batches(x.shape[0], batch_size):
         yb = None if y is None else y[idx]

@@ -265,6 +265,16 @@ def test_config_key_of_another_command_is_allowed(tmp_path):
     assert main([*synth, "--seed", "4", "--out", str(flag)]) == 0
     assert ours.read_bytes() == flag.read_bytes()
 
+def test_repeated_config_key_exits_one_at_its_second_line(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text("seed = 1\n# a comment\nseed = 2\n")
+    out = tmp_path / "gait.csv"
+    assert main(["synth", "--subjects", "2", "--seconds", "3", "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:3: 'seed' is already set at line 1\n"
+    assert not out.exists()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     assert "gradient check passed" in capsys.readouterr().out
@@ -327,6 +337,19 @@ def test_train_extract_evaluate_is_reproducible(tmp_path, capsys):
     assert outputs["e2e.csv"].count(b"\n") == outputs["ae.csv"].count(b"\n") == 1 + 36
 
 
+def test_same_training_in_two_directories_gives_identical_containers(tmp_path):
+    synth = ["synth", "--subjects", "3", "--seconds", "6", "--seed", "2"]
+    containers = []
+    for name in ("a", "bb"):
+        root = tmp_path / name
+        root.mkdir()
+        assert main([*synth, "--out", str(root / "gait.csv")]) == 0
+        assert main(["train", "--mode", "ae", "--epochs", "1", "--seed", "1",
+                     "--data", str(root / "gait.csv"), "--out", str(root / "m.gvf")]) == 0
+        containers.append((root / "m.gvf").read_bytes())
+    assert containers[0] == containers[1]
+
+
 def canonical_csv(path, rows):
     path.write_text("subject,session,recording,t,ax,ay,az\n"
                     + "".join(",".join(map(str, row)) + "\n" for row in rows))
@@ -345,6 +368,19 @@ def test_non_finite_canonical_value_exits_one_at_its_line(tmp_path, capsys, valu
     out = tmp_path / "f.csv"
     assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
     assert f"error: {data}:142: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_canonical_field_over_the_csv_limit_exits_one_at_its_line(tmp_path, capsys):
+    # CRLF line ends send the file to csv.reader, whose field limit is 131072 characters
+    rows = recording_rows("r1", 200)
+    rows[1] = rows[1][:6] + ("1" * 200_000,)
+    data = tmp_path / "gait.csv"
+    data.write_bytes(canonical_csv(data, rows).read_bytes().replace(b"\n", b"\r\n"))
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {data}:3: field larger than field limit (131072)\n")
     assert not out.exists()
 
 

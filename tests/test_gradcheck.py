@@ -11,7 +11,8 @@ class LinearModel:
 
     def __init__(self, seed=0):
         rng = np.random.default_rng(seed)
-        self.net = Dense(4, 3, rng, name="lin", dtype=np.float64)
+        self.net = Dense(4, 3, rng, name="lin")
+        self.net.cast(np.float64)
 
     def parameters(self):
         return self.net.parameters()

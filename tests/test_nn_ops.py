@@ -7,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.nn import ops
+from gaitverify.nn.layers import ConvBlock
 
 
 def central_diff(f, x, eps=1e-6):
@@ -103,7 +104,7 @@ class TestBatchNorm:
         x = rng.standard_normal((8, 16, 4))
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
         y, _, _, _ = ops.batchnorm_forward(
-            x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), train=True)
+            x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
         var = x.var(axis=(0, 1))
         npt.assert_allclose(y, x * np.sqrt(var / (var + 1e-3)), rtol=1e-10)
 
@@ -112,7 +113,7 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 8, 3))
         beta = np.array([1.0, -2.0, 0.5])
         y, _, _, _ = ops.batchnorm_forward(
-            x, np.zeros(3), beta, np.zeros(3), np.ones(3), train=True)
+            x, np.zeros(3), beta, np.zeros(3), np.ones(3))
         npt.assert_allclose(y, np.broadcast_to(beta, y.shape), atol=1e-12)
 
     def test_train_statistics_against_direct_oracle(self):
@@ -121,7 +122,7 @@ class TestBatchNorm:
         gamma = rng.standard_normal(5)
         beta = rng.standard_normal(5)
         y, _, _, _ = ops.batchnorm_forward(
-            x, gamma, beta, np.zeros(5), np.ones(5), train=True)
+            x, gamma, beta, np.zeros(5), np.ones(5))
         mean = x.reshape(-1, 5).mean(axis=0)
         var = x.reshape(-1, 5).var(axis=0)
         expected = gamma * (x - mean) / np.sqrt(var + 1e-3) + beta
@@ -132,23 +133,29 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 8, 2)) + 5.0
         rm, rv = np.zeros(2), np.ones(2)
         _, _, new_rm, new_rv = ops.batchnorm_forward(
-            x, np.ones(2), np.zeros(2), rm, rv, train=True, momentum=0.9)
+            x, np.ones(2), np.zeros(2), rm, rv, momentum=0.9)
         npt.assert_allclose(new_rm, 0.1 * x.mean(axis=(0, 1)), rtol=1e-12)
         npt.assert_allclose(new_rv, 0.9 + 0.1 * x.var(axis=(0, 1)), rtol=1e-12)
 
     def test_infer_mode_uses_running_stats(self):
+        # inference runs through the block's fold: relu(BN(conv(x))) with running stats
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 4, 3))
-        rm = np.array([1.0, 2.0, 3.0])
-        rv = np.array([4.0, 9.0, 16.0])
-        y, _, _, _ = ops.batchnorm_forward(
-            x, np.ones(3), np.zeros(3), rm, rv, train=False)
-        npt.assert_allclose(y, (x - rm) / np.sqrt(rv + 1e-3), rtol=1e-12)
+        block = ConvBlock(1, 3, 3, rng, name="b")
+        block.cast(np.float64)
+        block.conv.w.value[...] = np.eye(3)[None]
+        block.conv.b.value[...] = [0.5, -0.5, 0.0]
+        block.bn.running_mean[...] = [1.0, 2.0, 3.0]
+        block.bn.running_var[...] = [4.0, 9.0, 16.0]
+        x = rng.standard_normal((2, 4, 3)) + 2.0
+        pre = (x + block.conv.b.value - block.bn.running_mean) / np.sqrt(
+            block.bn.running_var + 1e-3)
+        npt.assert_allclose(block.forward(x, train=False), np.maximum(pre, 0), rtol=1e-12)
+        assert block.bn.batches_tracked == 0 and block.bn._cache is None
 
     def test_train_needs_two_values(self):
         with pytest.raises(InvalidInputError):
             ops.batchnorm_forward(np.zeros((1, 1, 3)), np.ones(3), np.zeros(3),
-                                  np.zeros(3), np.ones(3), train=True)
+                                  np.zeros(3), np.ones(3))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -159,12 +166,12 @@ class TestBatchNorm:
 
         def loss():
             y, _, _, _ = ops.batchnorm_forward(
-                x, gamma, beta, np.zeros(4), np.ones(4), train=True)
+                x, gamma, beta, np.zeros(4), np.ones(4))
             return float(np.sum(y * gy))
 
         _, cache, _, _ = ops.batchnorm_forward(
-            x, gamma, beta, np.zeros(4), np.ones(4), train=True)
-        gx, ggamma, gbeta = ops.batchnorm_backward(gy, cache)
+            x, gamma, beta, np.zeros(4), np.ones(4))
+        gx, ggamma, gbeta = ops.batchnorm_backward(gy.copy(), cache)
         npt.assert_allclose(gx, central_diff(loss, x), rtol=1e-5, atol=1e-8)
         npt.assert_allclose(ggamma, central_diff(loss, gamma), rtol=1e-6, atol=1e-8)
         npt.assert_allclose(gbeta, central_diff(loss, beta), rtol=1e-6, atol=1e-8)
@@ -173,9 +180,20 @@ class TestBatchNorm:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 5, 3))
         _, cache, _, _ = ops.batchnorm_forward(
-            x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), train=True)
+            x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
         gx, ggamma, gbeta = ops.batchnorm_backward(np.zeros_like(x), cache)
         assert not gx.any() and not ggamma.any() and not gbeta.any()
+
+    def test_backward_writes_into_grad_y(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 5, 3))
+        _, cache, _, _ = ops.batchnorm_forward(
+            x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        gy = rng.standard_normal(x.shape)
+        want = ops.batchnorm_backward(gy.copy(), cache)[0]
+        got = ops.batchnorm_backward(gy, cache)[0]
+        assert got is gy
+        npt.assert_array_equal(got, want)
 
 
 # --- oracles: the direct implementations the BLAS-shaped ops replaced -------
@@ -200,34 +218,27 @@ def ref_conv1d_backward(x, w, grad_y):
     return grad_xp[:, pad_l:pad_l + t, :], grad_w, grad_b
 
 
-def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, train,
+def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var,
                           momentum=0.99, eps=1e-3):
     axes = tuple(range(x.ndim - 1))
-    if train:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        new_rm = momentum * running_mean + (1.0 - momentum) * mean
-        new_rv = momentum * running_var + (1.0 - momentum) * var
-    else:
-        mean, var = running_mean, running_var
-        new_rm, new_rv = running_mean, running_var
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    new_rm = momentum * running_mean + (1.0 - momentum) * mean
+    new_rv = momentum * running_var + (1.0 - momentum) * var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv_std
-    return gamma * xhat + beta, (xhat, inv_std, gamma, train), new_rm, new_rv
+    return gamma * xhat + beta, (xhat, inv_std, gamma), new_rm, new_rv
 
 
 def ref_batchnorm_backward(grad_y, cache):
-    xhat, inv_std, gamma, train = cache
+    xhat, inv_std, gamma = cache
     axes = tuple(range(grad_y.ndim - 1))
     grad_gamma = (grad_y * xhat).sum(axis=axes)
     grad_beta = grad_y.sum(axis=axes)
     gxhat = grad_y * gamma
-    if train:
-        n = float(np.prod([grad_y.shape[a] for a in axes]))
-        grad_x = (inv_std / n) * (
-            n * gxhat - gxhat.sum(axis=axes) - xhat * (gxhat * xhat).sum(axis=axes))
-    else:
-        grad_x = gxhat * inv_std
+    n = float(np.prod([grad_y.shape[a] for a in axes]))
+    grad_x = (inv_std / n) * (
+        n * gxhat - gxhat.sum(axis=axes) - xhat * (gxhat * xhat).sum(axis=axes))
     return grad_x, grad_gamma, grad_beta
 
 
@@ -289,10 +300,9 @@ class TestConv1dAgainstReference:
 
 
 class TestBatchNormAgainstReference:
-    @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("cout", sorted({s[2] for s in MODEL_CONV_SHAPES}))
-    def test_forward_and_backward_match_reference(self, train, cout):
-        rng = np.random.default_rng(cout + train)
+    def test_forward_and_backward_match_reference(self, cout):
+        rng = np.random.default_rng(cout + 1)
         x = rng.standard_normal((3, 32, cout)) * 2.0 + 0.5
         gamma = rng.standard_normal(cout)
         beta = rng.standard_normal(cout)
@@ -300,20 +310,19 @@ class TestBatchNormAgainstReference:
         rv = rng.uniform(0.5, 2.0, cout)
         gy = rng.standard_normal(x.shape)
         x_before = x.copy()
-        got = ops.batchnorm_forward(x, gamma, beta, rm, rv, train=train)
-        want = ref_batchnorm_forward(x, gamma, beta, rm, rv, train=train)
+        got = ops.batchnorm_forward(x, gamma, beta, rm, rv)
+        want = ref_batchnorm_forward(x, gamma, beta, rm, rv)
         npt.assert_array_equal(x, x_before)
         for a, e in [(got[0], want[0]), (got[2], want[2]), (got[3], want[3]),
                      (got[1][0], want[1][0]), (got[1][1], want[1][1])]:
             assert_close(a, e)
-        assert got[1][3] is train
-        for a, e in zip(ops.batchnorm_backward(gy, got[1]),
+        for a, e in zip(ops.batchnorm_backward(gy.copy(), got[1]),
                         ref_batchnorm_backward(gy, want[1])):
             assert_close(a, e)
 
     def test_backward_shape_mismatch(self):
         _, cache, _, _ = ops.batchnorm_forward(
-            np.ones((2, 4, 3)), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), train=True)
+            np.ones((2, 4, 3)), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
         with pytest.raises(InvalidInputError):
             ops.batchnorm_backward(np.zeros((2, 4, 2)), cache)
 

@@ -1,0 +1,32 @@
+"""The benchmark's layer tracer still sees every layer of a training step."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from gaitverify import models
+
+# gvbench lives at the repository root, next to src/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from gvbench import spans  # noqa: E402
+
+
+def test_every_traced_layer_instance_gets_spans_inside_a_training_step():
+    x = np.random.default_rng(0).standard_normal((4, 128, 3)).astype(np.float32)
+    cases = [("autoencoder", models.Autoencoder(seed=0), None, 11),
+             ("fcn", models.FCNClassifier(3, seed=0), np.arange(4) % 3, 6)]
+    for name, model, y, count in cases:
+        layers = {p.name.rsplit(".", 1)[0] for p in model.parameters()}
+        instances = [inst for inst in spans.NN_INSTANCES if inst in layers]
+        assert len(instances) == count, name
+        recorder = spans.Recorder()
+        with spans.traced(recorder):
+            model.loss_and_backward(x, y)
+        in_step = {s.name for i, s in enumerate(recorder.spans)
+                   if recorder.has_ancestor(i, "models.loss_and_backward")}
+        metrics = spans.layer_metrics(recorder)
+        for inst in instances:
+            for phase in ("fwd", "bwd"):
+                assert f"nn.{inst}.{phase}" in in_step, f"{name}: {inst}.{phase}"
+                assert metrics[f"nn.{inst}.{phase}_ms"] > 0, f"{name}: {inst}.{phase}"
