@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 usage/validation error, 2 runtime/convergence
 error (including a failed gradient check). Every artifact-producing
 command writes a JSON run manifest next to its primary output; identical
 flags, seed, and input digests give byte-identical primary outputs, and
-the manifests differ only in their timestamp/duration fields.
+the manifests differ only in their timestamp/duration fields. The byte
+identity holds on one BLAS build run with one thread count: the matrix
+products round differently when either changes, so a trained model and
+everything computed from it may differ in its last bits.
 """
 
 from __future__ import annotations

@@ -61,10 +61,18 @@ def _read_text(path) -> str:
 
 
 def _csv_rows(path, text: str):
-    """csv.reader rows of ``text``; a csv.Error (an over-long field) fails at path:line."""
+    """(line, row) of each csv.reader row of ``text``, ``line`` the one the row starts on.
+
+    A quoted field may span lines, so a row's number is one past the last
+    line of the row before it. A csv.Error (an over-long field) fails at
+    path:line.
+    """
     rows = csv.reader(io.StringIO(text, newline=""))
     try:
-        yield from rows
+        start = 1
+        for row in rows:
+            yield start, row
+            start = rows.line_num + 1
     except csv.Error as exc:
         raise FormatError(f"{path}:{rows.line_num}: {exc}") from None
 
@@ -85,7 +93,7 @@ def _tokenize(path, header_error, n_key: int, key):
         header = header.split(",")
     else:
         rows = _csv_rows(path, text)
-        header = next(rows, None)
+        header = next(rows, (1, None))[1]
     error = header_error(header)
     if error is not None:
         raise FormatError(f"{path}: {error}")
@@ -117,7 +125,7 @@ def _tokenize(path, header_error, n_key: int, key):
         rows = _csv_rows(path, text)
         next(rows)
     keys, floats, lines = [], [], []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != width:

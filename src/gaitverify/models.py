@@ -15,12 +15,13 @@ parameter value and then every batch-norm running statistic. Training
 snapshots, their restore and the container format all read it, so it
 also fixes the container's tensor order. Only encoders are serialized:
 both training modes exist to produce one, and ``train`` ships only the
-encoder of the FCN or the autoencoder.
+encoder of the FCN or the autoencoder. Every ``Encoder`` handed out
+(``strip_classifier``, ``get_encoder``, ``from_container``) is built new
+from such arrays and a batch count, so it holds none of the caches a
+training step leaves in the layers.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -195,13 +196,46 @@ class Autoencoder(_Model):
         return loss
 
     def get_encoder(self) -> Encoder:
-        """Detach a deep copy of the encoder for feature extraction."""
-        return Encoder(copy.deepcopy(self.encoder))
+        """A new encoder holding copies of the encoder half's arrays, for feature extraction."""
+        return _detach(self.encoder)
 
 
 def strip_classifier(fcn: FCNClassifier) -> Encoder:
     """Drop the dense head; the result maps frames to the GAP activations."""
-    return Encoder(copy.deepcopy(fcn.body))
+    return _detach(fcn.body)
+
+
+def _detach(net: Sequential) -> Encoder:
+    """A new encoder with copies of ``net``'s arrays and batch count, and none of its caches."""
+    live = Encoder(net)
+    return _encoder(live.filters, live.kernels, live.arrays(), live.batches_tracked)
+
+
+def _encoder(filters, kernels, arrays: dict[str, np.ndarray], batches_tracked: int) -> Encoder:
+    """A new encoder of this shape holding copies of ``arrays``, in their dtype.
+
+    ``arrays`` must hold exactly the encoder's arrays(), by name and shape;
+    a missing, extra or misshapen tensor (only a container can hold one)
+    raises FormatError naming it, and every one is checked before any is
+    written.
+    """
+    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels))
+    own = encoder.arrays()
+    for name, a in own.items():
+        if name not in arrays:
+            raise FormatError(f"container lacks tensor {name!r}")
+        if arrays[name].shape != a.shape:
+            raise FormatError(f"container tensor {name!r} has shape {arrays[name].shape}, "
+                              f"expected {a.shape}")
+    extra = [name for name in arrays if name not in own]
+    if extra:
+        raise FormatError(f"container tensor {extra[0]!r} is not part of a "
+                          f"{len(filters)}-block encoder")
+    dtype = arrays[next(iter(own))].dtype  # always float32 from a container
+    encoder.cast(dtype).load_snapshot(arrays)
+    for block in encoder.blocks():
+        block.bn.batches_tracked = batches_tracked
+    return encoder
 
 
 def frames_to_array(frames: Frames, dtype=np.float32) -> np.ndarray:
@@ -265,21 +299,5 @@ def from_container(container: ModelContainer) -> Encoder:
     if _ints(meta, "feature_dim") != filters[-1:]:
         raise FormatError(f"container metadata 'feature_dim' {meta['feature_dim']!r} "
                           f"is not the last filter count {filters[-1]}")
-    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels))
-    arrays = encoder.arrays()
-    stored = set(container.names())
-    for name, a in arrays.items():
-        if name not in stored:
-            raise FormatError(f"container lacks tensor {name!r}")
-        if container.get(name).shape != a.shape:
-            raise FormatError(f"container tensor {name!r} has shape {container.get(name).shape}, "
-                              f"expected {a.shape}")
-    extra = [name for name in container.names() if name not in arrays]
-    if extra:
-        raise FormatError(f"container tensor {extra[0]!r} is not part of a "
-                          f"{len(filters)}-block encoder")
-    encoder.load_snapshot({name: container.get(name) for name in arrays})
-    tracked = _ints(meta, "batches_tracked", "0")[0]
-    for block in encoder.blocks():
-        block.bn.batches_tracked = tracked
-    return encoder
+    return _encoder(filters, kernels, {name: container.get(name) for name in container.names()},
+                    _ints(meta, "batches_tracked", "0")[0])

@@ -1,10 +1,13 @@
-"""Layer objects wrapping the functional ops with parameters and caches.
+"""The layers: each owns its parameters, its caches and its own math.
 
-A layer owns its Parameter objects, created in float32 (cast() is the one
-precision switch); forward() stores whatever backward() needs. A
-training-mode pass commits each batch norm's running statistics. An
-inference-mode pass (validation, feature extraction) runs each ConvBlock
-as one convolution with its batch norm folded in and moves no statistic.
+Batch norm, ReLU, pooling and the dense head compute in their own
+forward() and backward(); only the convolution, shared by ``Conv1d`` and
+the fold in ``ConvBlock``, lives in ``ops``. Parameters are created in
+float32 (cast() is the one precision switch); forward() stores whatever
+backward() needs. A training-mode pass commits each batch norm's running
+statistics. An inference-mode pass (validation, feature extraction) runs
+each ConvBlock as one convolution with its batch norm folded in and
+moves no statistic.
 
 Cache rules, which keep one stored activation per block boundary:
 
@@ -14,11 +17,14 @@ Cache rules, which keep one stored activation per block boundary:
   may only follow a layer that returns a fresh array (here always a
   BatchNorm). The layer after it caches or reads the same object; nothing
   writes into it until the next forward.
-- BatchNorm caches only its normalized input ``xhat``; its output is the
-  array the ReLU then overwrites.
+- BatchNorm caches only its normalized input ``xhat`` (and the per-channel
+  ``1/sqrt(var + eps)``); its output is a fresh array, the buffer of the
+  squared deviations, that the ReLU then overwrites.
 - ReLU.backward masks ``grad_y`` in place and BatchNorm.backward writes
   its input gradient into it, so a block holds no second gradient of its
-  output's size. Every backward() returns a contiguous gradient.
+  output's size: pass BatchNorm.backward a gradient nothing else reads,
+  such as the one the ReLU has just masked. Every backward() returns a
+  contiguous gradient.
 - BatchNorm drops the previous step's cache before it computes the new
   one (ReLU allocates nothing). Caches stay alive after backward(), so
   the next forward pass reuses memory the heap already holds instead of
@@ -33,6 +39,8 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from . import ops
+
+BN_MOMENTUM, BN_EPS = 0.99, 1e-3
 
 
 class Parameter:
@@ -109,7 +117,12 @@ class Conv1d(Layer):
 
 
 class BatchNorm(Layer):
-    """Batch statistics only: inference folds the running ones into a ConvBlock."""
+    """Per-channel batch normalization over the batch and time axes.
+
+    forward() normalizes with the batch statistics (population variance)
+    and commits running <- BN_MOMENTUM*running + (1-BN_MOMENTUM)*batch.
+    Inference reads the running statistics through the fold in ConvBlock.
+    """
 
     def __init__(self, channels: int, name: str = "bn"):
         self.name = name
@@ -123,18 +136,44 @@ class BatchNorm(Layer):
 
     def forward(self, x, train):
         self._cache = None
-        y, self._cache, new_rm, new_rv = ops.batchnorm_forward(
-            x, self.gamma.value, self.beta.value, self.running_mean, self.running_var)
-        self.running_mean[...] = new_rm
-        self.running_var[...] = new_rv
+        axes = tuple(range(x.ndim - 1))
+        n = int(np.prod([x.shape[a] for a in axes]))
+        if n < 2:
+            raise InvalidInputError("batchnorm needs at least 2 values per channel")
+        mean = x.mean(axis=axes)
+        xhat = x - mean
+        y = np.square(xhat)
+        var = y.mean(axis=axes)
+        self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+        self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
         self.batches_tracked += 1
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv_std
+        np.multiply(xhat, self.gamma.value, out=y)
+        y += self.beta.value
+        self._cache = (xhat, inv_std)
         return y
 
     def backward(self, grad_y):
-        grad_x, grad_gamma, grad_beta = ops.batchnorm_backward(grad_y, self._cache)
+        """grad_x, written into grad_y, with the gamma and beta gradients accumulated."""
+        xhat, inv_std = self._cache
+        if grad_y.shape != xhat.shape:
+            raise InvalidInputError(
+                f"batchnorm backward shape mismatch: grad_y {grad_y.shape}, x {xhat.shape}")
+        axes = tuple(range(grad_y.ndim - 1))
+        tmp = grad_y * xhat
+        grad_gamma = tmp.sum(axis=axes)
+        grad_beta = grad_y.sum(axis=axes)
+        # Batch statistics depend on x, so the mean/variance terms feed back:
+        # grad_x = gamma*inv_std * (grad_y - grad_beta/n - xhat*grad_gamma/n),
+        # where grad_beta and grad_gamma are the sums the parameter gradients need.
+        n = float(np.prod([grad_y.shape[a] for a in axes]))
+        grad_y -= np.multiply(xhat, grad_gamma / n, out=tmp)
+        grad_y -= grad_beta / n
+        grad_y *= self.gamma.value * inv_std
         self.gamma.grad += grad_gamma
         self.beta.grad += grad_beta
-        return grad_x
+        return grad_y
 
     def parameters(self):
         return [self.gamma, self.beta]
@@ -150,29 +189,36 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0), written into x: pass only an array nothing else reads."""
+
     def __init__(self, name: str = "relu"):
         self.name = name
         self._x = None
 
     def forward(self, x, train):
-        self._x = ops.relu_forward(x)
+        self._x = np.maximum(x, 0, out=x)
         return self._x
 
     def backward(self, grad_y):
-        return ops.relu_backward(self._x, grad_y)
+        # the output is positive where the input is, and the gradient at 0 is 0
+        return np.multiply(grad_y, self._x > 0, out=grad_y)
 
 
 class GlobalAveragePool(Layer):
+    """Mean over time: (B,T,C) -> (B,C)."""
+
     def __init__(self, name: str = "gap"):
         self.name = name
         self._t = None
 
     def forward(self, x, train):
+        if x.ndim != 3:
+            raise InvalidInputError(f"gap expects (B,T,C), got {x.shape}")
         self._t = x.shape[1]
-        return ops.gap_forward(x)
+        return x.mean(axis=1)
 
     def backward(self, grad_y):
-        return ops.gap_backward(grad_y, self._t)
+        return np.repeat(grad_y[:, None, :], self._t, axis=1) / self._t
 
 
 class LatentBroadcast(Layer):
@@ -219,13 +265,21 @@ class Dense(Layer):
         self._x = None
 
     def forward(self, x, train):
+        w, b = self.w.value, self.b.value
+        if x.ndim != 2 or x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
+            raise InvalidInputError(
+                f"dense shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
         self._x = x
-        return ops.dense_forward(x, self.w.value, self.b.value)
+        return x @ w + b
 
     def backward(self, grad_y):
-        grad_x, grad_w, grad_b = ops.dense_backward(self._x, self.w.value, grad_y)
-        self.w.grad += grad_w
-        self.b.grad += grad_b
+        x, w = self._x, self.w.value
+        if grad_y.shape != (x.shape[0], w.shape[1]):
+            raise InvalidInputError(
+                f"dense backward shape mismatch: grad_y {grad_y.shape}")
+        grad_x = grad_y @ w.T
+        self.w.grad += x.T @ grad_y
+        self.b.grad += grad_y.sum(axis=0)
         return grad_x
 
     def parameters(self):
@@ -278,6 +332,7 @@ class ConvBlock(Sequential):
         if train:
             return super().forward(x, train)
         conv, bn = self.conv, self.bn
-        scale = bn.gamma.value / np.sqrt(bn.running_var + ops.BN_EPS)
+        scale = bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
         bias = (conv.b.value - bn.running_mean) * scale + bn.beta.value
-        return ops.relu_forward(ops.conv1d_forward(x, conv.w.value * scale, bias))
+        y = ops.conv1d_forward(x, conv.w.value * scale, bias)
+        return np.maximum(y, 0, out=y)

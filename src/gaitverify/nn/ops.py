@@ -1,4 +1,9 @@
-"""Forward/backward primitives for the fixed layer set.
+"""The convolution and the two losses: the math more than one caller shares.
+
+``conv1d_forward`` runs in ``layers.Conv1d`` and in the batch-norm fold
+of ``layers.ConvBlock``; the losses run in ``models``. Every other layer
+(batch norm, ReLU, pooling, dense) keeps its math in its own class in
+``layers``.
 
 All arrays are row-major numpy tensors. Time-series activations are
 (B, T, C); convolution kernels are (K, Cin, Cout). Convolutions are
@@ -109,113 +114,6 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
     return grad_x[:, pad_l:pad_l + t].copy(), grad_w, grad_b
 
 
-BN_MOMENTUM, BN_EPS = 0.99, 1e-3
-
-
-def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                      running_mean: np.ndarray, running_var: np.ndarray,
-                      momentum: float = BN_MOMENTUM, eps: float = BN_EPS):
-    """Per-channel batch normalization over the batch and time axes.
-
-    Normalizes with batch statistics (population variance) and returns
-    (y, cache, new_running_mean, new_running_var), running <- momentum*
-    running + (1-momentum)*batch, without mutating the running statistics.
-    Inference reads them through the fold in ``layers.ConvBlock``.
-
-    x is left unchanged. The cache holds ``xhat``, the normalized input,
-    and y is a separate fresh array, the buffer of the squared deviations,
-    that the caller may overwrite (the ReLU after it does).
-    """
-    axes = tuple(range(x.ndim - 1))
-    n = int(np.prod([x.shape[a] for a in axes]))
-    if n < 2:
-        raise InvalidInputError("batchnorm needs at least 2 values per channel")
-    mean = x.mean(axis=axes)
-    xhat = x - mean
-    y = np.square(xhat)
-    var = y.mean(axis=axes)
-    new_rm = momentum * running_mean + (1.0 - momentum) * mean
-    new_rv = momentum * running_var + (1.0 - momentum) * var
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
-    np.multiply(xhat, gamma, out=y)
-    y += beta
-    return y, (xhat, inv_std, gamma), new_rm, new_rv
-
-
-def batchnorm_backward(grad_y: np.ndarray, cache):
-    """Gradients for x, gamma, beta given the forward cache.
-
-    grad_x is written into grad_y, which is returned as grad_x: pass a
-    gradient nothing else reads, such as the one a ReLU has just masked.
-    """
-    xhat, inv_std, gamma = cache
-    if grad_y.shape != xhat.shape:
-        raise InvalidInputError(
-            f"batchnorm backward shape mismatch: grad_y {grad_y.shape}, x {xhat.shape}")
-    axes = tuple(range(grad_y.ndim - 1))
-    tmp = grad_y * xhat
-    grad_gamma = tmp.sum(axis=axes)
-    grad_beta = grad_y.sum(axis=axes)
-    # Batch statistics depend on x, so the mean/variance terms feed back:
-    # grad_x = gamma*inv_std * (grad_y - grad_beta/n - xhat*grad_gamma/n),
-    # where grad_beta and grad_gamma are the sums the parameter gradients need.
-    n = float(np.prod([grad_y.shape[a] for a in axes]))
-    grad_y -= np.multiply(xhat, grad_gamma / n, out=tmp)
-    grad_y -= grad_beta / n
-    grad_y *= gamma * inv_std
-    return grad_y, grad_gamma, grad_beta
-
-
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    """max(x, 0), written into x; returns x itself.
-
-    The caller gives up x: only pass an array nothing else reads as the
-    pre-activation, such as the fresh output of the layer before.
-    """
-    return np.maximum(x, 0, out=x)
-
-
-def relu_backward(y: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    """grad_y * (y > 0), written into grad_y; returns grad_y itself.
-
-    y may be the ReLU's input or its output: both are positive at the same
-    places, and the gradient at 0 is 0.
-    """
-    return np.multiply(grad_y, y > 0, out=grad_y)
-
-
-def gap_forward(x: np.ndarray) -> np.ndarray:
-    """Global average pooling over time: (B,T,C) -> (B,C)."""
-    if x.ndim != 3:
-        raise InvalidInputError(f"gap expects (B,T,C), got {x.shape}")
-    return x.mean(axis=1)
-
-
-def gap_backward(grad_y: np.ndarray, t: int) -> np.ndarray:
-    return np.repeat(grad_y[:, None, :], t, axis=1) / t
-
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if x.ndim != 2 or x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
-        raise InvalidInputError(
-            f"dense shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    return x @ w + b
-
-
-def dense_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
-    if grad_y.shape != (x.shape[0], w.shape[1]):
-        raise InvalidInputError(
-            f"dense backward shape mismatch: grad_y {grad_y.shape}")
-    return grad_y @ w.T, x.T @ grad_y, grad_y.sum(axis=0)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_crossentropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood and its gradient w.r.t. the logits."""
     if logits.ndim != 2:
@@ -226,13 +124,14 @@ def softmax_crossentropy(logits: np.ndarray, labels: np.ndarray):
         raise InvalidInputError(f"labels must be ({bsz},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise InvalidInputError(f"label out of range [0, {k})")
-    p = softmax(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
     rows = np.arange(bsz)
     # log via the shifted logits to avoid log(exp) cancellation
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - np.log(total)
     loss = float(-logp[rows, labels].mean())
-    grad = p
+    grad = e / total  # the softmax
     grad[rows, labels] -= 1.0
     grad /= bsz
     return loss, grad.astype(logits.dtype, copy=False)

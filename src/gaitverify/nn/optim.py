@@ -7,17 +7,15 @@ import numpy as np
 from ..errors import InvalidInputError
 from .layers import Parameter
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam with bias correction, updating Parameter values in place."""
 
-    def __init__(self, params: list[Parameter], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
@@ -28,20 +26,19 @@ class Adam:
                 raise InvalidInputError(
                     f"shape mismatch in Adam.step: {p.name} {p.value.shape} vs grad {p.grad.shape}")
         self.t += 1
-        beta1, beta2 = self.beta1, self.beta2
-        bc1 = 1.0 - beta1 ** self.t
-        bc2 = 1.0 - beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g^2
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
+            # m = BETA1*m + (1-BETA1)*g; v = BETA2*v + (1-BETA2)*g^2
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             # p -= (lr/bc1)*m / (sqrt(v/bc2) + eps)
             denom = v / bc2
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             update = (self.lr / bc1) * m
             update /= denom
             p.value -= update

@@ -46,10 +46,6 @@ class History:
     best_epoch: int = 0
 
     @property
-    def train_losses(self):
-        return [e.train_loss for e in self.epochs]
-
-    @property
     def val_losses(self):
         return [e.val_loss for e in self.epochs]
 
@@ -60,7 +56,7 @@ def _batches(n: int, batch_size: int, order=None):
         yield idx[start:start + batch_size]
 
 
-def evaluate_loss(model, x: np.ndarray, y, batch_size: int = 256) -> float:
+def evaluate_loss(model, x: np.ndarray, y, batch_size: int) -> float:
     """Mean loss over a dataset in inference mode (batch norm folded, running stats)."""
     total = 0.0
     for idx in _batches(x.shape[0], batch_size):

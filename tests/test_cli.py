@@ -384,6 +384,21 @@ def test_canonical_field_over_the_csv_limit_exits_one_at_its_line(tmp_path, caps
     assert not out.exists()
 
 
+def test_line_after_a_multi_line_quoted_field_is_its_physical_line(tmp_path, capsys):
+    # the quoted "0.1\n" of line 3 runs onto line 4, so the 11th data row is on line 12
+    rows = [[str(v) for v in row] for row in recording_rows("r1", 200)]
+    rows[1][4] = '"0.1\n"'
+    rows[9][4] = "abc"
+    data = tmp_path / "ml.csv"
+    data.write_bytes(("subject,session,recording,t,ax,ay,az\r\n"
+                      + "".join(",".join(row) + "\r\n" for row in rows)).encode())
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {data}:12: could not convert string to float: 'abc'\n")
+    assert not out.exists()
+
+
 def test_single_sample_recording_exits_one_naming_it(tmp_path, capsys):
     data = canonical_csv(tmp_path / "gait.csv",
                          recording_rows("r1", 200) + recording_rows("r2", 1))

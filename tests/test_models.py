@@ -62,9 +62,12 @@ class TestBuildFcn:
     def test_softmax_rows_sum_to_one(self):
         fcn = models.FCNClassifier(5, seed=1)
         x = np.random.default_rng(1).standard_normal((4, 128, 3)).astype(np.float32)
-        p = ops.softmax(fcn.forward(x, train=True))
-        assert np.all(p >= 0)
-        npt.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
+        labels = np.arange(4)
+        _, grad = ops.softmax_crossentropy(fcn.forward(x, train=True), labels)
+        # the gradient is (softmax - onehot) / B, so its sign shows softmax >= 0
+        onehot = np.eye(5, dtype=bool)[labels]
+        assert np.all(grad[~onehot] >= 0) and np.all(grad[onehot] <= 0)
+        npt.assert_allclose((4 * grad + onehot).sum(axis=1), 1.0, atol=1e-6)
 
     def test_parameter_count_closed_form(self):
         for k in (2, 10, 50):
@@ -123,7 +126,7 @@ class TestAutoencoder:
         initial = ae.loss_only(x[:64], train=True)
         config = TrainConfig(epochs=50, batch_size=32, seed=5)
         ae, history = train(ae, (x[:64], None), (x[64:], None), config)
-        final = min(history.train_losses)
+        final = min(e.train_loss for e in history.epochs)
         assert final < 0.5 * initial
 
     def test_decoder_mirrors_block_spec(self):
@@ -255,6 +258,24 @@ class TestStripClassifier:
         encoder = models.strip_classifier(fcn)
         encoder.parameters()[0].value[...] = 0
         assert fcn.parameters()[0].value.any()
+
+    def test_detached_encoder_holds_no_training_cache(self, tmp_path):
+        x = np.random.default_rng(9).standard_normal((8, 128, 3)).astype(np.float32)
+        fcn, ae = models.FCNClassifier(3, seed=9), models.Autoencoder(seed=9)
+        for model, y, detach, net in [(fcn, np.arange(8) % 3, models.strip_classifier, fcn.body),
+                                      (ae, None, models.Autoencoder.get_encoder, ae.encoder)]:
+            model.loss_and_backward(x, y)
+            encoder, deep = detach(model), models.Encoder(copy.deepcopy(net))
+
+            def cached(enc):
+                return [f"{m.name}.{k}" for m in flat_layers(enc.net)
+                        for k, v in vars(m).items() if k.startswith("_") and v is not None]
+
+            assert cached(deep) and not cached(encoder), net.name
+            paths = tmp_path / f"{net.name}.gvf", tmp_path / f"{net.name}.deep.gvf"
+            save_model(models.to_container(encoder), paths[0])
+            save_model(models.to_container(deep), paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes(), net.name
 
 
 class TestExtractFeatures:

@@ -7,7 +7,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.nn import ops
-from gaitverify.nn.layers import ConvBlock
+from gaitverify.nn.layers import (
+    BN_EPS,
+    BN_MOMENTUM,
+    BatchNorm,
+    ConvBlock,
+    Dense,
+    GlobalAveragePool,
+    ReLU,
+)
 
 
 def central_diff(f, x, eps=1e-6):
@@ -98,13 +106,24 @@ class TestConv1dBackward:
         npt.assert_allclose(gb, central_diff(loss, b), rtol=1e-6, atol=1e-8)
 
 
+def batchnorm(gamma, beta, running_mean=None, running_var=None):
+    """A float64 BatchNorm layer holding these parameters and running statistics."""
+    bn = BatchNorm(len(gamma))
+    bn.cast(np.float64)
+    bn.gamma.value[...] = gamma
+    bn.beta.value[...] = beta
+    if running_mean is not None:
+        bn.running_mean[...] = running_mean
+        bn.running_var[...] = running_var
+    return bn
+
+
 class TestBatchNorm:
     def test_gamma_one_beta_zero_on_standardized_input(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 16, 4))
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
-        y, _, _, _ = ops.batchnorm_forward(
-            x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+        y = batchnorm(np.ones(4), np.zeros(4)).forward(x, train=True)
         var = x.var(axis=(0, 1))
         npt.assert_allclose(y, x * np.sqrt(var / (var + 1e-3)), rtol=1e-10)
 
@@ -112,8 +131,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 8, 3))
         beta = np.array([1.0, -2.0, 0.5])
-        y, _, _, _ = ops.batchnorm_forward(
-            x, np.zeros(3), beta, np.zeros(3), np.ones(3))
+        y = batchnorm(np.zeros(3), beta).forward(x, train=True)
         npt.assert_allclose(y, np.broadcast_to(beta, y.shape), atol=1e-12)
 
     def test_train_statistics_against_direct_oracle(self):
@@ -121,8 +139,7 @@ class TestBatchNorm:
         x = rng.standard_normal((6, 10, 5)) * 3.0 + 1.0
         gamma = rng.standard_normal(5)
         beta = rng.standard_normal(5)
-        y, _, _, _ = ops.batchnorm_forward(
-            x, gamma, beta, np.zeros(5), np.ones(5))
+        y = batchnorm(gamma, beta).forward(x, train=True)
         mean = x.reshape(-1, 5).mean(axis=0)
         var = x.reshape(-1, 5).var(axis=0)
         expected = gamma * (x - mean) / np.sqrt(var + 1e-3) + beta
@@ -131,11 +148,13 @@ class TestBatchNorm:
     def test_running_statistics_update(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 8, 2)) + 5.0
-        rm, rv = np.zeros(2), np.ones(2)
-        _, _, new_rm, new_rv = ops.batchnorm_forward(
-            x, np.ones(2), np.zeros(2), rm, rv, momentum=0.9)
-        npt.assert_allclose(new_rm, 0.1 * x.mean(axis=(0, 1)), rtol=1e-12)
-        npt.assert_allclose(new_rv, 0.9 + 0.1 * x.var(axis=(0, 1)), rtol=1e-12)
+        bn = batchnorm(np.ones(2), np.zeros(2))
+        live_mean = bn.running_mean
+        bn.forward(x, train=True)
+        m = BN_MOMENTUM
+        npt.assert_allclose(bn.running_mean, (1 - m) * x.mean(axis=(0, 1)), rtol=1e-12)
+        npt.assert_allclose(bn.running_var, m + (1 - m) * x.var(axis=(0, 1)), rtol=1e-12)
+        assert bn.running_mean is live_mean and bn.batches_tracked == 1
 
     def test_infer_mode_uses_running_stats(self):
         # inference runs through the block's fold: relu(BN(conv(x))) with running stats
@@ -154,8 +173,7 @@ class TestBatchNorm:
 
     def test_train_needs_two_values(self):
         with pytest.raises(InvalidInputError):
-            ops.batchnorm_forward(np.zeros((1, 1, 3)), np.ones(3), np.zeros(3),
-                                  np.zeros(3), np.ones(3))
+            batchnorm(np.ones(3), np.zeros(3)).forward(np.zeros((1, 1, 3)), train=True)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -163,35 +181,35 @@ class TestBatchNorm:
         gamma = rng.standard_normal(4)
         beta = rng.standard_normal(4)
         gy = rng.standard_normal((3, 7, 4))
+        bn = batchnorm(gamma, beta)
 
         def loss():
-            y, _, _, _ = ops.batchnorm_forward(
-                x, gamma, beta, np.zeros(4), np.ones(4))
-            return float(np.sum(y * gy))
+            return float(np.sum(bn.forward(x, train=True) * gy))
 
-        _, cache, _, _ = ops.batchnorm_forward(
-            x, gamma, beta, np.zeros(4), np.ones(4))
-        gx, ggamma, gbeta = ops.batchnorm_backward(gy.copy(), cache)
-        npt.assert_allclose(gx, central_diff(loss, x), rtol=1e-5, atol=1e-8)
-        npt.assert_allclose(ggamma, central_diff(loss, gamma), rtol=1e-6, atol=1e-8)
-        npt.assert_allclose(gbeta, central_diff(loss, beta), rtol=1e-6, atol=1e-8)
+        gx = central_diff(loss, x)
+        ggamma = central_diff(loss, bn.gamma.value)
+        gbeta = central_diff(loss, bn.beta.value)
+        bn.forward(x, train=True)
+        npt.assert_allclose(bn.backward(gy.copy()), gx, rtol=1e-5, atol=1e-8)
+        npt.assert_allclose(bn.gamma.grad, ggamma, rtol=1e-6, atol=1e-8)
+        npt.assert_allclose(bn.beta.grad, gbeta, rtol=1e-6, atol=1e-8)
 
     def test_backward_zero_grad(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 5, 3))
-        _, cache, _, _ = ops.batchnorm_forward(
-            x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
-        gx, ggamma, gbeta = ops.batchnorm_backward(np.zeros_like(x), cache)
-        assert not gx.any() and not ggamma.any() and not gbeta.any()
+        bn = batchnorm(np.ones(3), np.zeros(3))
+        bn.forward(x, train=True)
+        gx = bn.backward(np.zeros_like(x))
+        assert not gx.any() and not bn.gamma.grad.any() and not bn.beta.grad.any()
 
     def test_backward_writes_into_grad_y(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 5, 3))
-        _, cache, _, _ = ops.batchnorm_forward(
-            x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        bn = batchnorm(np.ones(3), np.zeros(3))
+        bn.forward(x, train=True)
         gy = rng.standard_normal(x.shape)
-        want = ops.batchnorm_backward(gy.copy(), cache)[0]
-        got = ops.batchnorm_backward(gy, cache)[0]
+        want = bn.backward(gy.copy())
+        got = bn.backward(gy)
         assert got is gy
         npt.assert_array_equal(got, want)
 
@@ -240,6 +258,54 @@ def ref_batchnorm_backward(grad_y, cache):
     grad_x = (inv_std / n) * (
         n * gxhat - gxhat.sum(axis=axes) - xhat * (gxhat * xhat).sum(axis=axes))
     return grad_x, grad_gamma, grad_beta
+
+
+# --- oracles: the op functions the layers took over, in float64 --------------
+
+def op_batchnorm_forward(x, gamma, beta, running_mean, running_var):
+    axes = tuple(range(x.ndim - 1))
+    mean = x.mean(axis=axes)
+    xhat = x - mean
+    y = np.square(xhat)
+    var = y.mean(axis=axes)
+    new_rm = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+    new_rv = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv_std, gamma), new_rm, new_rv
+
+
+def op_batchnorm_backward(grad_y, cache):
+    xhat, inv_std, gamma = cache
+    axes = tuple(range(grad_y.ndim - 1))
+    tmp = grad_y * xhat
+    grad_gamma = tmp.sum(axis=axes)
+    grad_beta = grad_y.sum(axis=axes)
+    n = float(np.prod([grad_y.shape[a] for a in axes]))
+    grad_y -= np.multiply(xhat, grad_gamma / n, out=tmp)
+    grad_y -= grad_beta / n
+    grad_y *= gamma * inv_std
+    return grad_y, grad_gamma, grad_beta
+
+
+def op_relu_backward(x, grad_y):
+    return np.multiply(grad_y, x > 0, out=grad_y)
+
+
+def op_gap_backward(grad_y, t):
+    return np.repeat(grad_y[:, None, :], t, axis=1) / t
+
+
+def op_dense_backward(x, w, grad_y):
+    return grad_y @ w.T, x.T @ grad_y, grad_y.sum(axis=0)
+
+
+def op_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def assert_close(actual, expected):
@@ -310,30 +376,33 @@ class TestBatchNormAgainstReference:
         rv = rng.uniform(0.5, 2.0, cout)
         gy = rng.standard_normal(x.shape)
         x_before = x.copy()
-        got = ops.batchnorm_forward(x, gamma, beta, rm, rv)
-        want = ref_batchnorm_forward(x, gamma, beta, rm, rv)
+        bn = batchnorm(gamma, beta, rm, rv)
+        got = [bn.forward(x, train=True), *bn._cache, bn.running_mean, bn.running_var]
         npt.assert_array_equal(x, x_before)
-        for a, e in [(got[0], want[0]), (got[2], want[2]), (got[3], want[3]),
-                     (got[1][0], want[1][0]), (got[1][1], want[1][1])]:
-            assert_close(a, e)
-        for a, e in zip(ops.batchnorm_backward(gy.copy(), got[1]),
-                        ref_batchnorm_backward(gy, want[1])):
-            assert_close(a, e)
+        grads = [bn.backward(gy.copy()), bn.gamma.grad, bn.beta.grad]
+        for forward, backward in [(ref_batchnorm_forward, ref_batchnorm_backward),
+                                  (op_batchnorm_forward, op_batchnorm_backward)]:
+            y, cache, new_rm, new_rv = forward(x, gamma, beta, rm, rv)
+            for a, e in zip(got, [y, cache[0], cache[1], new_rm, new_rv]):
+                assert_close(a, e)
+            for a, e in zip(grads, backward(gy.copy(), cache)):
+                assert_close(a, e)
 
     def test_backward_shape_mismatch(self):
-        _, cache, _, _ = ops.batchnorm_forward(
-            np.ones((2, 4, 3)), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+        bn = batchnorm(np.ones(3), np.zeros(3))
+        bn.forward(np.ones((2, 4, 3)), train=True)
         with pytest.raises(InvalidInputError):
-            ops.batchnorm_backward(np.zeros((2, 4, 2)), cache)
+            bn.backward(np.zeros((2, 4, 2)))
 
 
 class TestReluAndGap:
     def test_relu_cases(self):
-        npt.assert_array_equal(ops.relu_forward(np.array([2.0, 0.5])), [2.0, 0.5])
-        npt.assert_array_equal(ops.relu_forward(np.array([-2.0, -0.1])), [0.0, 0.0])
-        npt.assert_array_equal(ops.relu_forward(np.array([-1.0, 2.0])), [0.0, 2.0])
-        g = ops.relu_backward(np.array([-1.0, 2.0]), np.array([3.0, 4.0]))
-        npt.assert_array_equal(g, [0.0, 4.0])
+        for x, want in [([2.0, 0.5], [2.0, 0.5]), ([-2.0, -0.1], [0.0, 0.0]),
+                        ([-1.0, 2.0], [0.0, 2.0])]:
+            npt.assert_array_equal(ReLU().forward(np.array(x), train=True), want)
+        relu = ReLU()
+        relu.forward(np.array([-1.0, 2.0]), train=True)
+        npt.assert_array_equal(relu.backward(np.array([3.0, 4.0])), [0.0, 4.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_forward_writes_into_its_argument(self, dtype):
@@ -341,7 +410,7 @@ class TestReluAndGap:
         x[0, :3] = 0.0
         x[1, 0, 0] = -0.0
         want = np.where(x > 0, x, 0).astype(dtype)
-        got = ops.relu_forward(x)
+        got = ReLU().forward(x, train=True)
         assert got is x
         assert got.dtype == dtype
         npt.assert_array_equal(got, want)
@@ -353,49 +422,63 @@ class TestReluAndGap:
         x = rng.standard_normal((4, 9, 5)).astype(dtype)
         x[0, :3] = 0.0
         grad_y = rng.standard_normal(x.shape).astype(dtype)
-        want = grad_y * (x > 0)
-        x_before = x.copy()
-        got = ops.relu_backward(x, grad_y)
+        # the layer masks with its output, the op it replaced with its input
+        want = op_relu_backward(x, grad_y.copy())
+        relu = ReLU()
+        y = relu.forward(x.copy(), train=True)
+        y_before = y.copy()
+        got = relu.backward(grad_y)
         assert got is grad_y
         assert got.dtype == dtype
         assert got.tobytes() == want.tobytes()
         assert (got[0, :3] == 0).all()
-        npt.assert_array_equal(x, x_before)
-        # the mask of the output equals the mask of the input, zeros included
-        grad_y = rng.standard_normal(x.shape).astype(dtype)
-        want = grad_y * (x > 0)
-        assert ops.relu_backward(ops.relu_forward(x), grad_y).tobytes() == want.tobytes()
+        npt.assert_array_equal(y, y_before)
 
     def test_gap_constant_in_time(self):
         x = np.ones((2, 10, 3)) * np.array([1.0, 2.0, 3.0])
-        npt.assert_allclose(ops.gap_forward(x), [[1, 2, 3], [1, 2, 3]])
+        npt.assert_allclose(GlobalAveragePool().forward(x, train=True), [[1, 2, 3], [1, 2, 3]])
 
     def test_gap_two_sample_mean(self):
         x = np.array([1.0, 3.0]).reshape(1, 2, 1)
-        npt.assert_allclose(ops.gap_forward(x), [[2.0]])
+        npt.assert_allclose(GlobalAveragePool().forward(x, train=True), [[2.0]])
 
     def test_gap_against_mean_oracle_and_backward(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 12, 5))
-        npt.assert_allclose(ops.gap_forward(x), x.mean(axis=1), rtol=1e-12)
+        gap = GlobalAveragePool()
+        npt.assert_allclose(gap.forward(x, train=True), x.mean(axis=1), rtol=1e-12)
         gy = rng.standard_normal((3, 5))
-        gx = ops.gap_backward(gy, 12)
+        gx = gap.backward(gy)
+        assert_close(gx, op_gap_backward(gy, 12))
 
         def loss():
-            return float(np.sum(ops.gap_forward(x) * gy))
+            return float(np.sum(gap.forward(x, train=True) * gy))
 
         npt.assert_allclose(gx, central_diff(loss, x), rtol=1e-6, atol=1e-9)
+
+    def test_gap_shape_check(self):
+        with pytest.raises(InvalidInputError):
+            GlobalAveragePool().forward(np.zeros((2, 3)), train=True)
+
+
+def dense(w, b):
+    """A float64 Dense layer holding these weights."""
+    layer = Dense(*w.shape, np.random.default_rng(0))
+    layer.cast(np.float64)
+    layer.w.value[...] = w
+    layer.b.value[...] = b
+    return layer
 
 
 class TestDense:
     def test_identity_weights(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 5))
-        npt.assert_allclose(ops.dense_forward(x, np.eye(5), np.zeros(5)), x)
+        npt.assert_allclose(dense(np.eye(5), np.zeros(5)).forward(x, train=True), x)
 
     def test_zero_weights_broadcast_bias(self):
         b = np.array([1.0, 2.0])
-        y = ops.dense_forward(np.ones((4, 3)), np.zeros((3, 2)), b)
+        y = dense(np.zeros((3, 2)), b).forward(np.ones((4, 3)), train=True)
         npt.assert_allclose(y, np.broadcast_to(b, (4, 2)))
 
     def test_backward_matches_finite_differences(self):
@@ -404,14 +487,28 @@ class TestDense:
         w = rng.standard_normal((6, 3))
         b = rng.standard_normal(3)
         gy = rng.standard_normal((4, 3))
+        layer = dense(w, b)
 
         def loss():
-            return float(np.sum(ops.dense_forward(x, w, b) * gy))
+            return float(np.sum(layer.forward(x, train=True) * gy))
 
-        gx, gw, gb = ops.dense_backward(x, w, gy)
-        npt.assert_allclose(gx, central_diff(loss, x), rtol=1e-6, atol=1e-9)
-        npt.assert_allclose(gw, central_diff(loss, w), rtol=1e-6, atol=1e-9)
-        npt.assert_allclose(gb, central_diff(loss, b), rtol=1e-6, atol=1e-9)
+        gw, gb = central_diff(loss, layer.w.value), central_diff(loss, layer.b.value)
+        gx = central_diff(loss, x)
+        layer.forward(x, train=True)
+        grads = [layer.backward(gy), layer.w.grad, layer.b.grad]
+        for got, want in zip(grads, op_dense_backward(x, w, gy)):
+            assert_close(got, want)
+        npt.assert_allclose(grads[0], gx, rtol=1e-6, atol=1e-9)
+        npt.assert_allclose(grads[1], gw, rtol=1e-6, atol=1e-9)
+        npt.assert_allclose(grads[2], gb, rtol=1e-6, atol=1e-9)
+
+    def test_shape_checks(self):
+        layer = dense(np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(InvalidInputError):
+            layer.forward(np.zeros((4, 5)), train=True)
+        layer.forward(np.zeros((4, 3)), train=True)
+        with pytest.raises(InvalidInputError):
+            layer.backward(np.zeros((4, 3)))
 
 
 class TestSoftmaxCrossentropy:
@@ -443,10 +540,15 @@ class TestSoftmaxCrossentropy:
         npt.assert_allclose(grad, (p - onehot) / 2, rtol=1e-10)
 
     def test_softmax_rows_form_simplex(self):
+        # the gradient is (softmax - onehot) / B
         rng = np.random.default_rng(15)
-        p = ops.softmax(rng.standard_normal((50, 7)) * 30)
+        logits = rng.standard_normal((50, 7)) * 30
+        labels = rng.integers(0, 7, 50)
+        _, grad = ops.softmax_crossentropy(logits, labels)
+        p = op_softmax(logits)
         assert np.all(p >= 0)
         npt.assert_allclose(p.sum(axis=1), np.ones(50), atol=1e-6)
+        assert_close(grad, (p - np.eye(7)[labels]) / 50)
 
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInputError):

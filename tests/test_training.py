@@ -45,7 +45,7 @@ class TestTrain:
         model = tiny_fcn(seed=3)
         config = TrainConfig(epochs=12, batch_size=16, seed=3)
         model, history = train(model, (x[:32], y[:32]), (x[32:], y[32:]), config)
-        assert history.train_losses[-1] < history.train_losses[0]
+        assert history.epochs[-1].train_loss < history.epochs[0].train_loss
         assert len(history.epochs) == 12
 
     def test_checkpoint_is_first_val_minimum(self):
@@ -67,7 +67,7 @@ class TestTrain:
             model = tiny_fcn(seed=7)
             model, history = train(model, (x[:12], y[:12]), (x[12:], y[12:]), config)
             results.append(({p.name: p.value.copy() for p in model.parameters()},
-                            history.train_losses))
+                            [e.train_loss for e in history.epochs]))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
             npt.assert_array_equal(results[0][0][name], results[1][0][name])
@@ -96,7 +96,7 @@ class TestTrain:
         model = models.Autoencoder(seed=9, filters=(4, 6, 4), kernels=(3, 3, 3))
         config = TrainConfig(epochs=8, batch_size=16, seed=9)
         model, history = train(model, (x[:24], None), (x[24:], None), config)
-        assert history.train_losses[-1] < history.train_losses[0]
+        assert history.epochs[-1].train_loss < history.epochs[0].train_loss
 
 
 class TestTrainConfig:
