@@ -37,7 +37,7 @@ RECORDING_HEADER = ["subject", "session", "recording", "t", "ax", "ay", "az"]
 FEATURE_KEY = ["subject", "session", "recording", "frame"]
 
 
-def _csv_line(fields) -> str:
+def csv_line(fields) -> str:
     """``fields`` as csv.writer writes them, without the line end."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
@@ -179,7 +179,7 @@ def write_canonical_csv(recordings: list[RawRecording], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(RECORDING_HEADER) + "\n")
         for rec in recordings:
-            prefix = _csv_line(rec.key) + ","
+            prefix = csv_line(rec.key) + ","
             rows = _float_rows(np.column_stack([rec.timestamps, rec.samples]))
             fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
@@ -195,7 +195,7 @@ def export_features_csv(path, sources, vectors: np.ndarray) -> None:
     rows = _float_rows(vectors.astype(np.float64, copy=False))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join([",".join(_feature_header(dim)) + "\n"]
-                         + [_csv_line(source) + sep + row + "\n"
+                         + [csv_line(source) + sep + row + "\n"
                             for source, row in zip(sources, rows)]))
 
 

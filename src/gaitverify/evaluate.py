@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ocsvm
+from .data.canonical import csv_line
 from .errors import InvalidInputError
 
 PROTOCOL_KINDS = ("same_day_s1", "same_day_s2", "cross_day")
@@ -292,7 +293,7 @@ def write_report_csv(report: EvalReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("user_id,auc,eer\n")
         for u in report.users:
-            fh.write(f"{u.user_id},{u.auc:.10g},{u.eer:.10g}\n")
+            fh.write(f"{csv_line([u.user_id])},{u.auc:.10g},{u.eer:.10g}\n")
         fh.write(f"__summary__,{report.mean_auc:.10g} ({report.stdev_auc:.10g}),"
                  f"{report.mean_eer:.10g} ({report.stdev_eer:.10g})\n")
 

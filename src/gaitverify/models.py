@@ -8,7 +8,11 @@ order for the decoder; the final convolution maps back to 3 channels with
 no batch norm or ReLU so reconstructions can be negative. Each block is
 one ``ConvBlock``, and every inference-mode pass (validation loss and
 ``Encoder.transform``) runs it with its batch norm folded into the
-convolution.
+convolution. A training step (``loss_and_backward``) keeps one
+activation-sized array per block from its forward to its backward, the
+batch norm's ``xhat``, recomputes each block's output when backward
+reaches it, and leaves no block cache behind; it skips the input
+gradient of the first convolution, which nothing reads.
 
 A model's whole state is ``arrays()``: name -> live array, every
 parameter value and then every batch-norm running statistic. Training
@@ -18,7 +22,7 @@ both training modes exist to produce one, and ``train`` ships only the
 encoder of the FCN or the autoencoder. Every ``Encoder`` handed out
 (``strip_classifier``, ``get_encoder``, ``from_container``) is built new
 from such arrays and a batch count, so it holds none of the caches a
-training step leaves in the layers.
+training-mode forward leaves in the layers.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ class FCNClassifier(_Model):
         self.zero_grads()
         logits = self.forward(x, train=True)
         loss, dlogits = ops.softmax_crossentropy(logits, y)
-        self.body.backward(self.head.backward(dlogits))
+        self.body.backward(self.head.backward(dlogits), input_grad=False)
         return loss
 
 
@@ -192,7 +196,7 @@ class Autoencoder(_Model):
         self.zero_grads()
         x_hat = self.forward(x, train=True)
         loss, dx_hat = ops.mse_loss(x, x_hat)
-        self.encoder.backward(self.decoder.backward(dx_hat))
+        self.encoder.backward(self.decoder.backward(dx_hat), input_grad=False)
         return loss
 
     def get_encoder(self) -> Encoder:

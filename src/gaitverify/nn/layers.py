@@ -9,26 +9,37 @@ statistics. An inference-mode pass (validation, feature extraction) runs
 each ConvBlock as one convolution with its batch norm folded in and
 moves no statistic.
 
-Cache rules, which keep one stored activation per block boundary:
+Cache rules, which keep one activation-sized array per conv block
+through a training step:
 
-- Every layer except ReLU returns a fresh array from forward() and never
-  writes into its input.
-- ReLU overwrites its input with max(x, 0) and caches that array, so it
-  may only follow a layer that returns a fresh array (here always a
-  BatchNorm). The layer after it caches or reads the same object; nothing
-  writes into it until the next forward.
-- BatchNorm caches only its normalized input ``xhat`` (and the per-channel
-  ``1/sqrt(var + eps)``); its output is a fresh array, the buffer of the
-  squared deviations, that the ReLU then overwrites.
+- Conv1d, Dense, pooling and the latent broadcast return a fresh array
+  from forward() and never write into their input.
+- BatchNorm normalizes its input in place: the convolution's fresh
+  output becomes ``xhat``, which it caches with the per-channel
+  ``1/sqrt(var + eps)``, and it returns gamma*xhat + beta as a fresh
+  array. ReLU overwrites that array with max(x, 0). So each may only
+  follow a layer whose output nothing else reads.
+- A block's output is not kept. ConvBlock drops its ReLU's reference,
+  and Sequential drops the next layer's once that layer's forward() has
+  run. In backward, just before the next layer's backward(), Sequential
+  hands that layer ``ConvBlock.output()``: relu(xhat*gamma + beta),
+  recomputed from the batch norm's cache. It is bit-identical to the
+  forward's output, since no parameter changes within a step, and the
+  block's ReLU reads it again for its mask. The latent broadcast's
+  output, the first decoder block's input, is recomputed the same way
+  from the latent (``recomputes_output`` marks both layers).
+- ConvBlock.backward drops its ReLU's and batch norm's caches as soon as
+  each member's backward() has read them, and Sequential drops a layer's
+  input (a ConvBlock's is its convolution's) after the layer's
+  backward(). A decoder's arrays are therefore gone before the
+  encoder's convolutions run their backward, and no block holds a cache
+  between steps: the next step's forward allocates its arrays anew.
 - ReLU.backward masks ``grad_y`` in place and BatchNorm.backward writes
   its input gradient into it, so a block holds no second gradient of its
   output's size: pass BatchNorm.backward a gradient nothing else reads,
-  such as the one the ReLU has just masked. Every backward() returns a
-  contiguous gradient.
-- BatchNorm drops the previous step's cache before it computes the new
-  one (ReLU allocates nothing). Caches stay alive after backward(), so
-  the next forward pass reuses memory the heap already holds instead of
-  faulting in new pages.
+  such as the one the ReLU has just masked. Every input gradient is
+  contiguous; a first layer told that nothing reads it
+  (``input_grad=False``) skips it.
 - BatchNorm writes its running statistics in place, so an array once
   handed out by state() stays the live statistic until cast() replaces it.
 """
@@ -69,12 +80,20 @@ class Layer:
     """Minimal interface: forward/backward plus parameter and state access."""
 
     name = "layer"
+    # True where output() recomputes the last training forward's output, bit
+    # for bit, from the layer's own cache; Sequential then keeps no reference to it
+    recomputes_output = False
 
     def forward(self, x, train: bool):
         raise NotImplementedError
 
     def backward(self, grad_y):
         raise NotImplementedError
+
+    # Replace the input that forward() cached for backward(); None drops it.
+    # A layer that caches no input ignores the call.
+    def cache_input(self, x):
+        pass
 
     def parameters(self) -> list[Parameter]:
         return []
@@ -106,11 +125,15 @@ class Conv1d(Layer):
         self._x = x
         return ops.conv1d_forward(x, self.w.value, self.b.value)
 
-    def backward(self, grad_y):
-        grad_x, grad_w, grad_b = ops.conv1d_backward(self._x, self.w.value, grad_y)
+    def backward(self, grad_y, input_grad=True):
+        """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients."""
+        grad_x, grad_w, grad_b = ops.conv1d_backward(self._x, self.w.value, grad_y, input_grad)
         self.w.grad += grad_w
         self.b.grad += grad_b
         return grad_x
+
+    def cache_input(self, x):
+        self._x = x
 
     def parameters(self):
         return [self.w, self.b]
@@ -121,7 +144,9 @@ class BatchNorm(Layer):
 
     forward() normalizes with the batch statistics (population variance)
     and commits running <- BN_MOMENTUM*running + (1-BN_MOMENTUM)*batch.
-    Inference reads the running statistics through the fold in ConvBlock.
+    It overwrites its input with the normalized values: pass only an array
+    nothing else reads, such as a convolution's output. Inference reads the
+    running statistics through the fold in ConvBlock.
     """
 
     def __init__(self, channels: int, name: str = "bn"):
@@ -141,17 +166,23 @@ class BatchNorm(Layer):
         if n < 2:
             raise InvalidInputError("batchnorm needs at least 2 values per channel")
         mean = x.mean(axis=axes)
-        xhat = x - mean
-        y = np.square(xhat)
-        var = y.mean(axis=axes)
+        xhat = np.subtract(x, mean, out=x)
+        # one pass over the centred values, no squares buffer: einsum adds the
+        # squares row by row, the order np.square(xhat).mean(axes) adds them in
+        flat = xhat.reshape(-1, x.shape[-1])
+        var = np.einsum("nc,nc->c", flat, flat) / n
         self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
         self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
         self.batches_tracked += 1
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
-        np.multiply(xhat, self.gamma.value, out=y)
-        y += self.beta.value
         self._cache = (xhat, inv_std)
+        return self.output()
+
+    def output(self):
+        """gamma*xhat + beta of the last training forward, as a fresh array."""
+        y = self._cache[0] * self.gamma.value
+        y += self.beta.value
         return y
 
     def backward(self, grad_y):
@@ -231,6 +262,8 @@ class LatentBroadcast(Layer):
     restores a usable reconstruction path while starting from that tile.
     """
 
+    recomputes_output = True
+
     def __init__(self, t: int, channels: int, name: str = "expand"):
         self.name = name
         self.channels = channels
@@ -242,7 +275,10 @@ class LatentBroadcast(Layer):
         if z.ndim != 2 or z.shape[1] != self.channels:
             raise InvalidInputError(f"expected latent (B,{self.channels}), got {z.shape}")
         self._z = z
-        return z[:, None, :] * self.scale.value + self.shift.value
+        return self.output()
+
+    def output(self):
+        return self._z[:, None, :] * self.scale.value + self.shift.value
 
     def backward(self, grad_y):
         self.scale.grad += (grad_y * self._z[:, None, :]).sum(axis=0)
@@ -292,13 +328,26 @@ class Sequential(Layer):
         self.layers = layers
 
     def forward(self, x, train):
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             x = layer.forward(x, train)
+            if train and i and self.layers[i - 1].recomputes_output:
+                layer.cache_input(None)  # backward() recomputes it
         return x
 
-    def backward(self, grad_y):
-        for layer in reversed(self.layers):
-            grad_y = layer.backward(grad_y)
+    def backward(self, grad_y, input_grad=True):
+        """The input gradient; with ``input_grad`` False the first layer may skip it.
+
+        That first layer must then accept ``input_grad`` (a Conv1d, a
+        ConvBlock or a Sequential), and the result may be None.
+        """
+        for i, layer in reversed(list(enumerate(self.layers))):
+            if i and self.layers[i - 1].recomputes_output:
+                layer.cache_input(self.layers[i - 1].output())
+            if i or input_grad:
+                grad_y = layer.backward(grad_y)
+            else:
+                grad_y = layer.backward(grad_y, input_grad=False)
+            layer.cache_input(None)
         return grad_y
 
     def parameters(self):
@@ -316,23 +365,49 @@ class ConvBlock(Sequential):
     """Conv1d -> BatchNorm -> ReLU, the repeating unit of all models here.
 
     A training pass runs the members' own forward() and backward() in
-    order. An inference pass folds the batch norm into the convolution:
-    with s = gamma / sqrt(running_var + eps), BN(conv(x)) = conv(x; w*s,
-    (b - running_mean)*s + beta), rebuilt on every call, then an in-place
-    ReLU. It touches no cache and no statistic.
+    order and keeps only the batch norm's cache between them: output()
+    recomputes what the ReLU returned. An inference pass folds the batch
+    norm into the convolution: with s = gamma / sqrt(running_var + eps),
+    BN(conv(x)) = conv(x; w*s, (b - running_mean)*s + beta), rebuilt on
+    every call, then an in-place ReLU. It touches no cache and no
+    statistic.
     """
+
+    recomputes_output = True
 
     def __init__(self, kernel_size: int, in_channels: int, out_channels: int,
                  rng: np.random.Generator, name: str):
         self.conv = Conv1d(kernel_size, in_channels, out_channels, rng, name=f"{name}.conv")
         self.bn = BatchNorm(out_channels, name=f"{name}.bn")
-        super().__init__([self.conv, self.bn, ReLU(name=f"{name}.relu")], name)
+        self.relu = ReLU(name=f"{name}.relu")
+        super().__init__([self.conv, self.bn, self.relu], name)
 
     def forward(self, x, train):
         if train:
-            return super().forward(x, train)
+            y = super().forward(x, train)
+            self.relu._x = None  # output() recomputes it
+            return y
         conv, bn = self.conv, self.bn
         scale = bn.gamma.value / np.sqrt(bn.running_var + BN_EPS)
         bias = (conv.b.value - bn.running_mean) * scale + bn.beta.value
         y = ops.conv1d_forward(x, conv.w.value * scale, bias)
         return np.maximum(y, 0, out=y)
+
+    def output(self):
+        """The last training forward's output, recomputed bit for bit from the batch norm's cache.
+
+        The ReLU caches it again, for the mask its backward() applies.
+        """
+        return self.relu.forward(self.bn.output(), True)
+
+    def backward(self, grad_y, input_grad=True):
+        if self.relu._x is None:
+            self.output()
+        grad_y = self.relu.backward(grad_y)
+        self.relu._x = None
+        grad_y = self.bn.backward(grad_y)
+        self.bn._cache = None
+        return self.conv.backward(grad_y, input_grad)
+
+    def cache_input(self, x):
+        self.conv.cache_input(x)

@@ -28,7 +28,9 @@ products back onto the time axis with K shifted adds.
   shifted adds. The backward pass runs im2col on grad_y, padded by K-1
   on both sides, so the weight gradient is xpad.T @ gcols and the input
   gradient gcols @ w, cropped to the T unpadded rows. The crop is copied,
-  so either branch returns a contiguous input gradient.
+  so either branch returns a contiguous input gradient, or none at all
+  when the caller passes ``input_grad=False`` (a network's first layer,
+  whose input gradient nothing reads).
 
 Either way the copied matrix has K*min(Cin, Cout) columns, so a layer
 such as 256 -> 3 channels never copies its wide input K times.
@@ -88,8 +90,8 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
-    """Gradients of sum(grad_y * y) w.r.t. x, w, b."""
+def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, input_grad: bool = True):
+    """Gradients of sum(grad_y * y) w.r.t. x, w, b; the x gradient is None unless ``input_grad``."""
     kk, cin, cout = w.shape
     bsz, t, _ = x.shape
     if grad_y.shape != (bsz, t, cout):
@@ -100,6 +102,8 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
     if cin <= cout:
         gy = grad_y.reshape(bsz * t, cout)
         grad_w = (_im2col(x, kk, (pad_l, pad_r)).T @ gy).reshape(kk, cin, cout)
+        if not input_grad:
+            return None, grad_w, grad_b
         grad_cols = (gy @ w.reshape(kk * cin, cout).T).reshape(bsz, t, kk, cin)
         # col2im: input row t collects tap k of output row t + pad_l - k
         return _fold_taps(grad_cols, pad_l), grad_w, grad_b
@@ -108,9 +112,12 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
     gcols = _im2col(grad_y, kk, (kk - 1, kk - 1))
     xpad = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0))).reshape(bsz * tp, cin)
     grad_w = (xpad.T @ gcols).reshape(cin, kk, cout)[:, ::-1].transpose(1, 0, 2)
+    del xpad  # freed before the input-gradient GEMM
+    if not input_grad:
+        return None, grad_w, grad_b
     w_rev = w[::-1].transpose(0, 2, 1).reshape(kk * cout, cin)
     grad_x = (gcols @ w_rev).reshape(bsz, tp, cin)
-    del gcols, xpad  # freed before the contiguous copy of the crop
+    del gcols  # freed before the contiguous copy of the crop
     return grad_x[:, pad_l:pad_l + t].copy(), grad_w, grad_b
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, byte-identical outputs, manifests, located errors."""
 
+import csv
 import json
 import os
 import subprocess
@@ -64,6 +65,21 @@ def test_evaluate_is_reproducible_and_one_pass_matches_single_windows(
         single = tmp_path / f"single{w}.csv"
         assert evaluate(features, single, str(w), "--protocol", protocol) == 0
         assert single.read_bytes() == first[f"report.w{w}.csv"], f"window {w}"
+
+
+def test_report_quotes_a_user_id_with_a_comma(tmp_path):
+    data, feats, out = tmp_path / "gait.csv", tmp_path / "features.csv", tmp_path / "r.csv"
+    assert main(["synth", "--subjects", "3", "--seconds", "12", "--recordings", "2",
+                 "--seed", "3", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines(keepends=True)
+    data.write_text("".join(lines[:1] + ['"Smith, J"' + line[3:] if line.startswith("s02,")
+                                         else line for line in lines[1:]]))
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(feats)]) == 0
+    assert evaluate(feats, out, "1", "--protocol", "cd") == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [3] * 5
+    assert [row[0] for row in rows[1:-1]] == ["s01", "Smith, J", "s03"]
 
 
 def test_duplicate_windows_exit_one(features, tmp_path, capsys):

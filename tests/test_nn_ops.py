@@ -123,7 +123,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 16, 4))
         x = (x - x.mean(axis=(0, 1))) / x.std(axis=(0, 1))
-        y = batchnorm(np.ones(4), np.zeros(4)).forward(x, train=True)
+        y = batchnorm(np.ones(4), np.zeros(4)).forward(x.copy(), train=True)
         var = x.var(axis=(0, 1))
         npt.assert_allclose(y, x * np.sqrt(var / (var + 1e-3)), rtol=1e-10)
 
@@ -139,7 +139,7 @@ class TestBatchNorm:
         x = rng.standard_normal((6, 10, 5)) * 3.0 + 1.0
         gamma = rng.standard_normal(5)
         beta = rng.standard_normal(5)
-        y = batchnorm(gamma, beta).forward(x, train=True)
+        y = batchnorm(gamma, beta).forward(x.copy(), train=True)
         mean = x.reshape(-1, 5).mean(axis=0)
         var = x.reshape(-1, 5).var(axis=0)
         expected = gamma * (x - mean) / np.sqrt(var + 1e-3) + beta
@@ -150,7 +150,7 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 8, 2)) + 5.0
         bn = batchnorm(np.ones(2), np.zeros(2))
         live_mean = bn.running_mean
-        bn.forward(x, train=True)
+        bn.forward(x.copy(), train=True)
         m = BN_MOMENTUM
         npt.assert_allclose(bn.running_mean, (1 - m) * x.mean(axis=(0, 1)), rtol=1e-12)
         npt.assert_allclose(bn.running_var, m + (1 - m) * x.var(axis=(0, 1)), rtol=1e-12)
@@ -184,12 +184,12 @@ class TestBatchNorm:
         bn = batchnorm(gamma, beta)
 
         def loss():
-            return float(np.sum(bn.forward(x, train=True) * gy))
+            return float(np.sum(bn.forward(x.copy(), train=True) * gy))
 
         gx = central_diff(loss, x)
         ggamma = central_diff(loss, bn.gamma.value)
         gbeta = central_diff(loss, bn.beta.value)
-        bn.forward(x, train=True)
+        bn.forward(x.copy(), train=True)
         npt.assert_allclose(bn.backward(gy.copy()), gx, rtol=1e-5, atol=1e-8)
         npt.assert_allclose(bn.gamma.grad, ggamma, rtol=1e-6, atol=1e-8)
         npt.assert_allclose(bn.beta.grad, gbeta, rtol=1e-6, atol=1e-8)
@@ -337,6 +337,18 @@ class TestConv1dAgainstReference:
         for got, want in zip(ops.conv1d_backward(x, w, gy), ref_conv1d_backward(x, w, gy)):
             assert_close(got, want)
 
+    @pytest.mark.parametrize("k,cin,cout", [(8, 3, 128), (3, 256, 128), (8, 256, 3)])
+    def test_skipped_input_gradient_keeps_parameter_gradients(self, k, cin, cout):
+        rng = np.random.default_rng(k + cin + cout)
+        x = rng.standard_normal((4, 32, cin)).astype(np.float32)
+        w = rng.standard_normal((k, cin, cout)).astype(np.float32)
+        gy = rng.standard_normal((4, 32, cout)).astype(np.float32)
+        _, grad_w, grad_b = ops.conv1d_backward(x, w, gy)
+        skipped = ops.conv1d_backward(x, w, gy, input_grad=False)
+        assert skipped[0] is None
+        assert skipped[1].tobytes() == grad_w.tobytes()
+        assert skipped[2].tobytes() == grad_b.tobytes()
+
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(17)
         for cin, cout in [(3, 4), (6, 2)]:
@@ -375,10 +387,11 @@ class TestBatchNormAgainstReference:
         rm = rng.standard_normal(cout)
         rv = rng.uniform(0.5, 2.0, cout)
         gy = rng.standard_normal(x.shape)
-        x_before = x.copy()
+        x_in = x.copy()
         bn = batchnorm(gamma, beta, rm, rv)
-        got = [bn.forward(x, train=True), *bn._cache, bn.running_mean, bn.running_var]
-        npt.assert_array_equal(x, x_before)
+        got = [bn.forward(x_in, train=True), *bn._cache, bn.running_mean, bn.running_var]
+        # the layer normalizes its input in place and caches it as xhat
+        assert bn._cache[0] is x_in
         grads = [bn.backward(gy.copy()), bn.gamma.grad, bn.beta.grad]
         for forward, backward in [(ref_batchnorm_forward, ref_batchnorm_backward),
                                   (op_batchnorm_forward, op_batchnorm_backward)]:
@@ -387,6 +400,24 @@ class TestBatchNormAgainstReference:
                 assert_close(a, e)
             for a, e in zip(grads, backward(gy.copy(), cache)):
                 assert_close(a, e)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_forward_equals_the_squares_buffer_op_bit_for_bit(self, dtype):
+        # the one-pass variance adds the squares in the order np.square(xhat).mean() does
+        for cout in sorted({s[2] for s in MODEL_CONV_SHAPES}):
+            rng = np.random.default_rng(cout + 2)
+            x = (rng.standard_normal((32, 128, cout)) * 2.0 + 0.5).astype(dtype)
+            bn = BatchNorm(cout)
+            bn.cast(dtype)
+            bn.gamma.value[...] = rng.standard_normal(cout)
+            bn.beta.value[...] = rng.standard_normal(cout)
+            rm, rv = bn.running_mean.copy(), bn.running_var.copy()
+            got = [bn.forward(x.copy(), train=True), *bn._cache, bn.running_mean, bn.running_var]
+            y, (xhat, inv_std, _), new_rm, new_rv = op_batchnorm_forward(
+                x, bn.gamma.value, bn.beta.value, rm, rv)
+            for a, e in zip(got, [y, xhat, inv_std, new_rm, new_rv]):
+                assert a.dtype == dtype and a.tobytes() == e.tobytes(), cout
+            assert bn.output().tobytes() == y.tobytes(), cout
 
     def test_backward_shape_mismatch(self):
         bn = batchnorm(np.ones(3), np.zeros(3))

@@ -30,3 +30,9 @@ def test_every_traced_layer_instance_gets_spans_inside_a_training_step():
             for phase in ("fwd", "bwd"):
                 assert f"nn.{inst}.{phase}" in in_step, f"{name}: {inst}.{phase}"
                 assert metrics[f"nn.{inst}.{phase}_ms"] > 0, f"{name}: {inst}.{phase}"
+        # each block's ReLU runs forward, forward again on the output backward
+        # recomputes, and backward; pooling, the head or latent broadcast
+        # (forward and backward) and the loss are the other five nn.other spans
+        other = sum(1 for i, s in enumerate(recorder.spans) if s.tag == "nn.other"
+                    and recorder.has_ancestor(i, "models.loss_and_backward"))
+        assert other == 3 * len(model.blocks()) + 5, name
