@@ -120,6 +120,8 @@ def load_model(path) -> ModelContainer:
     container = ModelContainer()
     for _ in range(r.u32()):
         key = r.string()
+        if key in container.metadata:
+            raise FormatError(f"{path}: duplicate metadata key {key!r}")
         container.metadata[key] = r.string()
     shapes = []
     for _ in range(r.u32()):
@@ -133,6 +135,8 @@ def load_model(path) -> ModelContainer:
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         if name in container._entries:
             raise FormatError(f"{path}: duplicate entry {name!r}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
         container._entries[name] = arr
     if r.pos != len(buf):
         raise FormatError(f"{path}: {len(buf) - r.pos} trailing bytes")

@@ -9,13 +9,15 @@ statistics. An inference-mode pass (validation, feature extraction) runs
 each ConvBlock as one convolution with its batch norm folded in and
 moves no statistic.
 
-Cache rules, which keep one activation-sized array per conv block
-through a training step:
+Cache rules, which keep one activation-sized array per conv block, the
+block's own across training steps:
 
-- Conv1d, Dense, pooling and the latent broadcast return a fresh array
-  from forward() and never write into their input.
-- BatchNorm normalizes its input in place: the convolution's fresh
-  output becomes ``xhat``, which it caches with the per-channel
+- Conv1d, Dense, pooling and the latent broadcast never write into their
+  input. They return a fresh array from forward(), except the
+  convolution of a training ConvBlock, which writes into the block's
+  own array.
+- BatchNorm normalizes its input in place: the convolution's output
+  becomes ``xhat``, which it caches with the per-channel
   ``1/sqrt(var + eps)``, and it returns gamma*xhat + beta as a fresh
   array. ReLU overwrites that array with max(x, 0). So each may only
   follow a layer whose output nothing else reads.
@@ -31,9 +33,14 @@ through a training step:
 - ConvBlock.backward drops its ReLU's and batch norm's caches as soon as
   each member's backward() has read them, and Sequential drops a layer's
   input (a ConvBlock's is its convolution's) after the layer's
-  backward(). A decoder's arrays are therefore gone before the
-  encoder's convolutions run their backward, and no block holds a cache
-  between steps: the next step's forward allocates its arrays anew.
+  backward(). A decoder's recomputed outputs are therefore gone before
+  the encoder's convolutions run their backward.
+- What a block keeps between steps is its own (B, T, Cout) array, the
+  one its convolution writes and its batch norm normalizes into
+  ``xhat``. Every training step reuses it, a shorter batch in a leading
+  slice, so a step does not hand the heap back for the next one to fault
+  in again. cast() drops it; an inference pass neither writes nor makes
+  one, so a block that never trained (a detached encoder) holds none.
 - ReLU.backward masks ``grad_y`` in place and BatchNorm.backward writes
   its input gradient into it, so a block holds no second gradient of its
   output's size: pass BatchNorm.backward a gradient nothing else reads,
@@ -121,9 +128,10 @@ class Conv1d(Layer):
         self.b = Parameter(f"{name}.b", np.zeros(out_channels, dtype=np.float32))
         self._x = None
 
-    def forward(self, x, train):
+    def forward(self, x, train, out=None):
+        """The convolution of x, written into ``out`` when given (see ops.conv1d_forward)."""
         self._x = x
-        return ops.conv1d_forward(x, self.w.value, self.b.value)
+        return ops.conv1d_forward(x, self.w.value, self.b.value, out)
 
     def backward(self, grad_y, input_grad=True):
         """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients."""
@@ -366,7 +374,8 @@ class ConvBlock(Sequential):
 
     A training pass runs the members' own forward() and backward() in
     order and keeps only the batch norm's cache between them: output()
-    recomputes what the ReLU returned. An inference pass folds the batch
+    recomputes what the ReLU returned. That cache lives in the block's
+    own array (see ``_activation``). An inference pass folds the batch
     norm into the convolution: with s = gamma / sqrt(running_var + eps),
     BN(conv(x)) = conv(x; w*s, (b - running_mean)*s + beta), rebuilt on
     every call, then an in-place ReLU. It touches no cache and no
@@ -381,10 +390,27 @@ class ConvBlock(Sequential):
         self.bn = BatchNorm(out_channels, name=f"{name}.bn")
         self.relu = ReLU(name=f"{name}.relu")
         super().__init__([self.conv, self.bn, self.relu], name)
+        self._buffer = None
+
+    def _activation(self, x):
+        """The block's (B, T, Cout) training array for input x: the convolution writes
+        it, the batch norm normalizes it into ``xhat``.
+
+        One array serves every step: a batch of at most the largest size seen
+        so far takes a leading slice of it, a larger one (or another T or
+        dtype) replaces it.
+        """
+        bsz, t, _ = x.shape
+        dtype = np.result_type(x, self.conv.w.value)
+        buf = self._buffer
+        if buf is None or len(buf) < bsz or buf.shape[1] != t or buf.dtype != dtype:
+            buf = self._buffer = np.empty((bsz, t, self.conv.out_channels), dtype)
+        return buf[:bsz]
 
     def forward(self, x, train):
         if train:
-            y = super().forward(x, train)
+            y = self.conv.forward(x, train, out=self._activation(x))
+            y = self.relu.forward(self.bn.forward(y, train), train)
             self.relu._x = None  # output() recomputes it
             return y
         conv, bn = self.conv, self.bn
@@ -411,3 +437,7 @@ class ConvBlock(Sequential):
 
     def cache_input(self, x):
         self.conv.cache_input(x)
+
+    def cast(self, dtype):
+        super().cast(dtype)
+        self._buffer = None

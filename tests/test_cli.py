@@ -188,6 +188,36 @@ def test_extract_with_malformed_container_exits_one_naming_it(features, tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
 
 
+def corrupted_container(tmp_path, edit):
+    """Path of a saved three-block container whose bytes ``edit`` has rewritten."""
+    path = tmp_path / "bad.gvf"
+    save_model(three_block_container(), path)
+    path.write_bytes(edit(path.read_bytes()))
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the last payload float is the last entry of block3.bn.running_var
+    (lambda raw: raw[:-4] + np.float32(np.nan).tobytes(),
+     "tensor 'block3.bn.running_var' holds non-finite values"),
+    (lambda raw: raw[:-4] + np.float32(-np.inf).tobytes(),
+     "tensor 'block3.bn.running_var' holds non-finite values"),
+    # the second metadata key renamed to the first's name, both 7 bytes long
+    (lambda raw: raw.replace(b"\x07\x00\x00\x00kernels", b"\x07\x00\x00\x00filters", 1),
+     "duplicate metadata key 'filters'"),
+], ids=["nan-payload", "inf-payload", "repeated-metadata-key"])
+def test_extract_with_corrupted_container_exits_one_writing_nothing(features, tmp_path, capsys,
+                                                                   edit, message):
+    path = corrupted_container(tmp_path, edit)
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
+
+
 def test_misspelled_boolean_in_config_exits_one_with_location(features, tmp_path, capsys):
     config, out = tmp_path / "run.cfg", tmp_path / "f.csv"
     data = str(features.with_name("gait.csv"))

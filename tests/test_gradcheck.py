@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gaitverify import models
+from gaitverify.nn import ops
 from gaitverify.nn.gradcheck import gradient_check
-from gaitverify.nn.layers import Dense, Sequential
+from gaitverify.nn.layers import Conv1d, Dense, Sequential
 
 
 class LinearModel:
@@ -72,6 +73,30 @@ class TestGradientCheck:
         model.cast(np.float64)
         x = rng.standard_normal((2, 128, 3))
         report = gradient_check(model, x, None, max_exhaustive=100000)
+        assert report.max_relative_error < 1e-4
+
+    @pytest.mark.parametrize("kind", ["fcn", "autoencoder"])
+    def test_convolutions_split_into_blocks(self, monkeypatch, kind):
+        # at this budget each float64 conv of these models runs a batch of 4
+        # in 4 blocks of one sample, or in a block of 3 and a ragged one of 1
+        monkeypatch.setattr(ops, "BLOCK_BYTES", 48000)
+        rng = np.random.default_rng(9)
+        if kind == "fcn":
+            model = models.FCNClassifier(3, seed=9, filters=(5, 7, 5), kernels=(8, 5, 3))
+            y = rng.integers(0, 3, size=4)
+        else:
+            model = models.Autoencoder(seed=9, filters=(5, 7, 5), kernels=(8, 5, 3))
+            y = None
+        model.cast(np.float64)
+        convs = [layer for net in model._nets() for layer in
+                 getattr(net, "layers", []) if isinstance(layer, Conv1d)]
+        convs += [block.conv for block in model.blocks()]
+        for conv in convs:
+            _, blocks = ops._blocks(4, 128, conv.kernel_size,
+                                    min(conv.in_channels, conv.out_channels), np.float64)
+            assert len(blocks) > 1, conv.name
+        x = rng.standard_normal((4, 128, 3))
+        report = gradient_check(model, x, y, max_exhaustive=100000)
         assert report.max_relative_error < 1e-4
 
     def test_directional_probes_on_large_tensors(self):

@@ -156,7 +156,7 @@ def cached_arrays(model):
 
 
 class TestTrainingCaches:
-    """One cached array per block, recomputed outputs, nothing left after a step."""
+    """One cached array per block, recomputed outputs, only the block's own buffer after a step."""
 
     X = np.random.default_rng(30).standard_normal((32, 128, 3)).astype(np.float32)
 
@@ -176,7 +176,7 @@ class TestTrainingCaches:
     def test_warm_step_peak_memory(self):
         # traced peak of a second step above the memory held at its start:
         # a block's backward must not keep a second activation-sized gradient
-        for (name, model, y, _), mib in zip(self.cases(), (29.5, 23.5)):
+        for (name, model, y, _), mib in zip(self.cases(), (14.0, 14.0)):
             model.loss_and_backward(self.X, y)
             tracemalloc.start()
             try:
@@ -201,7 +201,7 @@ class TestTrainingCaches:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 17.5 * 2**20, f"{name}: {peak / 2**20:.2f} MiB"
+            assert peak <= 9.5 * 2**20, f"{name}: {peak / 2**20:.2f} MiB"
 
     def test_blocks_keep_only_their_batch_norm_cache(self):
         for dtype in (np.float32, np.float64):
@@ -235,6 +235,49 @@ class TestTrainingCaches:
                 model.loss_and_backward(x, y)
                 for block in blocks:
                     assert block.conv._x is block.bn._cache is block.relu._x is None, name
+
+    def test_a_block_owns_one_buffer_across_steps(self):
+        rng = np.random.default_rng(33)
+        block = ConvBlock(5, 3, 8, np.random.default_rng(34), name="b")
+        fresh = copy.deepcopy(block)
+        x = rng.standard_normal((8, 16, 3)).astype(np.float32)
+        gy = rng.standard_normal((8, 16, 8)).astype(np.float32)
+        block.forward(x, train=False)
+        assert block._buffer is None  # inference holds none
+        block.forward(x, train=True)
+        block.backward(gy.copy())
+        buffer = block._buffer
+        assert buffer.shape == (8, 16, 8) and buffer.dtype == np.float32
+        # a second step, then a short last batch in a leading slice of the buffer
+        for n in (8, 5):
+            for b in (block, fresh):
+                for p in b.parameters():
+                    p.grad[...] = 0
+            y = block.forward(x[:n], train=True)
+            assert block._buffer is buffer
+            xhat = block.bn._cache[0]
+            assert xhat.shape == (n, 16, 8)
+            assert xhat.ctypes.data == buffer.ctypes.data
+            grad_x = block.backward(gy[:n].copy())
+            want_y = fresh.forward(x[:n], train=True)
+            want_x = fresh.backward(gy[:n].copy())
+            assert y.tobytes() == want_y.tobytes() and grad_x.tobytes() == want_x.tobytes(), n
+            for p, q in zip(block.parameters(), fresh.parameters()):
+                assert p.grad.tobytes() == q.grad.tobytes(), f"{n}: {p.name}"
+        block.cast(np.float64)
+        assert block._buffer is None
+        block.forward(x.astype(np.float64), train=True)
+        assert block._buffer.dtype == np.float64
+
+    def test_a_step_leaves_each_block_its_buffer_and_validation_none_more(self):
+        for name, model, y, _ in self.cases():
+            model.loss_and_backward(self.X, y)
+            buffers = [block._buffer for block in model.blocks()]
+            assert [b.shape for b in buffers] == [
+                (32, 128, block.conv.out_channels) for block in model.blocks()], name
+            evaluate_loss(model, self.X, y, 32)
+            model.loss_and_backward(self.X[:20], y if y is None else y[:20])
+            assert all(block._buffer is b for block, b in zip(model.blocks(), buffers)), name
 
     def test_skipping_the_first_input_gradient_keeps_parameter_gradients(self):
         _, model, y, _ = self.cases()[1]
@@ -318,10 +361,13 @@ class TestStripClassifier:
             encoder, deep = detach(model), models.Encoder(copy.deepcopy(net))
 
             def cached(enc):
-                return [f"{m.name}.{k}" for m in flat_layers(enc.net)
+                return [f"{m.name}.{k}" for m in flat_layers(enc.net) + enc.blocks()
                         for k, v in vars(m).items() if k.startswith("_") and v is not None]
 
             assert cached(deep) and not cached(encoder), net.name
+            assert all(block._buffer is not None for block in deep.blocks()), net.name
+            encoder.transform(x)
+            assert all(block._buffer is None for block in encoder.blocks()), net.name
             paths = tmp_path / f"{net.name}.gvf", tmp_path / f"{net.name}.deep.gvf"
             save_model(models.to_container(encoder), paths[0])
             save_model(models.to_container(deep), paths[1])

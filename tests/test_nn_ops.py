@@ -377,6 +377,134 @@ class TestConv1dAgainstReference:
         assert peak < 3 * x.nbytes
 
 
+# --- oracles: the whole-batch convolution the block-tiled ops replaced --------
+
+def parent_im2col(x, k, pad):
+    xp = np.pad(x, ((0, 0), pad, (0, 0)))
+    return sliding_window_view(xp, k, axis=1).transpose(0, 1, 3, 2).reshape(-1, k * x.shape[2])
+
+
+def parent_fold_taps(cols, start):
+    bsz, t, kk, c = cols.shape
+    out = np.zeros((bsz, t, c), dtype=cols.dtype)
+    for k in range(kk):
+        d = start - k
+        lo, hi = max(0, -d), min(t, t - d)
+        if lo < hi:
+            out[:, lo:hi] += cols[:, lo + d:hi + d, k]
+    return out
+
+
+def parent_conv1d_forward(x, w, b):
+    kk, cin, cout = w.shape
+    bsz, t, _ = x.shape
+    pad_l, pad_r = (kk - 1) // 2, kk - (kk - 1) // 2 - 1
+    if cin <= cout:
+        y = (parent_im2col(x, kk, (pad_l, pad_r)) @ w.reshape(kk * cin, cout)).reshape(
+            bsz, t, cout)
+    else:
+        w_rev = w[::-1].transpose(1, 0, 2).reshape(cin, kk * cout)
+        y = parent_fold_taps((x.reshape(bsz * t, cin) @ w_rev).reshape(bsz, t, kk, cout), pad_r)
+    y += b
+    return y
+
+
+def parent_conv1d_backward(x, w, grad_y):
+    kk, cin, cout = w.shape
+    bsz, t, _ = x.shape
+    grad_b = grad_y.sum(axis=(0, 1))
+    pad_l, pad_r = (kk - 1) // 2, kk - (kk - 1) // 2 - 1
+    if cin <= cout:
+        gy = grad_y.reshape(bsz * t, cout)
+        grad_w = (parent_im2col(x, kk, (pad_l, pad_r)).T @ gy).reshape(kk, cin, cout)
+        grad_cols = (gy @ w.reshape(kk * cin, cout).T).reshape(bsz, t, kk, cin)
+        return parent_fold_taps(grad_cols, pad_l), grad_w, grad_b
+    tp = t + kk - 1
+    gcols = parent_im2col(grad_y, kk, (kk - 1, kk - 1))
+    xpad = np.pad(x, ((0, 0), (pad_l, pad_r), (0, 0))).reshape(bsz * tp, cin)
+    grad_w = (xpad.T @ gcols).reshape(cin, kk, cout)[:, ::-1].transpose(1, 0, 2)
+    w_rev = w[::-1].transpose(0, 2, 1).reshape(kk * cout, cin)
+    grad_x = (gcols @ w_rev).reshape(bsz, tp, cin)
+    return grad_x[:, pad_l:pad_l + t].copy(), grad_w, grad_b
+
+
+def samples_per_block(monkeypatch, n, t, k, cin, cout, itemsize=8):
+    """Shrink ops.BLOCK_BYTES so that a block of this convolution holds n samples."""
+    monkeypatch.setattr(ops, "BLOCK_BYTES", n * t * k * min(cin, cout) * itemsize)
+
+
+def conv_case(seed, bsz, t, k, cin, cout, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((bsz, t, cin)).astype(dtype),
+            rng.standard_normal((k, cin, cout)).astype(dtype),
+            rng.standard_normal(cout).astype(dtype),
+            rng.standard_normal((bsz, t, cout)).astype(dtype))
+
+
+class TestConv1dBlocks:
+    @pytest.mark.parametrize("k,cin,cout,t", [
+        (5, 4, 6, 16), (3, 6, 4, 16),  # either side of the Cin <= Cout branch
+        (4, 3, 5, 12), (2, 5, 3, 9),   # even K
+        (8, 3, 4, 3), (6, 4, 2, 2),    # T < K
+        (1, 3, 2, 7)])
+    def test_blocks_with_a_ragged_last_one_match_reference(self, monkeypatch, k, cin, cout, t):
+        # 7 samples, 2 per block: four blocks, the last one holding one sample
+        samples_per_block(monkeypatch, 2, t, k, cin, cout)
+        x, w, b, gy = conv_case(k * 100 + cin * 10 + cout, 7, t, k, cin, cout)
+        assert_close(ops.conv1d_forward(x, w, b), ref_conv1d_forward(x, w, b))
+        want = ref_conv1d_backward(x, w, gy)
+        for got, e in zip(ops.conv1d_backward(x, w, gy), want):
+            assert_close(got, e)
+        skipped = ops.conv1d_backward(x, w, gy, input_grad=False)
+        assert skipped[0] is None
+        assert_close(skipped[1], want[1])
+        assert_close(skipped[2], want[2])
+
+    def test_forward_writes_into_out(self, monkeypatch):
+        samples_per_block(monkeypatch, 2, 16, 5, 4, 6)
+        x, w, b, _ = conv_case(1, 5, 16, 5, 4, 6)
+        out = np.full((5, 16, 6), np.nan)
+        assert ops.conv1d_forward(x, w, b, out=out) is out
+        assert out.tobytes() == ops.conv1d_forward(x, w, b).tobytes()
+        for bad in (np.empty((5, 16, 5)), np.empty((5, 16, 6), np.float32),
+                    np.empty((5, 6, 16)).transpose(0, 2, 1)):
+            with pytest.raises(InvalidInputError):
+                ops.conv1d_forward(x, w, b, out=bad)
+
+    @pytest.mark.parametrize("bsz", [32, 28])
+    @pytest.mark.parametrize("k,cin,cout", MODEL_CONV_SHAPES)
+    def test_float32_matches_the_whole_batch_ops_bit_for_bit(self, bsz, k, cin, cout):
+        # only the weight gradient, summed block by block, may round differently
+        x, w, b, gy = conv_case(k + cin + cout + bsz, bsz, 128, k, cin, cout, np.float32)
+        w *= np.float32(1 / np.sqrt(k * cin))
+        assert ops.conv1d_forward(x, w, b).tobytes() == parent_conv1d_forward(x, w, b).tobytes()
+        grad_x, grad_w, grad_b = ops.conv1d_backward(x, w, gy)
+        want_x, want_w, want_b = parent_conv1d_backward(x, w, gy)
+        assert grad_x.flags.c_contiguous and grad_x.tobytes() == want_x.tobytes()
+        assert grad_b.tobytes() == want_b.tobytes()
+        assert grad_w.dtype == np.float32
+        npt.assert_allclose(grad_w, want_w, rtol=0, atol=2e-6 * np.abs(want_w).max())
+        skipped = ops.conv1d_backward(x, w, gy, input_grad=False)
+        assert skipped[1].tobytes() == grad_w.tobytes()
+
+    @pytest.mark.parametrize("k,cin,cout", [(5, 32, 64), (3, 64, 32)])
+    def test_working_set_is_bounded_by_the_block_budget(self, k, cin, cout):
+        # what one forward and backward allocate beyond their results: the
+        # block buffer plus weight-sized temporaries, at any batch size
+        slack = 4 * k * cin * cout * 4 + 2**17
+        for bsz in (8, 256):
+            x, w, b, gy = conv_case(bsz, bsz, 128, k, cin, cout, np.float32)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                results = [ops.conv1d_forward(x, w, b), *ops.conv1d_backward(x, w, gy)]
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            extra = peak - sum(r.nbytes for r in results)
+            assert extra <= ops.BLOCK_BYTES + slack, f"B={bsz}: {extra / 2**20:.2f} MiB"
+
+
 class TestBatchNormAgainstReference:
     @pytest.mark.parametrize("cout", sorted({s[2] for s in MODEL_CONV_SHAPES}))
     def test_forward_and_backward_match_reference(self, cout):
