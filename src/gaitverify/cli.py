@@ -67,12 +67,13 @@ def _config_digest(args: argparse.Namespace, **replace) -> str:
     return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
 
 
-def _write_manifest(out_path, args, argv, inputs: list, started: float):
+def _write_manifest(out_path, args, argv, input_digests: dict, started: float):
+    """``input_digests`` maps each input path to its ``_sha256``."""
     manifest = {
         "command": " ".join(["gaitverify"] + list(argv)),
         "seed": getattr(args, "seed", None),
         "config_digest": _config_digest(args),
-        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "input_digests": input_digests,
         "toolkit_version": __version__,
         "duration_seconds": round(time.monotonic() - started, 3),
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -227,7 +228,7 @@ def cmd_synth(args, argv):
     frames_per_rec = len(recordings[0]) // FRAME_LEN
     print(f"wrote {args.out}: {len(recordings)} recordings, "
           f"{frames_per_rec} frames each, {len(recordings) * frames_per_rec} frames total")
-    _write_manifest(args.out, args, argv, [], started)
+    _write_manifest(args.out, args, argv, {}, started)
     return 0
 
 
@@ -256,9 +257,10 @@ def cmd_train(args, argv):
 
     x_train = models.frames_to_array(train_frames)
     x_val = models.frames_to_array(val_frames)
+    data_digest = _sha256(args.data)
     meta = {"mode": args.mode, "augment": augment_kind, "seed": str(args.seed),
             "epochs": str(args.epochs),
-            "train_config_digest": _config_digest(args, data=_sha256(args.data), out=None)}
+            "train_config_digest": _config_digest(args, data=data_digest, out=None)}
 
     if args.mode == "e2e":
         subjects = [s[0] for s in frames.sources]
@@ -289,7 +291,7 @@ def cmd_train(args, argv):
           f"{first.train_loss:.4f} -> {last.train_loss:.4f}, best epoch {history.best_epoch} "
           f"(val loss {min(history.val_losses):.4f})")
     print(f"wrote {args.out} and {history_path}")
-    _write_manifest(args.out, args, argv, [args.data], started)
+    _write_manifest(args.out, args, argv, {str(args.data): data_digest}, started)
     return 0
 
 
@@ -309,7 +311,7 @@ def cmd_extract(args, argv):
         inputs.append(args.model)
     export_features_csv(args.out, frames.sources, vectors)
     print(f"wrote {args.out}: {vectors.shape[0]} vectors of dimension {vectors.shape[1]}")
-    _write_manifest(args.out, args, argv, inputs, started)
+    _write_manifest(args.out, args, argv, {str(p): _sha256(p) for p in inputs}, started)
     return 0
 
 
@@ -337,7 +339,7 @@ def cmd_evaluate(args, argv):
     summary_path = str(args.out) + ".summary.txt"
     Path(summary_path).write_text(summary)
     print(summary, end="")
-    _write_manifest(args.out, args, argv, [args.features], started)
+    _write_manifest(args.out, args, argv, {str(args.features): _sha256(args.features)}, started)
     return 0
 
 

@@ -9,16 +9,20 @@ load(write(x)) is lossless; a writer builds the text of a whole
 recording, or of a whole feature file, and writes it at once.
 
 Files are UTF-8 whatever the locale; a loader given other bytes fails at
-``path:line`` of the first byte that does not decode. Both loaders call
-one tokenizer, which gives a key per data row, a float64 array of the
-other fields and each row's line number. A plain file (LF line ends, no
-quotes, CRs or blank lines) is read by one ``np.loadtxt``. Any other
-file (CRLF ends, quoted fields, blank lines, no final newline), or one
-with a float that ``np.loadtxt`` rejects, is read by ``csv.reader`` with
-Python's ``float`` and ``int``. Either way the first bad field count,
-key or float fails at ``path:line``, and a wrong header names the file
-alone. The nan/inf and increasing-timestamp checks then run once on the
-arrays, at the kept line numbers, so no file is parsed twice.
+``path:line`` of the first byte that does not decode, and one that starts
+with a byte-order mark fails at ``path:1``. Both loaders call one
+tokenizer, which gives a key per data row, a float64 array of the other
+fields and each row's line number. A plain file (LF line ends, no quotes,
+CRs or blank lines) is read in chunks of ``CHUNK_BYTES``, each cut after
+a line end and parsed by one ``np.loadtxt`` call, so besides the arrays
+it returns the tokenizer holds a few chunks of text, not the file. Any
+other file (CRLF ends, quoted fields, blank lines, no final newline), or
+one with a float that ``np.loadtxt`` rejects, is read again whole by
+``csv.reader`` with Python's ``float`` and ``int``; the chunks parsed so
+far are dropped. Either way the first bad field count, key or float fails
+at ``path:line``, and a wrong header names the file alone. The nan/inf
+and increasing-timestamp checks then run once on the arrays, at the kept
+line numbers.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from ..signal import RawRecording
 
 RECORDING_HEADER = ["subject", "session", "recording", "t", "ax", "ay", "az"]
 FEATURE_KEY = ["subject", "session", "recording", "frame"]
+# bytes of a plain CSV file read and parsed at a time (plus the rest of a line)
+CHUNK_BYTES = 1 << 20
 
 
 def csv_line(fields) -> str:
@@ -50,14 +56,17 @@ def _float_rows(values: np.ndarray) -> list[str]:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 text of a file, line ends untranslated."""
+    """The UTF-8 text of a file, line ends untranslated; a byte-order mark fails at line 1."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+    if text.startswith("\ufeff"):
+        raise FormatError(f"{path}:1: starts with a UTF-8 byte-order mark")
+    return text
 
 
 def _csv_rows(path, text: str):
@@ -77,6 +86,84 @@ def _csv_rows(path, text: str):
         raise FormatError(f"{path}:{rows.line_num}: {exc}") from None
 
 
+def _line_chunks(fh):
+    """The bytes of a binary file in pieces of about CHUNK_BYTES, each cut after a line end.
+
+    A piece holds CHUNK_BYTES and the rest of the line they end in, so a
+    line longer than CHUNK_BYTES is one piece; only the file's last piece
+    can lack a final newline.
+    """
+    while data := fh.read(CHUNK_BYTES):
+        if not data.endswith(b"\n"):
+            data += fh.readline()
+        yield data
+
+
+def _plain_rows(path, header_error, n_key: int, key):
+    """(keys, values, lines) of a plain file read in chunks, or None if it is not plain.
+
+    Plain: UTF-8, LF line ends including the last, no quotes, CRs or blank
+    lines, the header's field count on every line and floats that
+    ``np.loadtxt`` reads. Anything else returns None for ``_tokenize`` to
+    read the whole file with csv.reader. A wrong header or key fails at
+    its place, unless a later byte is not UTF-8: as in any file, that one
+    fails first.
+    """
+    keys, blocks, width = [], [], None
+    # a line that starts with the previous key's text has that key: runs of
+    # rows share one key object and split no further
+    prefix, lineno = "\n", 1
+    with open(path, "rb") as fh:
+        for data in _line_chunks(fh):
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            del data
+            if (not text.endswith("\n") or text[0] == "\n"
+                    or "\r" in text or '"' in text or "\n\n" in text):
+                return None
+            lines = text.split("\n")
+            lines.pop()
+            first = width is None
+            if first:
+                header = lines[0].split(",")
+                error = header_error(header)
+                if error is not None:
+                    _read_text(path)  # a byte that is not UTF-8 fails first
+                    raise FormatError(f"{path}: {error}")
+                width = len(header)
+            # the header's field count on every line: np.loadtxt rejects
+            # short lines, and the comma count then rules out long ones
+            if text.count(",") != (width - 1) * len(lines):
+                return None
+            del text
+            if first:
+                del lines[0]
+                if not lines:
+                    continue
+            try:
+                blocks.append(np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                                         comments=None, usecols=range(n_key, width), ndmin=2))
+            except ValueError:
+                return None  # a float only Python reads, or a bad one: csv.reader locates it
+            for line in lines:
+                lineno += 1
+                if not line.startswith(prefix):
+                    fields = line.split(",", n_key)
+                    try:
+                        row_key = key(fields)
+                    except ValueError as exc:
+                        _read_text(path)  # a byte that is not UTF-8 fails first
+                        raise FormatError(f"{path}:{lineno}: {exc}") from None
+                    prefix = line[:len(line) - len(fields[-1])]
+                keys.append(row_key)
+    if width is None:
+        return None  # an empty file
+    values = np.concatenate(blocks) if blocks else np.empty((0, width - n_key))
+    return keys, values, np.arange(2, len(keys) + 2)
+
+
 def _tokenize(path, header_error, n_key: int, key):
     """(keys, values, lines) of the data rows of a CSV file.
 
@@ -86,44 +173,15 @@ def _tokenize(path, header_error, n_key: int, key):
     the float fields, and its line number; blank rows are skipped. Errors
     are raised at ``path:line``, the first one in file order.
     """
-    text = _read_text(path)
-    plain = text.endswith("\n") and not ("\r" in text or '"' in text or "\n\n" in text)
-    if plain:
-        header, *lines = text[:-1].split("\n")
-        header = header.split(",")
-    else:
-        rows = _csv_rows(path, text)
-        header = next(rows, (1, None))[1]
+    plain = _plain_rows(path, header_error, n_key, key)
+    if plain is not None:
+        return plain
+    rows = _csv_rows(path, _read_text(path))
+    header = next(rows, (1, None))[1]
     error = header_error(header)
     if error is not None:
         raise FormatError(f"{path}: {error}")
     width = len(header)
-    # the header's field count on every line: np.loadtxt rejects short lines,
-    # and the total comma count then rules out long ones
-    if plain and text.count(",") == (width - 1) * (len(lines) + 1):
-        try:
-            values = (np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
-                                 usecols=range(n_key, width), ndmin=2)
-                      if lines else np.empty((0, width - n_key)))
-        except ValueError:
-            pass  # a float only Python reads, or a bad one: csv.reader locates it
-        else:
-            # a line that starts with the previous key's text has that key:
-            # runs of rows share one key object and split no further
-            keys, prefix = [], "\n"
-            for lineno, line in enumerate(lines, start=2):
-                if not line.startswith(prefix):
-                    fields = line.split(",", n_key)
-                    try:
-                        row_key = key(fields)
-                    except ValueError as exc:
-                        raise FormatError(f"{path}:{lineno}: {exc}") from None
-                    prefix = line[:len(line) - len(fields[-1])]
-                keys.append(row_key)
-            return keys, values, np.arange(2, len(lines) + 2)
-    if plain:
-        rows = _csv_rows(path, text)
-        next(rows)
     keys, floats, lines = [], [], []
     for lineno, row in rows:
         if not row:

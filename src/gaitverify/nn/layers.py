@@ -257,7 +257,7 @@ class GlobalAveragePool(Layer):
         return x.mean(axis=1)
 
     def backward(self, grad_y):
-        return np.repeat(grad_y[:, None, :], self._t, axis=1) / self._t
+        return np.repeat(grad_y[:, None, :] / self._t, self._t, axis=1)
 
 
 class LatentBroadcast(Layer):

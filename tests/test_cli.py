@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, byte-identical outputs, manifests, located errors."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import gaitverify
-from gaitverify import models
+from gaitverify import cli, models
 from gaitverify.cli import main
 from gaitverify.data.container import ModelContainer, save_model
 
@@ -561,3 +562,45 @@ def test_missing_output_directory_exits_one_before_any_work(features, tmp_path, 
     assert captured.err == f"error: {out}: directory {out.parent} does not exist\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_train_hashes_its_data_once(features, tmp_path, monkeypatch):
+    hashed = []
+
+    def sha256(path):
+        hashed.append(str(path))
+        return real(path)
+
+    real = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", sha256)
+    data, out = features.with_name("gait.csv"), tmp_path / "m.gvf"
+    assert main(["train", "--mode", "ae", "--epochs", "1", "--data", str(data),
+                 "--out", str(out)]) == 0
+    assert hashed == [str(data)]
+    assert manifest(out)["input_digests"] == {
+        str(data): hashlib.sha256(data.read_bytes()).hexdigest()}
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+def test_canonical_csv_with_a_byte_order_mark_exits_one_naming_it(tmp_path, capsys, line_end):
+    data = tmp_path / "bom.csv"
+    text = canonical_csv(data, recording_rows("r1", 200)).read_bytes()
+    data.write_bytes(BOM + text.replace(b"\n", line_end))
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data}:1: starts with a UTF-8 byte-order mark\n"
+    assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+def test_feature_csv_with_a_byte_order_mark_exits_one_naming_it(features, tmp_path, capsys,
+                                                                 line_end):
+    bad = tmp_path / "features.csv"
+    bad.write_bytes(BOM + features.read_bytes().replace(b"\n", line_end))
+    out = tmp_path / "report.csv"
+    assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
+    assert capsys.readouterr().err == f"error: {bad}:1: starts with a UTF-8 byte-order mark\n"
+    assert list(tmp_path.iterdir()) == [bad]

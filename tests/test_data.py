@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -368,6 +369,9 @@ CANONICAL_CASES = {
     "wrong_header": "subject,session,recording,time,ax,ay,az\n" + rows_text(GOOD_ROWS),
     "empty_file": "",
     "whitespace_line": CANONICAL_HEADER + rows_text(GOOD_ROWS[:2] + ["   "] + GOOD_ROWS[2:]),
+    # the long row's extra commas make up for the blank line's missing ones
+    "blank_line_and_long_row": CANONICAL_HEADER + rows_text(
+        GOOD_ROWS[:2] + ["", "s02,2,r1,0.0,1,1,1,1,1,1,1,1,1"] + GOOD_ROWS[3:]),
 }
 
 FEATURE_HEADER = "subject,session,recording,frame,f0,f1,f2\n"
@@ -540,3 +544,127 @@ class TestFastPathParity:
         export_features_csv(ours, [], np.empty((0, 5)))
         oracle_export_features(oracle, [], np.empty((0, 5)))
         assert ours.read_bytes() == oracle.read_bytes()
+
+
+@pytest.fixture(params=[1, 7, 64], ids=lambda n: f"chunk{n}")
+def small_chunks(request, monkeypatch):
+    monkeypatch.setattr(canonical, "CHUNK_BYTES", request.param)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestCanonicalCsvInSmallChunks(TestCanonicalCsv):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestFeaturesCsvInSmallChunks(TestFeaturesCsv):
+    pass
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestFastPathParityInSmallChunks(TestFastPathParity):
+    # lines of 60-75 bytes make one np.loadtxt call per row: the smallest
+    # population covers what the larger ones would at 24,000 rows
+    @pytest.mark.parametrize("subjects, seconds, sessions, drift", [(8, 30.0, 1, 0.0)])
+    def test_canonical_write_matches_oracle_bytes(self, tmp_path, subjects, seconds,
+                                                  sessions, drift):
+        super().test_canonical_write_matches_oracle_bytes(tmp_path, subjects, seconds,
+                                                          sessions, drift)
+
+
+def line_chunks(path):
+    with open(path, "rb") as fh:
+        return list(canonical._line_chunks(fh))
+
+
+class TestChunkedLoad:
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 64, 1 << 20])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_pieces_are_the_file_cut_after_line_ends(self, tmp_path, monkeypatch,
+                                                     chunk_bytes, final_newline):
+        monkeypatch.setattr(canonical, "CHUNK_BYTES", chunk_bytes)
+        text = FEATURE_CASES["plain"].encode()
+        path = tmp_path / "f.csv"
+        path.write_bytes(text if final_newline else text[:-1])
+        pieces = line_chunks(path)
+        assert b"".join(pieces) == path.read_bytes()
+        assert all(piece.endswith(b"\n") for piece in pieces[:-1])
+        assert pieces[-1].endswith(b"\n") == final_newline
+        longest = max(len(line) + 1 for line in text.split(b"\n"))
+        assert all(len(piece) < chunk_bytes + longest for piece in pieces)
+
+    # the read ends one byte before, at, or one byte after the blank line's
+    # "\n": the next piece starts with it, or this one ends with two. The
+    # long row's extra commas make up for the blank line's missing ones
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("tail", [
+        GOOD_ROWS[2:], ["s02,2,r1,0.0,1,1,1", "s02,2,r1,oops,1,1,1"],
+        ["s02,2,r1,0.0,1,1,1,1,1,1,1,1,1", "s02,2,r1,0.01,1,1,1"],
+    ], ids=["good", "bad_float", "long_row"])
+    def test_blank_line_on_a_chunk_boundary(self, tmp_path, monkeypatch, shift, tail):
+        head = CANONICAL_HEADER + rows_text(GOOD_ROWS[:2])
+        path = tmp_path / "gait.csv"
+        path.write_bytes((head + "\n" + rows_text(tail)).encode())
+        monkeypatch.setattr(canonical, "CHUNK_BYTES", len(head) + shift)
+        first, second = line_chunks(path)[:2]
+        if shift < 1:
+            assert first == head.encode() and second.startswith(b"\n")
+        else:
+            assert first == (head + "\n").encode()
+        assert outcome(load_canonical_csv, path) == outcome(oracle_load_canonical, path)
+
+    def test_line_longer_than_a_chunk_is_one_piece(self, tmp_path, monkeypatch):
+        long_float = "0." + "0" * 200 + "1"
+        path = tmp_path / "gait.csv"
+        path.write_bytes((CANONICAL_HEADER + rows_text(
+            GOOD_ROWS[:1] + [f"s01,1,r1,0.01,{long_float},1,1"] + GOOD_ROWS[2:])).encode())
+        monkeypatch.setattr(canonical, "CHUNK_BYTES", 16)
+        assert any(len(piece) > 200 for piece in line_chunks(path))
+        expected = outcome(oracle_load_canonical, path)
+
+        def reader(*args, **kwargs):
+            raise AssertionError("a plain file reached csv.reader")
+
+        monkeypatch.setattr(canonical.csv, "reader", reader)
+        assert outcome(load_canonical_csv, path) == expected
+        assert load_canonical_csv(path)[0].samples[1, 0] == 1e-201
+
+    @pytest.mark.parametrize("text, load", [
+        (CANONICAL_CASES["wrong_header"], load_canonical_csv),
+        (FEATURE_CASES["frame_not_integer"], load_features_csv),
+    ], ids=["wrong_header", "bad_frame"])
+    def test_a_later_byte_that_is_not_utf8_fails_first(self, tmp_path, monkeypatch, text, load):
+        # as when the file was decoded whole before any field was read
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode() + b"s09,1,r\xff,0,1,1,1\n")
+        monkeypatch.setattr(canonical, "CHUNK_BYTES", 1)
+        line = text.count("\n") + 1
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+    @pytest.mark.parametrize("chunk_bytes", [1 << 16, None], ids=["64KiB", "default"])
+    def test_load_holds_the_text_a_chunk_at_a_time(self, tmp_path, monkeypatch, chunk_bytes):
+        # 120,000 rows, 8.9 MB: the whole-file read peaked at about 8.7
+        # times the result. The float64 table the rows parse into, its keys,
+        # line numbers and row indices hold about 1.75 times the result and
+        # the recordings cut from it are the result, so besides those only
+        # a few chunks of text may be live at once
+        rng = np.random.default_rng(5)
+        recs = [RawRecording(f"s{i:02d}", "1", "r1", np.arange(12_000) / 100.0,
+                             rng.standard_normal((12_000, 3))) for i in range(10)]
+        path = tmp_path / "gait.csv"
+        write_canonical_csv(recs, path)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(canonical, "CHUNK_BYTES", chunk_bytes)
+        tracemalloc.start()
+        try:
+            loaded = load_canonical_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(r.timestamps.nbytes + r.samples.nbytes for r in loaded)
+        assert peak < 3 * result + 4 * canonical.CHUNK_BYTES
+        got = outcome(load_canonical_csv, path)
+        monkeypatch.setattr(canonical, "CHUNK_BYTES", path.stat().st_size + 1)
+        assert got == outcome(load_canonical_csv, path)

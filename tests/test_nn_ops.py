@@ -615,6 +615,20 @@ class TestReluAndGap:
 
         npt.assert_allclose(gx, central_diff(loss, x), rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [128, 125, 3])
+    def test_gap_backward_divides_before_repeating_bit_for_bit(self, dtype, t):
+        # dividing the (B, C) gradient once gives the values of dividing
+        # its (B, T, C) repeat: each element is the same one division
+        gy = (np.random.default_rng(t).standard_normal((32, 128)) * 1e3).astype(dtype)
+        gap = GlobalAveragePool()
+        gap.forward(np.zeros((32, t, 128), dtype=dtype), train=True)
+        got = gap.backward(gy)
+        want = op_gap_backward(gy, t)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == (32, t, 128)
+        assert got.tobytes() == want.tobytes()
+
     def test_gap_shape_check(self):
         with pytest.raises(InvalidInputError):
             GlobalAveragePool().forward(np.zeros((2, 3)), train=True)
