@@ -41,6 +41,7 @@ from .pipeline import load_normalized_frames
 from .signal import FRAME_LEN
 
 GRADCHECK_TOLERANCE = 1e-4
+VAL_FRACTION = 0.4  # share of the frames train holds out for validation
 
 
 class _UsageError(Exception):
@@ -243,7 +244,7 @@ def cmd_train(args, argv):
 
     # a seeded permutation split into training and validation rows
     perm = np.random.default_rng(args.seed).permutation(len(frames))
-    n_train = len(frames) - int(round(len(frames) * config.val_fraction))
+    n_train = len(frames) - int(round(len(frames) * VAL_FRACTION))
     train_idx, val_idx = perm[:n_train], perm[n_train:]
     train_frames, val_frames = frames[train_idx], frames[val_idx]
     if augment_kind != "none":

@@ -15,6 +15,7 @@ little-endian IEEE-754 single precision, row-major):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -130,8 +131,7 @@ def load_model(path) -> ModelContainer:
         dims = tuple(r.u32() for _ in range(ndim))
         shapes.append((name, dims))
     for name, dims in shapes:
-        count = int(np.prod(dims)) if dims else 1
-        raw = r.take(4 * count)
+        raw = r.take(4 * math.prod(dims))  # Python ints: huge dims cannot wrap
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         if name in container._entries:
             raise FormatError(f"{path}: duplicate entry {name!r}")

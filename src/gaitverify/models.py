@@ -8,12 +8,13 @@ order for the decoder; the final convolution maps back to 3 channels with
 no batch norm or ReLU so reconstructions can be negative. Each block is
 one ``ConvBlock``, and every inference-mode pass (validation loss and
 ``Encoder.transform``) runs it with its batch norm folded into the
-convolution. A training step (``loss_and_backward``) keeps one
-activation-sized array per block from its forward to its backward, the
-batch norm's ``xhat``, and recomputes each block's output when backward
-reaches it; the block owns that array and reuses it the next step. The
-step skips the input gradient of the first convolution, which nothing
-reads.
+convolution. A training step (``loss_and_backward``) keeps the frames
+and the encoder's output as locals and hands them back to backward.
+Between its forward and backward each block keeps one activation-sized
+array, the batch norm's ``xhat``, which it owns and reuses the next step;
+its output is recomputed from it when backward reaches the next layer.
+The step skips the input gradient of the first convolution, which
+nothing reads.
 
 A model's whole state is ``arrays()``: name -> live array, every
 parameter value and then every batch-norm running statistic. Training
@@ -124,9 +125,9 @@ class FCNClassifier(_Model):
 
     def loss_and_backward(self, x, y) -> float:
         self.zero_grads()
-        logits = self.forward(x, train=True)
-        loss, dlogits = ops.softmax_crossentropy(logits, y)
-        self.body.backward(self.head.backward(dlogits), input_grad=False)
+        feats = self.body.forward(x, train=True)
+        loss, dlogits = ops.softmax_crossentropy(self.head.forward(feats, train=True), y)
+        self.body.backward(self.head.backward(dlogits, feats), x, input_grad=False)
         return loss
 
 
@@ -196,9 +197,9 @@ class Autoencoder(_Model):
 
     def loss_and_backward(self, x, y=None) -> float:
         self.zero_grads()
-        x_hat = self.forward(x, train=True)
-        loss, dx_hat = ops.mse_loss(x, x_hat)
-        self.encoder.backward(self.decoder.backward(dx_hat), input_grad=False)
+        z = self.encoder.forward(x, train=True)
+        loss, dx_hat = ops.mse_loss(x, self.decoder.forward(z, train=True))
+        self.encoder.backward(self.decoder.backward(dx_hat, z), x, input_grad=False)
         return loss
 
     def get_encoder(self) -> Encoder:

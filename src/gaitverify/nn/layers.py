@@ -3,52 +3,21 @@
 Batch norm, ReLU, pooling and the dense head compute in their own
 forward() and backward(); only the convolution, shared by ``Conv1d`` and
 the fold in ``ConvBlock``, lives in ``ops``. Parameters are created in
-float32 (cast() is the one precision switch); forward() stores whatever
-backward() needs. A training-mode pass commits each batch norm's running
-statistics. An inference-mode pass (validation, feature extraction) runs
-each ConvBlock as one convolution with its batch norm folded in and
-moves no statistic.
+float32 (cast() is the one precision switch). A training-mode pass
+commits each batch norm's running statistics, in place. An
+inference-mode pass (validation, feature extraction) runs each ConvBlock
+as one convolution with its batch norm folded in and moves no statistic.
 
-Cache rules, which keep one activation-sized array per conv block, the
-block's own across training steps:
-
-- Conv1d, Dense, pooling and the latent broadcast never write into their
-  input. They return a fresh array from forward(), except the
-  convolution of a training ConvBlock, which writes into the block's
-  own array.
-- BatchNorm normalizes its input in place: the convolution's output
-  becomes ``xhat``, which it caches with the per-channel
-  ``1/sqrt(var + eps)``, and it returns gamma*xhat + beta as a fresh
-  array. ReLU overwrites that array with max(x, 0). So each may only
-  follow a layer whose output nothing else reads.
-- A block's output is not kept. ConvBlock drops its ReLU's reference,
-  and Sequential drops the next layer's once that layer's forward() has
-  run. In backward, just before the next layer's backward(), Sequential
-  hands that layer ``ConvBlock.output()``: relu(xhat*gamma + beta),
-  recomputed from the batch norm's cache. It is bit-identical to the
-  forward's output, since no parameter changes within a step, and the
-  block's ReLU reads it again for its mask. The latent broadcast's
-  output, the first decoder block's input, is recomputed the same way
-  from the latent (``recomputes_output`` marks both layers).
-- ConvBlock.backward drops its ReLU's and batch norm's caches as soon as
-  each member's backward() has read them, and Sequential drops a layer's
-  input (a ConvBlock's is its convolution's) after the layer's
-  backward(). A decoder's recomputed outputs are therefore gone before
-  the encoder's convolutions run their backward.
-- What a block keeps between steps is its own (B, T, Cout) array, the
-  one its convolution writes and its batch norm normalizes into
-  ``xhat``. Every training step reuses it, a shorter batch in a leading
-  slice, so a step does not hand the heap back for the next one to fault
-  in again. cast() drops it; an inference pass neither writes nor makes
-  one, so a block that never trained (a detached encoder) holds none.
-- ReLU.backward masks ``grad_y`` in place and BatchNorm.backward writes
-  its input gradient into it, so a block holds no second gradient of its
-  output's size: pass BatchNorm.backward a gradient nothing else reads,
-  such as the one the ReLU has just masked. Every input gradient is
-  contiguous; a first layer told that nothing reads it
-  (``input_grad=False``) skips it.
-- BatchNorm writes its running statistics in place, so an array once
-  handed out by state() stays the live statistic until cast() replaces it.
+backward(grad_y, x) is handed x, the layer's input in the last training
+forward, so Conv1d, Dense and pooling cache no input. Sequential hands a
+layer the previous one's output(), recomputed bit for bit (no parameter
+changes within a step). Each ConvBlock keeps one activation-sized array
+across steps: the convolution writes it and BatchNorm normalizes it in
+place into ``xhat``; cast() drops it and inference makes none. The block
+drops its output after forward(); output() recomputes it once per step,
+and the block's ReLU holds it until backward() has masked ``grad_y`` in
+place with it. BatchNorm.backward writes its input gradient into that
+``grad_y``, so a block holds no second gradient of its output's size.
 """
 
 from __future__ import annotations
@@ -87,20 +56,14 @@ class Layer:
     """Minimal interface: forward/backward plus parameter and state access."""
 
     name = "layer"
-    # True where output() recomputes the last training forward's output, bit
-    # for bit, from the layer's own cache; Sequential then keeps no reference to it
-    recomputes_output = False
 
     def forward(self, x, train: bool):
         raise NotImplementedError
 
-    def backward(self, grad_y):
+    # x is the input of the last training forward; BatchNorm and ReLU, which
+    # overwrite theirs, take none and read their own caches
+    def backward(self, grad_y, x):
         raise NotImplementedError
-
-    # Replace the input that forward() cached for backward(); None drops it.
-    # A layer that caches no input ignores the call.
-    def cache_input(self, x):
-        pass
 
     def parameters(self) -> list[Parameter]:
         return []
@@ -126,22 +89,17 @@ class Conv1d(Layer):
         self.w = Parameter(f"{name}.w", glorot_uniform(
             (kernel_size, in_channels, out_channels), fan_in, fan_out, rng))
         self.b = Parameter(f"{name}.b", np.zeros(out_channels, dtype=np.float32))
-        self._x = None
 
     def forward(self, x, train, out=None):
         """The convolution of x, written into ``out`` when given (see ops.conv1d_forward)."""
-        self._x = x
         return ops.conv1d_forward(x, self.w.value, self.b.value, out)
 
-    def backward(self, grad_y, input_grad=True):
+    def backward(self, grad_y, x, input_grad=True):
         """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients."""
-        grad_x, grad_w, grad_b = ops.conv1d_backward(self._x, self.w.value, grad_y, input_grad)
+        grad_x, grad_w, grad_b = ops.conv1d_backward(x, self.w.value, grad_y, input_grad)
         self.w.grad += grad_w
         self.b.grad += grad_b
         return grad_x
-
-    def cache_input(self, x):
-        self._x = x
 
     def parameters(self):
         return [self.w, self.b]
@@ -248,16 +206,15 @@ class GlobalAveragePool(Layer):
 
     def __init__(self, name: str = "gap"):
         self.name = name
-        self._t = None
 
     def forward(self, x, train):
         if x.ndim != 3:
             raise InvalidInputError(f"gap expects (B,T,C), got {x.shape}")
-        self._t = x.shape[1]
         return x.mean(axis=1)
 
-    def backward(self, grad_y):
-        return np.repeat(grad_y[:, None, :] / self._t, self._t, axis=1)
+    def backward(self, grad_y, x):
+        t = x.shape[1]
+        return np.repeat(grad_y[:, None, :] / t, t, axis=1)
 
 
 class LatentBroadcast(Layer):
@@ -269,8 +226,6 @@ class LatentBroadcast(Layer):
     edges, which starves the encoder of gradient; the learned affine
     restores a usable reconstruction path while starting from that tile.
     """
-
-    recomputes_output = True
 
     def __init__(self, t: int, channels: int, name: str = "expand"):
         self.name = name
@@ -286,10 +241,11 @@ class LatentBroadcast(Layer):
         return self.output()
 
     def output(self):
+        """The last training forward's output, recomputed from its latent."""
         return self._z[:, None, :] * self.scale.value + self.shift.value
 
-    def backward(self, grad_y):
-        self.scale.grad += (grad_y * self._z[:, None, :]).sum(axis=0)
+    def backward(self, grad_y, z):
+        self.scale.grad += (grad_y * z[:, None, :]).sum(axis=0)
         self.shift.grad += grad_y.sum(axis=0)
         return (grad_y * self.scale.value).sum(axis=1)
 
@@ -306,18 +262,16 @@ class Dense(Layer):
         self.w = Parameter(f"{name}.w", glorot_uniform(
             (in_dim, out_dim), in_dim, out_dim, rng))
         self.b = Parameter(f"{name}.b", np.zeros(out_dim, dtype=np.float32))
-        self._x = None
 
     def forward(self, x, train):
         w, b = self.w.value, self.b.value
         if x.ndim != 2 or x.shape[1] != w.shape[0] or b.shape[0] != w.shape[1]:
             raise InvalidInputError(
                 f"dense shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-        self._x = x
         return x @ w + b
 
-    def backward(self, grad_y):
-        x, w = self._x, self.w.value
+    def backward(self, grad_y, x):
+        w = self.w.value
         if grad_y.shape != (x.shape[0], w.shape[1]):
             raise InvalidInputError(
                 f"dense backward shape mismatch: grad_y {grad_y.shape}")
@@ -336,26 +290,25 @@ class Sequential(Layer):
         self.layers = layers
 
     def forward(self, x, train):
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             x = layer.forward(x, train)
-            if train and i and self.layers[i - 1].recomputes_output:
-                layer.cache_input(None)  # backward() recomputes it
         return x
 
-    def backward(self, grad_y, input_grad=True):
+    def backward(self, grad_y, x, input_grad=True):
         """The input gradient; with ``input_grad`` False the first layer may skip it.
 
-        That first layer must then accept ``input_grad`` (a Conv1d, a
-        ConvBlock or a Sequential), and the result may be None.
+        Each layer after the first is handed the previous one's output(),
+        so every layer but the last needs one. The first layer gets x and,
+        with ``input_grad`` False, must accept it (a Conv1d, a ConvBlock or
+        a Sequential); the result may then be None.
         """
         for i, layer in reversed(list(enumerate(self.layers))):
-            if i and self.layers[i - 1].recomputes_output:
-                layer.cache_input(self.layers[i - 1].output())
-            if i or input_grad:
-                grad_y = layer.backward(grad_y)
+            if i:
+                grad_y = layer.backward(grad_y, self.layers[i - 1].output())
+            elif input_grad:
+                grad_y = layer.backward(grad_y, x)
             else:
-                grad_y = layer.backward(grad_y, input_grad=False)
-            layer.cache_input(None)
+                grad_y = layer.backward(grad_y, x, input_grad=False)
         return grad_y
 
     def parameters(self):
@@ -381,8 +334,6 @@ class ConvBlock(Sequential):
     every call, then an in-place ReLU. It touches no cache and no
     statistic.
     """
-
-    recomputes_output = True
 
     def __init__(self, kernel_size: int, in_channels: int, out_channels: int,
                  rng: np.random.Generator, name: str):
@@ -426,17 +377,14 @@ class ConvBlock(Sequential):
         """
         return self.relu.forward(self.bn.output(), True)
 
-    def backward(self, grad_y, input_grad=True):
+    def backward(self, grad_y, x, input_grad=True):
         if self.relu._x is None:
             self.output()
         grad_y = self.relu.backward(grad_y)
         self.relu._x = None
         grad_y = self.bn.backward(grad_y)
         self.bn._cache = None
-        return self.conv.backward(grad_y, input_grad)
-
-    def cache_input(self, x):
-        self.conv.cache_input(x)
+        return self.conv.backward(grad_y, x, input_grad)
 
     def cast(self, dtype):
         super().cast(dtype)

@@ -12,22 +12,13 @@ from .optim import Adam, PlateauScheduler
 
 @dataclass
 class TrainConfig:
+    """Loop settings; the learning rate and its schedule are Adam's and PlateauScheduler's."""
+
     epochs: int = 100
     batch_size: int = 32
-    initial_lr: float = 0.001
-    plateau_factor: float = 0.5
-    plateau_patience: int = 50
-    min_lr: float = 0.0001
-    val_fraction: float = 0.4
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.plateau_factor < 1:
-            raise InvalidInputError(f"plateau_factor must be in (0,1), got {self.plateau_factor}")
-        if self.min_lr <= 0:
-            raise InvalidInputError(f"min_lr must be positive, got {self.min_lr}")
-        if not 0 < self.val_fraction < 1:
-            raise InvalidInputError(f"val_fraction must be in (0,1), got {self.val_fraction}")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidInputError("epochs and batch_size must be >= 1")
 
@@ -84,9 +75,8 @@ def train(model, train_set, val_set, config: TrainConfig):
             raise InvalidInputError("training labels out of range")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.parameters(), lr=config.initial_lr)
-    scheduler = PlateauScheduler(config.initial_lr, patience=config.plateau_patience,
-                                 factor=config.plateau_factor, min_lr=config.min_lr)
+    optimizer = Adam(model.parameters())
+    scheduler = PlateauScheduler(optimizer.lr)
     history = History()
     best_val = np.inf
     best_snapshot = None

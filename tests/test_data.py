@@ -1,5 +1,6 @@
 import csv
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,18 @@ class TestModelContainer:
         save_model(c, path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="trunc.gvf: container truncated"):
+            load_model(path)
+
+    def test_dims_whose_product_wraps_in_int64_are_truncated(self, tmp_path):
+        c = ModelContainer()
+        c.add("w", np.ones((1, 1, 4), dtype=np.float32))
+        path = tmp_path / "wrap.gvf"
+        save_model(c, path)
+        raw = path.read_bytes()
+        # magic, version, n_meta=0, n_entries, name_len, "w", ndim, then the dims at byte 25;
+        # 2**31 * 2**31 * 4 is 0 in int64 arithmetic
+        path.write_bytes(raw[:25] + struct.pack("<3I", 2**31, 2**31, 4) + raw[37:])
+        with pytest.raises(FormatError, match="wrap.gvf: container truncated"):
             load_model(path)
 
     def test_invalid_utf8_metadata_key(self, tmp_path):

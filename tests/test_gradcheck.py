@@ -27,7 +27,7 @@ class LinearModel:
             p.grad[...] = 0
         out = self.net.forward(x, train=True)
         d = out - y
-        self.net.backward(2.0 * d / d.size)
+        self.net.backward(2.0 * d / d.size, x)
         return float(np.mean(d * d))
 
 

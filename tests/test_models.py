@@ -155,6 +155,10 @@ def cached_arrays(model):
     return list(bases.values())
 
 
+def holds_array(layer):
+    return any(isinstance(v, np.ndarray) for v in vars(layer).values())
+
+
 class TestTrainingCaches:
     """One cached array per block, recomputed outputs, only the block's own buffer after a step."""
 
@@ -222,19 +226,20 @@ class TestTrainingCaches:
                 for block in blocks:
                     del block.relu.forward
                 for block in blocks:
-                    # after a training forward: the batch norm's (xhat, inv_std), and
-                    # the network input for the first convolution, nothing else
+                    # after a training forward: the batch norm's (xhat, inv_std), nothing
+                    # else; backward is handed each convolution's input
                     where = f"{name}: {block.name}"
                     xhat, inv_std = block.bn._cache
                     assert xhat.shape == returned[block.name].shape, where
                     assert inv_std.shape == (xhat.shape[-1],), where
                     assert block.relu._x is None, where
-                    assert block.conv._x is (x if block is blocks[0] else None), where
+                    assert not holds_array(block.conv), where
                     # the recomputed output is what the ReLU returned, bit for bit
                     assert block.output().tobytes() == returned[block.name].tobytes(), where
                 model.loss_and_backward(x, y)
                 for block in blocks:
-                    assert block.conv._x is block.bn._cache is block.relu._x is None, name
+                    assert block.bn._cache is block.relu._x is None, name
+                    assert not holds_array(block.conv), name
 
     def test_a_block_owns_one_buffer_across_steps(self):
         rng = np.random.default_rng(33)
@@ -245,7 +250,7 @@ class TestTrainingCaches:
         block.forward(x, train=False)
         assert block._buffer is None  # inference holds none
         block.forward(x, train=True)
-        block.backward(gy.copy())
+        block.backward(gy.copy(), x)
         buffer = block._buffer
         assert buffer.shape == (8, 16, 8) and buffer.dtype == np.float32
         # a second step, then a short last batch in a leading slice of the buffer
@@ -258,9 +263,9 @@ class TestTrainingCaches:
             xhat = block.bn._cache[0]
             assert xhat.shape == (n, 16, 8)
             assert xhat.ctypes.data == buffer.ctypes.data
-            grad_x = block.backward(gy[:n].copy())
+            grad_x = block.backward(gy[:n].copy(), x[:n])
             want_y = fresh.forward(x[:n], train=True)
-            want_x = fresh.backward(gy[:n].copy())
+            want_x = fresh.backward(gy[:n].copy(), x[:n])
             assert y.tobytes() == want_y.tobytes() and grad_x.tobytes() == want_x.tobytes(), n
             for p, q in zip(block.parameters(), fresh.parameters()):
                 assert p.grad.tobytes() == q.grad.tobytes(), f"{n}: {p.name}"
@@ -284,8 +289,9 @@ class TestTrainingCaches:
         model.loss_and_backward(self.X, y)
         skipped = {p.name: p.grad.copy() for p in model.parameters()}
         model.zero_grads()
-        _, dlogits = ops.softmax_crossentropy(model.forward(self.X, train=True), y)
-        grad_x = model.body.backward(model.head.backward(dlogits))
+        feats = model.body.forward(self.X, train=True)
+        _, dlogits = ops.softmax_crossentropy(model.head.forward(feats, train=True), y)
+        grad_x = model.body.backward(model.head.backward(dlogits, feats), self.X)
         assert grad_x.shape == self.X.shape
         for p in model.parameters():
             assert p.grad.tobytes() == skipped[p.name].tobytes(), p.name
@@ -368,6 +374,7 @@ class TestStripClassifier:
             assert all(block._buffer is not None for block in deep.blocks()), net.name
             encoder.transform(x)
             assert all(block._buffer is None for block in encoder.blocks()), net.name
+            assert not cached(encoder), net.name  # nor does pooling keep anything
             paths = tmp_path / f"{net.name}.gvf", tmp_path / f"{net.name}.deep.gvf"
             save_model(models.to_container(encoder), paths[0])
             save_model(models.to_container(deep), paths[1])

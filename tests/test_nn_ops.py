@@ -607,7 +607,7 @@ class TestReluAndGap:
         gap = GlobalAveragePool()
         npt.assert_allclose(gap.forward(x, train=True), x.mean(axis=1), rtol=1e-12)
         gy = rng.standard_normal((3, 5))
-        gx = gap.backward(gy)
+        gx = gap.backward(gy, x)
         assert_close(gx, op_gap_backward(gy, 12))
 
         def loss():
@@ -621,9 +621,10 @@ class TestReluAndGap:
         # dividing the (B, C) gradient once gives the values of dividing
         # its (B, T, C) repeat: each element is the same one division
         gy = (np.random.default_rng(t).standard_normal((32, 128)) * 1e3).astype(dtype)
+        x = np.zeros((32, t, 128), dtype=dtype)
         gap = GlobalAveragePool()
-        gap.forward(np.zeros((32, t, 128), dtype=dtype), train=True)
-        got = gap.backward(gy)
+        gap.forward(x, train=True)
+        got = gap.backward(gy, x)
         want = op_gap_backward(gy, t)
         assert got.dtype == want.dtype == dtype
         assert got.shape == (32, t, 128)
@@ -668,7 +669,7 @@ class TestDense:
         gw, gb = central_diff(loss, layer.w.value), central_diff(loss, layer.b.value)
         gx = central_diff(loss, x)
         layer.forward(x, train=True)
-        grads = [layer.backward(gy), layer.w.grad, layer.b.grad]
+        grads = [layer.backward(gy, x), layer.w.grad, layer.b.grad]
         for got, want in zip(grads, op_dense_backward(x, w, gy)):
             assert_close(got, want)
         npt.assert_allclose(grads[0], gx, rtol=1e-6, atol=1e-9)
@@ -679,9 +680,10 @@ class TestDense:
         layer = dense(np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(InvalidInputError):
             layer.forward(np.zeros((4, 5)), train=True)
-        layer.forward(np.zeros((4, 3)), train=True)
+        x = np.zeros((4, 3))
+        layer.forward(x, train=True)
         with pytest.raises(InvalidInputError):
-            layer.backward(np.zeros((4, 3)))
+            layer.backward(np.zeros((4, 3)), x)
 
 
 class TestSoftmaxCrossentropy:

@@ -1,9 +1,14 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gaitverify import models
+from gaitverify.cli import VAL_FRACTION
 from gaitverify.errors import InvalidInputError
+from gaitverify.nn import training
+from gaitverify.nn.optim import Adam, PlateauScheduler
 from gaitverify.nn.training import TrainConfig, evaluate_loss, train
 
 
@@ -31,15 +36,6 @@ def separable_dataset(n_per_class=24, seed=0):
 
 
 class TestTrain:
-    def test_zero_lr_single_epoch_keeps_parameters(self):
-        x, y = separable_dataset(8)
-        model = tiny_fcn()
-        before = {p.name: p.value.copy() for p in model.parameters()}
-        config = TrainConfig(epochs=1, batch_size=8, initial_lr=0.0, seed=1)
-        model, _ = train(model, (x[:12], y[:12]), (x[12:], y[12:]), config)
-        for p in model.parameters():
-            npt.assert_array_equal(p.value, before[p.name])
-
     def test_loss_decreases_on_separable_data(self):
         x, y = separable_dataset()
         model = tiny_fcn(seed=3)
@@ -72,12 +68,14 @@ class TestTrain:
         for name in results[0][0]:
             npt.assert_array_equal(results[0][0][name], results[1][0][name])
 
-    def test_lr_follows_plateau_schedule_in_history(self):
+    def test_lr_follows_plateau_schedule_in_history(self, monkeypatch):
+        monkeypatch.setattr(training, "PlateauScheduler",
+                            functools.partial(PlateauScheduler, patience=1))
         x, y = separable_dataset(6, seed=8)
-        config = TrainConfig(epochs=4, batch_size=8, seed=8, plateau_patience=1)
+        config = TrainConfig(epochs=4, batch_size=8, seed=8)
         model, history = train(tiny_fcn(seed=8), (x[:8], y[:8]), (x[8:], y[8:]), config)
         lrs = [e.lr for e in history.epochs]
-        assert lrs[0] == config.initial_lr
+        assert lrs[0] == 0.001
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_empty_dataset_rejected(self):
@@ -102,17 +100,18 @@ class TestTrain:
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            TrainConfig(plateau_factor=1.2)
+            TrainConfig(epochs=0)
         with pytest.raises(InvalidInputError):
-            TrainConfig(min_lr=0.0)
-        with pytest.raises(InvalidInputError):
-            TrainConfig(val_fraction=1.0)
+            TrainConfig(batch_size=0)
 
     def test_defaults_match_training_recipe(self):
         config = TrainConfig()
         assert config.epochs == 100
-        assert config.initial_lr == 0.001
-        assert config.plateau_factor == 0.5
-        assert config.plateau_patience == 50
-        assert config.min_lr == 0.0001
-        assert config.val_fraction == 0.4
+        assert config.batch_size == 32
+        optimizer = Adam([])
+        assert optimizer.lr == 0.001
+        scheduler = PlateauScheduler(optimizer.lr)
+        assert scheduler.factor == 0.5
+        assert scheduler.patience == 50
+        assert scheduler.min_lr == 0.0001
+        assert VAL_FRACTION == 0.4
