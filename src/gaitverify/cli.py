@@ -49,8 +49,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    required_flags: tuple[str, ...] = ()
+
     def error(self, message):
         raise _UsageError(message)
+
+    def add_required(self, flag, help=None, **kwargs):
+        """An option that must be given, as a flag or in --config; main checks it."""
+        self.required_flags += (flag,)
+        note = "required, as a flag or in --config"
+        self.add_argument(flag, help=f"{help}; {note}" if help else note, **kwargs)
 
 
 def _sha256(path) -> str:
@@ -113,6 +121,7 @@ class _ConfigValue(NamedTuple):
 
     where: str  # path:line: key
     raw: str
+    flag: bool  # an option whose default is False, given as a boolean word
 
 
 def _config_defaults(parsers: dict[str, _Parser], command: str, path) -> dict:
@@ -121,65 +130,40 @@ def _config_defaults(parsers: dict[str, _Parser], command: str, path) -> dict:
     Every key must be an option of some command, so that one file can
     serve every command; a key that is none is a usage error at its line.
     """
-    known = {a.dest for p in parsers.values() for a in p._actions}
-    own = {a.dest for a in parsers[command]._actions} - {"help", "config"}
+    known = {key for p in parsers.values() for key in vars(p.parse_args([]))} - {"func", "config"}
+    own = vars(parsers[command].parse_args([]))
     defaults = {}
     for key, (lineno, raw) in _parse_config_file(path).items():
         if key not in known:
             raise _UsageError(f"{path}:{lineno}: unknown option {key!r}")
         if key in own:
-            defaults[key] = _ConfigValue(f"{path}:{lineno}: {key}", raw)
+            defaults[key] = _ConfigValue(f"{path}:{lineno}: {key}", raw, own[key] is False)
     return defaults
 
 
-def _convert_config_values(parser: argparse.ArgumentParser, args: argparse.Namespace):
+def _convert_config_values(parser: _Parser, args: argparse.Namespace):
     """Convert the options that still hold their --config value.
 
     Parsing replaced the value of every option given as a flag, so flags
-    win in every spelling argparse accepts. A value that fails its
-    option's type or choices, or a flag's value that is none of
-    1/true/yes/on or 0/false/no/off (any case), is a usage error that
-    names the file, line and key.
+    win in every spelling argparse accepts. ``parser`` converts each value
+    left as ``--key=value``; a store-true option's must be 1/true/yes/on
+    or 0/false/no/off (any case). A value that fails is a usage error
+    that names the file, line and key.
     """
-    for action in parser._actions:
-        value = getattr(args, action.dest, None)
+    for key, value in vars(args).items():
         if not isinstance(value, _ConfigValue):
             continue
-        where, raw = value
-        if isinstance(action, argparse._StoreTrueAction):
+        where, raw, flag = value
+        if flag:
             if raw.lower() not in _TRUE + _FALSE:
                 raise _UsageError(f"{where}: {raw!r} is not a boolean")
-            setattr(args, action.dest, raw.lower() in _TRUE)
+            setattr(args, key, raw.lower() in _TRUE)
             continue
         try:
-            value = action.type(raw) if action.type else raw
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parsed = parser.parse_args([f"--{key.replace('_', '-')}={raw}"])
+        except _UsageError as exc:
             raise _UsageError(f"{where}: {exc}") from None
-        if action.choices is not None and value not in action.choices:
-            raise _UsageError(f"{where}: {raw!r} is not one of "
-                              f"{', '.join(map(str, action.choices))}")
-        setattr(args, action.dest, value)
-
-
-def _defer_required(parser: argparse.ArgumentParser) -> list[argparse.Action]:
-    """Make the parser's required options optional and return them.
-
-    A required option may come from --config, which is read only after
-    parsing; _check_required runs once the config has been applied.
-    """
-    deferred = [a for a in parser._actions if a.required and a.option_strings]
-    for action in deferred:
-        action.required = False
-        note = "required, as a flag or in --config"
-        action.help = f"{action.help}; {note}" if action.help else note
-    return deferred
-
-
-def _check_required(deferred: list[argparse.Action], args: argparse.Namespace):
-    missing = [a.option_strings[0] for a in deferred if getattr(args, a.dest) is None]
-    if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)} "
-                          f"(as a flag or in --config)")
+        setattr(args, key, getattr(parsed, key))
 
 
 def _check_out_dir(args: argparse.Namespace):
@@ -187,6 +171,16 @@ def _check_out_dir(args: argparse.Namespace):
     out = getattr(args, "out", None)
     if out is not None and not Path(out).parent.is_dir():
         raise _UsageError(f"{out}: directory {Path(out).parent} does not exist")
+
+
+def _seed(text: str) -> int:
+    """A seed for np.random.default_rng, which takes no negative integer."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _gamma(text: str):
@@ -387,36 +381,35 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic canonical-CSV dataset")
-    p.add_argument("--subjects", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True,
-                   help="seconds per recording")
+    p.add_required("--subjects", type=int)
+    p.add_required("--seconds", type=float, help="seconds per recording")
     p.add_argument("--sessions", type=int, choices=(1, 2), default=2)
     p.add_argument("--recordings", type=int, default=1,
                    help="recordings per subject per session")
     p.add_argument("--drift", type=float, default=0.0,
                    help="cross-day drift in [0,1]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_required("--out")
 
     p = add("train", cmd_train, "train a feature extractor and save the encoder")
-    p.add_argument("--mode", choices=("e2e", "ae"), required=True)
-    p.add_argument("--data", required=True, help="canonical gait CSV")
+    p.add_required("--mode", choices=("e2e", "ae"))
+    p.add_required("--data", help="canonical gait CSV")
     p.add_argument("--augment", choices=("none", "rnd", "cshift"), default="none")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output model container")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_required("--out", help="output model container")
 
     p = add("extract", cmd_extract, "extract features into a CSV")
     p.add_argument("--model", help="encoder container (omit with --raw)")
-    p.add_argument("--data", required=True, help="canonical gait CSV")
-    p.add_argument("--out", required=True, help="output features CSV")
+    p.add_required("--data", help="canonical gait CSV")
+    p.add_required("--out", help="output features CSV")
     p.add_argument("--raw", action="store_true",
                    help="emit 384-d concatenated raw features instead")
 
     p = add("evaluate", cmd_evaluate, "run a verification protocol over features")
-    p.add_argument("--features", required=True, help="features CSV")
-    p.add_argument("--protocol", choices=("sd1", "sd2", "cd"), required=True)
+    p.add_required("--features", help="features CSV")
+    p.add_required("--protocol", choices=("sd1", "sd2", "cd"))
     p.add_argument("--window", type=_windows, default=[1],
                    help="aggregation window, e.g. 3 or 1..5 or 1,3,5")
     p.add_argument("--nu", type=float, default=DEFAULT_NU)
@@ -425,10 +418,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    help="feature-kind label for the report (default: inferred)")
     p.add_argument("--label-augment", default="none",
                    help="augmentation label for the report")
-    p.add_argument("--out", required=True, help="output per-user report CSV")
+    p.add_required("--out", help="output per-user report CSV")
 
     p = add("gradcheck", cmd_gradcheck, "finite-difference check of all backward passes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser, parsers
 
@@ -436,18 +429,21 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
-    required = {name: _defer_required(p) for name, p in parsers.items()}
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_help()
             return 1
+        command = parsers[args.command]
         if args.config:
-            command = parsers[args.command]
             command.set_defaults(**_config_defaults(parsers, args.command, args.config))
             args = parser.parse_args(argv)
             _convert_config_values(command, args)
-        _check_required(required[args.command], args)
+        missing = [flag for flag in command.required_flags
+                   if getattr(args, flag[2:].replace("-", "_")) is None]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)} "
+                              f"(as a flag or in --config)")
         _check_out_dir(args)
         return args.func(args, argv)
     except (_UsageError, InvalidInputError, FormatError, OSError) as exc:

@@ -17,11 +17,11 @@ CRs or blank lines) is read in chunks of ``CHUNK_BYTES``, each cut after
 a line end and parsed by one ``np.loadtxt`` call, so besides the arrays
 it returns the tokenizer holds a few chunks of text, not the file. Any
 other file (CRLF ends, quoted fields, blank lines, no final newline), or
-one with a float that ``np.loadtxt`` rejects, is read again whole by
-``csv.reader`` with Python's ``float`` and ``int``; the chunks parsed so
-far are dropped. Either way the first bad field count, key or float fails
-at ``path:line``, and a wrong header names the file alone. The nan/inf
-and increasing-timestamp checks then run once on the arrays, at the kept
+one with a wrong header, a bad key or a float ``np.loadtxt`` rejects, is
+read again whole by ``csv.reader`` with Python's ``float`` and ``int``,
+which alone raises: the first bad field count, key or float fails at
+``path:line``, and a wrong header names the file alone. The nan/inf and
+increasing-timestamp checks then run once on the arrays, at the kept
 line numbers.
 """
 
@@ -103,16 +103,16 @@ def _plain_rows(path, header_error, n_key: int, key):
     """(keys, values, lines) of a plain file read in chunks, or None if it is not plain.
 
     Plain: UTF-8, LF line ends including the last, no quotes, CRs or blank
-    lines, the header's field count on every line and floats that
-    ``np.loadtxt`` reads. Anything else returns None for ``_tokenize`` to
-    read the whole file with csv.reader. A wrong header or key fails at
-    its place, unless a later byte is not UTF-8: as in any file, that one
-    fails first.
+    lines, a good header, its field count on every line, keys that ``key``
+    reads and floats that ``np.loadtxt`` reads. This only parses or
+    defers: it raises nothing, and on anything else it returns None for
+    ``_tokenize`` to read the whole file with csv.reader, which locates
+    the error.
     """
     keys, blocks, width = [], [], None
     # a line that starts with the previous key's text has that key: runs of
     # rows share one key object and split no further
-    prefix, lineno = "\n", 1
+    prefix = "\n"
     with open(path, "rb") as fh:
         for data in _line_chunks(fh):
             try:
@@ -128,10 +128,8 @@ def _plain_rows(path, header_error, n_key: int, key):
             first = width is None
             if first:
                 header = lines[0].split(",")
-                error = header_error(header)
-                if error is not None:
-                    _read_text(path)  # a byte that is not UTF-8 fails first
-                    raise FormatError(f"{path}: {error}")
+                if header_error(header) is not None:
+                    return None
                 width = len(header)
             # the header's field count on every line: np.loadtxt rejects
             # short lines, and the comma count then rules out long ones
@@ -148,14 +146,12 @@ def _plain_rows(path, header_error, n_key: int, key):
             except ValueError:
                 return None  # a float only Python reads, or a bad one: csv.reader locates it
             for line in lines:
-                lineno += 1
                 if not line.startswith(prefix):
                     fields = line.split(",", n_key)
                     try:
                         row_key = key(fields)
-                    except ValueError as exc:
-                        _read_text(path)  # a byte that is not UTF-8 fails first
-                        raise FormatError(f"{path}:{lineno}: {exc}") from None
+                    except ValueError:
+                        return None
                     prefix = line[:len(line) - len(fields[-1])]
                 keys.append(row_key)
     if width is None:
@@ -170,8 +166,10 @@ def _tokenize(path, header_error, n_key: int, key):
     ``header_error(fields)`` is None for a good header and the reason for a
     bad one. Each data row gives ``key(fields)``, which reads the first
     ``n_key`` fields, a row of ``values`` (N, header fields - n_key) from
-    the float fields, and its line number; blank rows are skipped. Errors
-    are raised at ``path:line``, the first one in file order.
+    the float fields, and its line number; blank rows are skipped. A byte
+    that is not UTF-8 fails first, at its line, wherever it is in the
+    file; then a wrong header names the file, and the first bad field
+    count, key or float fails at ``path:line``.
     """
     plain = _plain_rows(path, header_error, n_key, key)
     if plain is not None:

@@ -53,8 +53,10 @@ class SyntheticConfig:
             raise InvalidInputError(f"num_subjects must be >= 1, got {self.num_subjects}")
         if self.recordings_per_subject_per_session < 1:
             raise InvalidInputError("recordings_per_subject_per_session must be >= 1")
-        if self.recording_seconds <= 0:
-            raise InvalidInputError(f"recording_seconds must be positive, got {self.recording_seconds}")
+        samples = self.recording_seconds * SAMPLE_HZ  # generate_synthetic rounds it
+        if not (np.isfinite(samples) and round(samples) >= 1):
+            raise InvalidInputError(f"recording_seconds must be finite and give at least one "
+                                    f"sample at {SAMPLE_HZ:g} Hz, got {self.recording_seconds}")
         if self.sessions not in (1, 2):
             raise InvalidInputError(f"sessions must be 1 or 2, got {self.sessions}")
         if not 0.0 <= self.cross_day_drift <= 1.0:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, byte-identical outputs, manifests, located errors."""
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import gaitverify
-from gaitverify import cli, models
+from gaitverify import cli, models, ocsvm
 from gaitverify.cli import main
 from gaitverify.data.container import ModelContainer, save_model
 
@@ -292,7 +293,7 @@ def test_explicit_flag_beats_config_in_every_spelling(features, tmp_path, flag):
     assert "cross_day" in summary and "same_day_s1" not in summary
 
 
-@pytest.mark.parametrize("key", ["protocl", "windw"])
+@pytest.mark.parametrize("key", ["protocl", "windw", "config", "help"])
 def test_unknown_config_key_exits_one_at_its_line(features, tmp_path, capsys, key):
     config = tmp_path / "c.cfg"
     config.write_text(f"{key} = sd1\n")
@@ -320,6 +321,83 @@ def test_repeated_config_key_exits_one_at_its_second_line(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {config}:3: 'seed' is already set at line 1\n"
     assert not out.exists()
+
+
+def test_config_keys_in_either_spelling_match_their_flags(features, tmp_path):
+    # dashes and underscores, a value holding '=' and a negative number
+    config = tmp_path / "c.cfg"
+
+    def run(argv, out):
+        """Bytes of the primary output and its summary, if any, and the config digest."""
+        assert main([*argv, "--out", str(out)]) == 0
+        summary = out.with_name(out.name + ".summary.txt")
+        return (out.read_bytes(), summary.exists() and summary.read_bytes(),
+                manifest(out)["config_digest"])
+
+    evaluate_argv = ["evaluate", "--features", str(features), "--protocol", "sd1"]
+    config.write_text("label_features = -1\nlabel-augment = a=b\n")
+    ours = run([*evaluate_argv, "--config", str(config)], tmp_path / "r.csv")
+    assert ours == run([*evaluate_argv, "--label-features", "-1", "--label-augment", "a=b"],
+                       tmp_path / "r.csv")
+    assert ours[1].decode().splitlines()[1].split()[:2] == ["-1", "a=b"]
+
+    train_argv = ["train", "--mode", "ae", "--epochs", "1",
+                  "--data", str(features.with_name("gait.csv"))]
+    config.write_text("batch-size = 8\n")
+    ours = run([*train_argv, "--config", str(config)], tmp_path / "m.gvf")
+    assert ours == run([*train_argv, "--batch-size", "8"], tmp_path / "m.gvf")
+    assert ours[0] != run(train_argv, tmp_path / "m.gvf")[0]
+
+
+def test_help_marks_options_required_as_a_flag_or_in_config(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    note = "required, as a flag or in --config"
+    for option in ("--features FEATURES features CSV;", "--protocol {sd1,sd2,cd}",
+                   "--out OUT output per-user report CSV;"):
+        assert f"{option} {note}" in text
+    assert text.count(note) == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--subjects", "2", "--seconds", "3", "--out", "OUT"],
+    ["train", "--mode", "ae", "--epochs", "1", "--data", "GAIT", "--out", "OUT"],
+    ["gradcheck"],
+], ids=["synth", "train", "gradcheck"])
+def test_negative_seed_exits_one_as_a_flag_and_in_config(features, tmp_path, capsys, command):
+    paths = {"GAIT": str(features.with_name("gait.csv")), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in command]
+    message = "argument --seed: expected a non-negative integer, got '-1'"
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    config = tmp_path / "c.cfg"
+    config.write_text("seed = -1\n")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:1: seed: {message}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0.001"])
+def test_synth_with_no_sample_per_recording_exits_one(tmp_path, capsys, seconds):
+    out = tmp_path / "gait.csv"
+    assert main(["synth", "--subjects", "2", "--seconds", seconds, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: recording_seconds must be finite and give at least one sample at 100 Hz, "
+        f"got {float(seconds)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solver_that_does_not_converge_exits_two(features, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gaitverify.evaluate.ocsvm.train_ocsvm",
+                        functools.partial(ocsvm.train_ocsvm, max_iter=1))
+    out = tmp_path / "report.csv"
+    assert evaluate(features, out, "1", "--protocol", "sd1") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: one-class SVM did not converge in 1 iterations")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gradcheck_passes(capsys):

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from gaitverify import ocsvm
-from gaitverify.errors import InvalidInputError
+from gaitverify.errors import ConvergenceError, InvalidInputError
 
 
 def dual_objective(x, alphas, gamma):
@@ -39,6 +39,12 @@ class TestTrainOcsvm:
             with pytest.raises(InvalidInputError,
                                match=re.escape(f"gamma must be positive and finite, got {gamma}")):
                 ocsvm.train_ocsvm(x, gamma=gamma)
+
+    def test_iteration_cap_raises_with_the_residual(self):
+        x = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as exc:
+            ocsvm.train_ocsvm(x, max_iter=1)
+        assert exc.value.residual > ocsvm.KKT_TOL
 
     def test_two_identical_points_capped_equal_shares(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
