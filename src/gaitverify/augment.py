@@ -2,9 +2,8 @@
 
 Augmentation operates on z-scored frames: the +/-0.2 noise range is only
 meaningful after normalization. The operations take whole (N, 128, 3)
-frame arrays, and augment_dataset doubles a ``Frames`` batch with one
-random draw for all of its frames. The random operations take an
-explicit RNG.
+frame arrays, and augment_dataset doubles such an array with one random
+draw for all of its frames. The random operations take an explicit RNG.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal import Frames
 
 AUGMENTATION_KINDS = ("none", "random_noise", "circular_shift")
 
@@ -53,7 +51,7 @@ def circular_shift(values: np.ndarray, k) -> np.ndarray:
     return np.take_along_axis(values, rows[:, :, None], axis=1)
 
 
-def augment_dataset(frames: Frames, kind: str, rng: np.random.Generator) -> Frames:
+def augment_dataset(values: np.ndarray, kind: str, rng: np.random.Generator) -> np.ndarray:
     """Double a dataset: the originals followed by one augmented copy of each.
 
     random_noise draws a fresh noise field per frame; circular_shift draws
@@ -64,9 +62,9 @@ def augment_dataset(frames: Frames, kind: str, rng: np.random.Generator) -> Fram
     if kind == "none":
         raise InvalidInputError("augment_dataset requires an actual augmentation kind")
     if kind == "random_noise":
-        augmented = add_uniform_noise(frames.values, rng)
+        augmented = add_uniform_noise(values, rng)
     else:
-        n = frames.values.shape[1]
+        n = values.shape[1]
         # uniform over {2, ..., n-1}
-        augmented = circular_shift(frames.values, rng.integers(2, n, size=len(frames)))
-    return Frames(np.concatenate([frames.values, augmented]), frames.sources * 2)
+        augmented = circular_shift(values, rng.integers(2, n, size=len(values)))
+    return np.concatenate([values, augmented])

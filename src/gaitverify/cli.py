@@ -31,14 +31,14 @@ from .data.canonical import (
     write_canonical_csv,
 )
 from .data.container import load_model, save_model
-from .data.synthetic import SyntheticConfig, generate_synthetic
+from .data.synthetic import SyntheticConfig, generate_synthetic, recording_seconds_fit
 from .errors import FormatError, GaitVerifyError, InvalidInputError
 from .evaluate import ProtocolSpec, format_summary, run_protocol, write_report_csv
 from .nn.gradcheck import gradient_check
 from .nn.training import TrainConfig, train
 from .ocsvm import DEFAULT_NU
 from .pipeline import load_normalized_frames
-from .signal import FRAME_LEN
+from .signal import FRAME_LEN, MAX_SAMPLES, SAMPLE_HZ
 
 GRADCHECK_TOLERANCE = 1e-4
 VAL_FRACTION = 0.4  # share of the frames train holds out for validation
@@ -173,14 +173,25 @@ def _check_out_dir(args: argparse.Namespace):
         raise _UsageError(f"{out}: directory {Path(out).parent} does not exist")
 
 
-def _seed(text: str) -> int:
-    """A seed for np.random.default_rng, which takes no negative integer."""
-    try:
-        if (seed := int(text)) >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _checked(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text, and accept only a value that is ``ok``."""
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+# np.random.default_rng takes no negative seed
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seconds = _checked(float, recording_seconds_fit,
+                    f"a duration of 1 to {MAX_SAMPLES} samples at {SAMPLE_HZ:g} Hz")
+_drift = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_nu = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _gamma(text: str):
@@ -195,8 +206,8 @@ def _gamma(text: str):
 def _windows(text: str) -> list[int]:
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            out = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in text.split("..", 1))
+            out = list(range(lo, hi + 1)) if 1 <= lo <= hi <= 5 else []
         else:
             out = [int(v) for v in text.split(",")]
     except ValueError:
@@ -240,18 +251,18 @@ def cmd_train(args, argv):
     perm = np.random.default_rng(args.seed).permutation(len(frames))
     n_train = len(frames) - int(round(len(frames) * VAL_FRACTION))
     train_idx, val_idx = perm[:n_train], perm[n_train:]
-    train_frames, val_frames = frames[train_idx], frames[val_idx]
+    train_values, val_values = frames.values[train_idx], frames.values[val_idx]
     if augment_kind != "none":
-        train_frames = augment_dataset(train_frames, augment_kind,
+        train_values = augment_dataset(train_values, augment_kind,
                                        np.random.default_rng(args.seed + 1))
         # augment_dataset keeps the originals first, then one copy of each
         train_idx = np.concatenate([train_idx, train_idx])
-    print(f"training frames: {len(train_frames)}"
+    print(f"training frames: {len(train_values)}"
           + (f" (augmented from {n_train})" if augment_kind != "none" else "")
-          + f", validation frames: {len(val_frames)}")
+          + f", validation frames: {len(val_values)}")
 
-    x_train = models.frames_to_array(train_frames)
-    x_val = models.frames_to_array(val_frames)
+    x_train = models.frames_to_array(train_values)
+    x_val = models.frames_to_array(val_values)
     data_digest = _sha256(args.data)
     meta = {"mode": args.mode, "augment": augment_kind, "seed": str(args.seed),
             "epochs": str(args.epochs),
@@ -302,7 +313,7 @@ def cmd_extract(args, argv):
         if not args.model:
             raise _UsageError("--model is required unless --raw is given")
         encoder = models.from_container(load_model(args.model))
-        vectors = encoder.transform(models.frames_to_array(frames))
+        vectors = encoder.transform(models.frames_to_array(frames.values))
         inputs.append(args.model)
     export_features_csv(args.out, frames.sources, vectors)
     print(f"wrote {args.out}: {vectors.shape[0]} vectors of dimension {vectors.shape[1]}")
@@ -381,12 +392,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic canonical-CSV dataset")
-    p.add_required("--subjects", type=int)
-    p.add_required("--seconds", type=float, help="seconds per recording")
+    p.add_required("--subjects", type=_count)
+    p.add_required("--seconds", type=_seconds, help="seconds per recording")
     p.add_argument("--sessions", type=int, choices=(1, 2), default=2)
-    p.add_argument("--recordings", type=int, default=1,
+    p.add_argument("--recordings", type=_count, default=1,
                    help="recordings per subject per session")
-    p.add_argument("--drift", type=float, default=0.0,
+    p.add_argument("--drift", type=_drift, default=0.0,
                    help="cross-day drift in [0,1]")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_required("--out")
@@ -395,8 +406,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_required("--mode", choices=("e2e", "ae"))
     p.add_required("--data", help="canonical gait CSV")
     p.add_argument("--augment", choices=("none", "rnd", "cshift"), default="none")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=_count, default=100)
+    p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_required("--out", help="output model container")
 
@@ -412,7 +423,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_required("--protocol", choices=("sd1", "sd2", "cd"))
     p.add_argument("--window", type=_windows, default=[1],
                    help="aggregation window, e.g. 3 or 1..5 or 1,3,5")
-    p.add_argument("--nu", type=float, default=DEFAULT_NU)
+    p.add_argument("--nu", type=_nu, default=DEFAULT_NU)
     p.add_argument("--gamma", type=_gamma, default="auto")
     p.add_argument("--label-features", default=None,
                    help="feature-kind label for the report (default: inferred)")
@@ -449,8 +460,8 @@ def main(argv=None) -> int:
     except (_UsageError, InvalidInputError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GaitVerifyError as exc:  # ConvergenceError among them
-        print(f"error: {exc}", file=sys.stderr)
+    except (GaitVerifyError, MemoryError) as exc:  # ConvergenceError among them
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -222,7 +222,7 @@ def load_canonical_csv(path) -> list[RawRecording]:
         rows = np.concatenate(parts)
         _check_finite(path, values, lines, rows)
         timestamps = values[rows, 0]
-        increasing = np.diff(timestamps) > 0
+        increasing = timestamps[1:] > timestamps[:-1]
         if not increasing.all():
             raise InvalidInputError(
                 f"{path}:{lines[rows[np.argmin(increasing) + 1]]}: non-monotonic "

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..signal import N_CHANNELS, RawRecording
+from ..signal import MAX_SAMPLES, N_CHANNELS, SAMPLE_HZ, RawRecording
 
-SAMPLE_HZ = 100.0
 FUNDAMENTAL_RANGE = (1.6, 2.4)
 # One (low, high) amplitude range per harmonic; fundamental dominates.
 HARMONIC_AMPLITUDE_RANGES = ((0.8, 1.2), (0.25, 0.6), (0.1, 0.35))
@@ -39,6 +38,11 @@ CYCLE_AMPLITUDE_JITTER = 0.3
 CYCLE_PHASE_JITTER = 0.7
 
 
+def recording_seconds_fit(seconds: float) -> bool:
+    """Whether a recording of ``seconds`` has 1 to MAX_SAMPLES samples, rounded, at SAMPLE_HZ."""
+    return 0.5 < seconds * SAMPLE_HZ < MAX_SAMPLES  # false for nan
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     num_subjects: int
@@ -53,10 +57,9 @@ class SyntheticConfig:
             raise InvalidInputError(f"num_subjects must be >= 1, got {self.num_subjects}")
         if self.recordings_per_subject_per_session < 1:
             raise InvalidInputError("recordings_per_subject_per_session must be >= 1")
-        samples = self.recording_seconds * SAMPLE_HZ  # generate_synthetic rounds it
-        if not (np.isfinite(samples) and round(samples) >= 1):
-            raise InvalidInputError(f"recording_seconds must be finite and give at least one "
-                                    f"sample at {SAMPLE_HZ:g} Hz, got {self.recording_seconds}")
+        if not recording_seconds_fit(self.recording_seconds):
+            raise InvalidInputError(f"recording_seconds must give 1 to {MAX_SAMPLES} samples "
+                                    f"at {SAMPLE_HZ:g} Hz, got {self.recording_seconds}")
         if self.sessions not in (1, 2):
             raise InvalidInputError(f"sessions must be 1 or 2, got {self.sessions}")
         if not 0.0 <= self.cross_day_drift <= 1.0:

@@ -42,7 +42,7 @@ from .nn.layers import (
     LatentBroadcast,
     Sequential,
 )
-from .signal import FRAME_LEN, N_CHANNELS, Frames
+from .signal import FRAME_LEN, N_CHANNELS
 
 DEFAULT_FILTERS = (128, 256, 128)
 DEFAULT_KERNELS = (8, 5, 3)
@@ -245,9 +245,9 @@ def _encoder(filters, kernels, arrays: dict[str, np.ndarray], batches_tracked: i
     return encoder
 
 
-def frames_to_array(frames: Frames, dtype=np.float32) -> np.ndarray:
-    """The (N, 128, 3) model input: the frame values cast to ``dtype``."""
-    return frames.values.astype(dtype)
+def frames_to_array(values: np.ndarray) -> np.ndarray:
+    """The model input: (N, 128, 3) frame values cast to float32."""
+    return values.astype(np.float32)
 
 
 def raw_features(values: np.ndarray) -> np.ndarray:

@@ -1,21 +1,18 @@
-"""Shared preprocessing: recordings -> one ``Frames`` batch, resampled, framed, z-scored.
+"""Shared preprocessing: recordings -> one z-scored ``Frames`` batch.
 
-Each recording is resampled to 100 Hz and framed on its own; all frames,
-in recording order, are then z-scored in one call.
+segment_frames resamples every recording to 100 Hz and cuts all of them
+into one batch, in recording order; zscore then normalizes it in one call.
 """
 
 from __future__ import annotations
 
 from .data.canonical import load_canonical_csv
 from .errors import InvalidInputError
-from .signal import Frames, RawRecording, resample_linear, segment_frames, zscore
-
-TARGET_HZ = 100.0
+from .signal import Frames, RawRecording, segment_frames, zscore
 
 
 def frames_from_recordings(recordings: list[RawRecording]) -> Frames:
-    return zscore(Frames.concat([segment_frames(resample_linear(rec, TARGET_HZ))
-                                 for rec in recordings]))
+    return zscore(segment_frames(recordings))
 
 
 def load_normalized_frames(path) -> Frames:

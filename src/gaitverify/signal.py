@@ -1,11 +1,11 @@
 """Raw recordings to normalized fixed-length frames.
 
-The pipeline order is resample_linear -> segment_frames -> zscore.
-Frames travel as one ``Frames`` batch: a (N, 128, 3) array plus a table
-of (subject, session, recording, frame_index) sources, one per row.
-segment_frames cuts one recording with a reshape and zscore normalizes a
-whole batch in one call. All functions are pure: they never mutate
-their inputs.
+The pipeline order is segment_frames -> zscore. segment_frames resamples
+each recording to SAMPLE_HZ (resample_linear) and cuts it with a
+reshape; all frames travel as one ``Frames`` batch: a (N, 128, 3) array
+plus a table of (subject, session, recording, frame_index) sources, one
+per row. zscore normalizes a whole batch in one call. All functions are
+pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,12 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+SAMPLE_HZ = 100.0  # every recording is resampled to this rate before framing
 FRAME_LEN = 128
 N_CHANNELS = 3
+# The most samples an (n, 3) float64 array can hold: numpy refuses an
+# array of more bytes than the largest np.intp.
+MAX_SAMPLES = np.iinfo(np.intp).max // (N_CHANNELS * 8)
 
 # Channel stdev below this is treated as a sensor dropout: the channel is
 # zeroed instead of dividing by ~0.
@@ -45,7 +49,7 @@ class RawRecording:
             )
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(xs))):
             raise InvalidInputError("recording contains non-finite values")
-        if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        if not np.all(ts[1:] > ts[:-1]):  # compared, not subtracted: a difference can overflow
             raise InvalidInputError(
                 f"timestamps must be strictly increasing (recording {self.recording_id!r})"
             )
@@ -84,59 +88,47 @@ class Frames:
     def __len__(self):
         return self.values.shape[0]
 
-    def __getitem__(self, rows) -> Frames:
-        """The frames at an index array, in its order."""
-        return Frames(self.values[rows], [self.sources[i] for i in rows])
 
-    @staticmethod
-    def concat(batches: list[Frames]) -> Frames:
-        if not batches:
-            return Frames(np.empty((0, FRAME_LEN, N_CHANNELS)), [])
-        return Frames(np.concatenate([b.values for b in batches]),
-                      [s for b in batches for s in b.sources])
+def resample_linear(rec: RawRecording) -> np.ndarray:
+    """The (n, 3) samples of a recording on a uniform SAMPLE_HZ grid, by linear interpolation.
 
-
-def resample_linear(rec: RawRecording, target_hz: float = 100.0) -> RawRecording:
-    """Resample a recording onto a uniform grid by linear interpolation.
-
-    The grid starts at the first timestamp and steps by 1/target_hz; the
-    output has floor((t_last - t_first) * target_hz) + 1 samples. Already
-    uniform input at target_hz is returned unchanged up to 1e-9.
+    The grid starts at the first timestamp and steps by 1/SAMPLE_HZ; the
+    output has floor((t_last - t_first) * SAMPLE_HZ) + 1 samples. Already
+    uniform input at SAMPLE_HZ is returned unchanged up to 1e-9.
     """
-    if target_hz <= 0:
-        raise InvalidInputError(f"target_hz must be positive, got {target_hz}")
     if len(rec) < 2:
         raise InvalidInputError(f"recording ({', '.join(rec.key)}) has {len(rec)} sample; "
                                 "resampling needs at least 2")
     t = rec.timestamps
+    seconds = float(t[-1]) - float(t[0])  # Python floats overflow to inf without a warning
     # The 1e-9 guard keeps n stable when (t_last - t_first) * hz lands a few
     # ulps below an integer, which is what makes resampling idempotent.
-    n_out = int(np.floor((t[-1] - t[0]) * target_hz + 1e-9)) + 1
-    grid = t[0] + np.arange(n_out, dtype=np.float64) / target_hz
+    span = seconds * SAMPLE_HZ + 1e-9
+    if not span < MAX_SAMPLES:
+        raise InvalidInputError(f"recording ({', '.join(rec.key)}) spans {seconds:g} s, "
+                                f"more samples at {SAMPLE_HZ:g} Hz than an array can hold")
+    n_out = int(np.floor(span)) + 1
+    grid = t[0] + np.arange(n_out, dtype=np.float64) / SAMPLE_HZ
     out = np.empty((n_out, N_CHANNELS), dtype=np.float64)
     for c in range(N_CHANNELS):
         out[:, c] = np.interp(grid, t, rec.samples[:, c])
-    return RawRecording(rec.subject_id, rec.session_id, rec.recording_id, grid, out)
+    return out
 
 
-def _check_uniform(rec: RawRecording, hz: float):
-    dt = np.diff(rec.timestamps)
-    if dt.size and np.max(np.abs(dt - 1.0 / hz)) > 1e-6:
-        raise InvalidInputError(
-            f"recording {rec.recording_id!r} is not uniformly sampled at {hz:g} Hz"
-        )
+def segment_frames(recordings: list[RawRecording]) -> Frames:
+    """Resample each recording and cut it into consecutive non-overlapping frames.
 
-
-def segment_frames(rec: RawRecording) -> Frames:
-    """Cut a uniform 100 Hz recording into consecutive non-overlapping frames.
-
-    The trailing remainder shorter than FRAME_LEN is discarded; a recording
-    shorter than one frame yields no frames.
+    The frames of all recordings form one batch, in recording order. Each
+    recording's trailing remainder shorter than FRAME_LEN is discarded; a
+    recording shorter than one frame yields no frames.
     """
-    _check_uniform(rec, 100.0)
-    n = len(rec) // FRAME_LEN
-    values = rec.samples[:n * FRAME_LEN].reshape(n, FRAME_LEN, N_CHANNELS).copy()
-    return Frames(values, [(*rec.key, i) for i in range(n)])
+    values, sources = [np.empty((0, FRAME_LEN, N_CHANNELS))], []
+    for rec in recordings:
+        samples = resample_linear(rec)
+        n = len(samples) // FRAME_LEN
+        values.append(samples[:n * FRAME_LEN].reshape(n, FRAME_LEN, N_CHANNELS))
+        sources += [(*rec.key, i) for i in range(n)]
+    return Frames(np.concatenate(values), sources)
 
 
 def zscore(frames: Frames) -> Frames:

@@ -4,7 +4,6 @@ import pytest
 
 from gaitverify.augment import add_uniform_noise, augment_dataset, circular_shift
 from gaitverify.errors import InvalidInputError
-from gaitverify.signal import Frames
 
 
 def random_frame(seed=0):
@@ -14,10 +13,6 @@ def random_frame(seed=0):
 
 def zero_frame():
     return np.zeros((1, 128, 3))
-
-
-def batch(values):
-    return Frames(values, [("s01", "1", "r1", i) for i in range(len(values))])
 
 
 def shift(values, k):
@@ -111,41 +106,40 @@ class TestCircularShift:
 
 class TestAugmentDataset:
     def test_doubles_and_keeps_originals_first(self):
-        frames = batch(np.concatenate([random_frame(i) for i in range(100)]))
-        out = augment_dataset(frames, "cshift", np.random.default_rng(0))
-        assert len(out) == 200
-        npt.assert_array_equal(out.values[:100], frames.values)
-        assert out.sources == frames.sources * 2
-        for orig, aug in zip(frames.values, out.values[100:]):
+        values = np.concatenate([random_frame(i) for i in range(100)])
+        out = augment_dataset(values, "cshift", np.random.default_rng(0))
+        assert out.shape == (200, 128, 3)
+        npt.assert_array_equal(out[:100], values)
+        for orig, aug in zip(values, out[100:]):
             assert np.any(aug != orig)
 
     def test_empty_input(self):
-        out = augment_dataset(batch(np.empty((0, 128, 3))), "rnd", np.random.default_rng(0))
-        assert len(out) == 0 and out.sources == []
+        out = augment_dataset(np.empty((0, 128, 3)), "rnd", np.random.default_rng(0))
+        assert out.shape == (0, 128, 3)
 
     def test_deterministic_under_seed(self):
-        frames = batch(np.concatenate([random_frame(i) for i in range(10)]))
-        a = augment_dataset(frames, "rnd", np.random.default_rng(5))
-        b = augment_dataset(frames, "rnd", np.random.default_rng(5))
-        npt.assert_array_equal(a.values, b.values)
+        values = np.concatenate([random_frame(i) for i in range(10)])
+        a = augment_dataset(values, "rnd", np.random.default_rng(5))
+        b = augment_dataset(values, "rnd", np.random.default_rng(5))
+        npt.assert_array_equal(a, b)
 
     def test_noise_kind_draws_fresh_field_per_frame(self):
-        frames = batch(np.concatenate([zero_frame(), zero_frame()]))
-        out = augment_dataset(frames, "random_noise", np.random.default_rng(9))
-        assert np.any(out.values[2] != out.values[3])
+        values = np.concatenate([zero_frame(), zero_frame()])
+        out = augment_dataset(values, "random_noise", np.random.default_rng(9))
+        assert np.any(out[2] != out[3])
 
     def test_kind_none_rejected(self):
         with pytest.raises(InvalidInputError):
-            augment_dataset(batch(random_frame()), "none", np.random.default_rng(0))
+            augment_dataset(random_frame(), "none", np.random.default_rng(0))
 
     def test_matches_frame_by_frame_draws(self):
         # one batched draw gives the same stream as one draw per frame
-        frames = batch(np.random.default_rng(11).standard_normal((7, 128, 3)))
+        values = np.random.default_rng(11).standard_normal((7, 128, 3))
         rng = np.random.default_rng(12)
-        shifted = [np.roll(v, -(int(rng.integers(2, 128)) - 1), axis=0) for v in frames.values]
-        out = augment_dataset(frames, "cshift", np.random.default_rng(12))
-        npt.assert_array_equal(out.values[7:], np.stack(shifted))
+        shifted = [np.roll(v, -(int(rng.integers(2, 128)) - 1), axis=0) for v in values]
+        out = augment_dataset(values, "cshift", np.random.default_rng(12))
+        npt.assert_array_equal(out[7:], np.stack(shifted))
         rng = np.random.default_rng(13)
-        noisy = [v + rng.uniform(-0.2, 0.2, size=(128, 3)) for v in frames.values]
-        out = augment_dataset(frames, "rnd", np.random.default_rng(13))
-        npt.assert_array_equal(out.values[7:], np.stack(noisy))
+        noisy = [v + rng.uniform(-0.2, 0.2, size=(128, 3)) for v in values]
+        out = augment_dataset(values, "rnd", np.random.default_rng(13))
+        npt.assert_array_equal(out[7:], np.stack(noisy))

@@ -17,6 +17,7 @@ import gaitverify
 from gaitverify import cli, models, ocsvm
 from gaitverify.cli import main
 from gaitverify.data.container import ModelContainer, save_model
+from gaitverify.signal import MAX_SAMPLES
 
 WINDOWS = range(1, 6)
 
@@ -384,9 +385,82 @@ def test_synth_with_no_sample_per_recording_exits_one(tmp_path, capsys, seconds)
     out = tmp_path / "gait.csv"
     assert main(["synth", "--subjects", "2", "--seconds", seconds, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: recording_seconds must be finite and give at least one sample at 100 Hz, "
-        f"got {float(seconds)}\n")
+        f"error: argument --seconds: expected a duration of 1 to {MAX_SAMPLES} samples "
+        f"at 100 Hz, got '{seconds}'\n")
     assert list(tmp_path.iterdir()) == []
+
+
+SYNTH = ["synth", "--subjects", "2", "--seconds", "3", "--out", "OUT"]
+TRAIN = ["train", "--mode", "ae", "--data", "GAIT", "--out", "OUT"]
+EVALUATE = ["evaluate", "--features", "FEATURES", "--protocol", "sd1", "--out", "OUT"]
+
+
+# 1e300 s is more samples than any array can hold: rejected before numpy is asked
+OUT_OF_RANGE = {
+    "--subjects": (SYNTH, "an integer >= 1", ["0"]),
+    "--recordings": (SYNTH, "an integer >= 1", ["0"]),
+    "--seconds": (SYNTH, f"a duration of 1 to {MAX_SAMPLES} samples at 100 Hz", ["1e300"]),
+    "--drift": (SYNTH, "a number in [0, 1]", ["1.5", "-0.1"]),
+    "--epochs": (TRAIN, "an integer >= 1", ["0"]),
+    "--batch-size": (TRAIN, "an integer >= 1", ["0"]),
+    "--nu": (EVALUATE, "a number in (0, 1]", ["0", "nan"]),
+}
+
+
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, value, id=f"{flag[2:]}={value}")
+    for flag, (_, _, values) in OUT_OF_RANGE.items() for value in values])
+def test_out_of_range_value_exits_one_naming_its_flag_or_config_line(
+        features, tmp_path, capsys, flag, value):
+    command, expected, _ = OUT_OF_RANGE[flag]
+    paths = {"GAIT": str(features.with_name("gait.csv")), "FEATURES": str(features),
+             "OUT": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in command]
+    if flag in argv:  # a required option: the config value must be the only one
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    message = f"argument {flag}: expected {expected}, got '{value}'"
+    assert main([*argv, flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{flag[2:]} = {value}\n")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:1: {flag[2:].replace('-', '_')}: {message}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_window_range_is_checked_before_it_is_built(features, tmp_path, capsys, monkeypatch):
+    built = []
+
+    def bounded_range(*args):
+        built.append(len(range(*args)))
+        assert built[-1] <= 5, "a window range was built before its bounds were checked"
+        return range(*args)
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    out = tmp_path / "r.csv"
+    assert evaluate(features, out, "1..1000000000000", "--protocol", "sd1") == 1
+    assert capsys.readouterr().err == "error: argument --window: windows must lie in 1..5\n"
+    assert built == [] and not out.exists()
+    assert evaluate(features, out, "2..3", "--protocol", "sd1") == 0
+    assert built == [2]
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 728. TiB for an array"),
+     "Unable to allocate 728. TiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_exits_two_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                     error, message):
+    def no_memory(rec):
+        raise error
+
+    monkeypatch.setattr("gaitverify.signal.resample_linear", no_memory)
+    data = canonical_csv(tmp_path / "gait.csv", recording_rows("r1", 200))
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_solver_that_does_not_converge_exits_two(features, tmp_path, capsys, monkeypatch):
@@ -531,6 +605,20 @@ def test_single_sample_recording_exits_one_naming_it(tmp_path, capsys):
     assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
     assert (f"error: {data}: recording (s01, 1, r2) has 1 sample; resampling needs "
             f"at least 2") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first, last, seconds", [(0.0, 1e300, "1e+300"),
+                                                   (-1e308, 1e308, "inf")])
+def test_recording_longer_than_any_array_exits_one_naming_it(tmp_path, capsys,
+                                                             first, last, seconds):
+    data = canonical_csv(tmp_path / "gait.csv", [("s01", "1", "r1", first, 1, 2, 3),
+                                                 ("s01", "1", "r1", last, 1, 2, 3)])
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--raw", "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: recording (s01, 1, r1) spans {seconds} s, more samples at 100 Hz "
+        "than an array can hold\n")
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from gaitverify.data.synthetic import (
     generate_synthetic,
 )
 from gaitverify.errors import FormatError, InvalidInputError
-from gaitverify.signal import RawRecording, segment_frames
+from gaitverify.signal import MAX_SAMPLES, RawRecording, segment_frames
 
 
 class TestCanonicalCsv:
@@ -109,7 +109,7 @@ class TestSyntheticGenerator:
         assert len(recs) == 10
         for rec in recs:
             assert len(rec) == 6000
-            assert len(segment_frames(rec)) == 46  # floor(6000/128)
+            assert len(segment_frames([rec])) == 46  # floor(6000/128)
 
     def test_subjects_separable_by_dominant_peak(self):
         config = SyntheticConfig(num_subjects=8, recording_seconds=40.0, sessions=1, seed=3)
@@ -137,6 +137,13 @@ class TestSyntheticGenerator:
             SyntheticConfig(num_subjects=1, recording_seconds=10.0, sessions=3)
         with pytest.raises(InvalidInputError):
             SyntheticConfig(num_subjects=1, recording_seconds=10.0, cross_day_drift=1.5)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.005, 1e300,
+                                         2 * MAX_SAMPLES / 100.0])
+    def test_recording_seconds_must_give_one_to_max_samples(self, seconds):
+        with pytest.raises(InvalidInputError, match="recording_seconds must give 1 to"):
+            SyntheticConfig(num_subjects=1, recording_seconds=seconds)
+        assert SyntheticConfig(num_subjects=1, recording_seconds=0.006).recording_seconds == 0.006
 
 
 class TestModelContainer:

@@ -12,12 +12,11 @@ from gaitverify.nn import ops
 from gaitverify.nn.layers import Conv1d, ConvBlock, Sequential
 from gaitverify.nn.optim import Adam
 from gaitverify.nn.training import TrainConfig, evaluate_loss, train
-from gaitverify.signal import Frames
 
 
 def random_frames(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return Frames(rng.standard_normal((n, 128, 3)), [("s01", "1", "r1", i) for i in range(n)])
+    """An (n, 128, 3) array of frame values."""
+    return np.random.default_rng(seed).standard_normal((n, 128, 3))
 
 
 def extract(encoder, frames, batch_size=256):
@@ -422,7 +421,7 @@ class TestExtractFeatures:
         encoder = models.strip_classifier(fcn)
         base = extract(encoder, frames)[0]
         shifted = encoder.transform(
-            circular_shift(frames.values, np.array([40])).astype(np.float32))[0]
+            circular_shift(frames, np.array([40])).astype(np.float32))[0]
         assert np.linalg.norm(base - shifted) > 0
 
 
@@ -550,7 +549,7 @@ class TestRawFeatures:
         npt.assert_array_equal(models.raw_features(values[None]), expected[None])
 
     def test_round_trip_reshape(self):
-        values = random_frames(5, seed=16).values
+        values = random_frames(5, seed=16)
         vecs = models.raw_features(values)
         assert vecs.shape == (5, 384)
         for vec, v in zip(vecs, values):

@@ -157,7 +157,7 @@ class TestLearnedVersusRawTrend:
         sources = frames.sources
         raw = models.raw_features(frames.values)
 
-        x = models.frames_to_array(frames)
+        x = models.frames_to_array(frames.values)
         labels = np.array([int(s[0][1:]) - 1 for s in sources])
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(frames))

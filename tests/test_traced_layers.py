@@ -1,5 +1,6 @@
 """The benchmark's layer tracer still sees every layer of a training step."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -36,3 +37,26 @@ def test_every_traced_layer_instance_gets_spans_inside_a_training_step():
         other = sum(1 for i, s in enumerate(recorder.spans) if s.tag == "nn.other"
                     and recorder.has_ancestor(i, "models.loss_and_backward"))
         assert other == 3 * len(model.blocks()) + 5, name
+
+
+def test_count_hooks_match_the_frames_framed_augmented_and_transformed(tmp_path, capsys):
+    from gaitverify.cli import main
+    from gaitverify.pipeline import load_normalized_frames
+
+    data, model, feats = tmp_path / "gait.csv", tmp_path / "m.gvf", tmp_path / "f.csv"
+    assert main(["synth", "--subjects", "3", "--seconds", "8", "--seed", "4",
+                 "--out", str(data)]) == 0
+    n_frames = len(load_normalized_frames(data))
+    capsys.readouterr()
+    recorder = spans.Recorder()
+    with spans.traced(recorder):
+        assert main(["train", "--mode", "e2e", "--augment", "cshift", "--epochs", "1",
+                     "--data", str(data), "--out", str(model)]) == 0
+        assert main(["extract", "--model", str(model), "--data", str(data),
+                     "--out", str(feats)]) == 0
+    trained, augmented_from = map(int, re.match(r"training frames: (\d+) \(augmented from (\d+)\)",
+                                                capsys.readouterr().out).groups())
+    n_vectors = feats.read_text().count("\n") - 1
+    assert recorder.counts["signal.frames.count"] == 2 * n_frames  # train, then extract
+    assert recorder.counts["augment.frames"] == trained - augmented_from == augmented_from
+    assert recorder.counts["models.transform.frames"] == n_vectors == n_frames
