@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -32,7 +33,7 @@ from .data.canonical import (
 )
 from .data.container import load_model, save_model
 from .data.synthetic import SyntheticConfig, generate_synthetic, recording_seconds_fit
-from .errors import FormatError, GaitVerifyError, InvalidInputError
+from .errors import FormatError, GaitVerifyError, InvalidInputError, InvalidStateError
 from .evaluate import ProtocolSpec, format_summary, run_protocol, write_report_csv
 from .nn.gradcheck import gradient_check
 from .nn.training import TrainConfig, train
@@ -193,14 +194,9 @@ _seconds = _checked(float, recording_seconds_fit,
 _drift = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _nu = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
-
-def _gamma(text: str):
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"gamma must be 'auto' or a number, got {text!r}")
+_gamma = _checked(lambda text: text if text == "auto" else float(text),
+                  lambda v: v == "auto" or 0.0 < v < math.inf,
+                  "'auto' or a positive finite number")
 
 
 def _windows(text: str) -> list[int]:
@@ -214,6 +210,8 @@ def _windows(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad window spec {text!r}")
     if not out or any(not 1 <= w <= 5 for w in out):
         raise argparse.ArgumentTypeError("windows must lie in 1..5")
+    if len(set(out)) < len(out):
+        raise argparse.ArgumentTypeError(f"expected distinct windows, got {text!r}")
     return out
 
 
@@ -286,7 +284,7 @@ def cmd_train(args, argv):
         model, history = train(model, (x_train, None), (x_val, None), config)
         encoder = model.get_encoder()
 
-    save_model(models.to_container(encoder, meta), args.out)
+    save_model(args.out, *models.to_container(encoder, meta))
     history_path = str(args.out) + ".history.csv"
     with open(history_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
@@ -312,8 +310,13 @@ def cmd_extract(args, argv):
     else:
         if not args.model:
             raise _UsageError("--model is required unless --raw is given")
-        encoder = models.from_container(load_model(args.model))
-        vectors = encoder.transform(models.frames_to_array(frames.values))
+        metadata, arrays = load_model(args.model)  # its errors name the file
+        try:
+            encoder = models.from_container(metadata, arrays)
+            # an encoder saved untrained has no statistics to transform with
+            vectors = encoder.transform(models.frames_to_array(frames.values))
+        except (FormatError, InvalidStateError) as exc:
+            raise FormatError(f"{args.model}: {exc}") from None
         inputs.append(args.model)
     export_features_csv(args.out, frames.sources, vectors)
     print(f"wrote {args.out}: {vectors.shape[0]} vectors of dimension {vectors.shape[1]}")

@@ -3,10 +3,10 @@
 The recording format has header ``subject,session,recording,t,ax,ay,az``
 with rows grouped by (subject, session, recording) and t in seconds,
 strictly increasing within a recording. The feature format has header
-``subject,session,recording,frame,f0..f{D-1}``, one row per vector.
-Floats are written with shortest-round-trip formatting, so
-load(write(x)) is lossless; a writer builds the text of a whole
-recording, or of a whole feature file, and writes it at once.
+``subject,session,recording,frame,f0..f{D-1}``, one row per vector and
+no key on two rows. Floats are written with shortest-round-trip
+formatting, so load(write(x)) is lossless; a writer builds the text of a
+whole recording, or of a whole feature file, and writes it at once.
 
 Files are UTF-8 whatever the locale; a loader given other bytes fails at
 ``path:line`` of the first byte that does not decode, and one that starts
@@ -266,8 +266,17 @@ def _feature_header_error(header) -> str | None:
 
 
 def load_features_csv(path):
-    """Returns (sources, vectors): source tuples and an (N, D) float array."""
+    """Returns (sources, vectors): source tuples and an (N, D) float array.
+
+    A row whose (subject, session, recording, frame) an earlier row has
+    fails at its line, after the nan/inf check.
+    """
     sources, vectors, lines = _tokenize(path, _feature_header_error, 4,
                                         lambda row: (row[0], row[1], row[2], int(row[3])))
     _check_finite(path, vectors, lines)
+    first = {}
+    for source, line in zip(sources, lines.tolist()):
+        if first.setdefault(source, line) != line:
+            raise FormatError(f"{path}:{line}: repeats the subject, session, recording "
+                              f"and frame of line {first[source]}")
     return sources, vectors

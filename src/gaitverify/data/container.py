@@ -1,4 +1,6 @@
-"""Portable binary container for model weights and solver state.
+"""Portable binary file of a saved model: a (metadata, arrays) pair, string -> string
+and name -> float32 array, both in order. ``save_model`` writes the pair and
+``load_model`` returns it; what it must hold is for models.from_container to check.
 
 Byte layout (all integers little-endian uint32, all payloads
 little-endian IEEE-754 single precision, row-major):
@@ -25,38 +27,6 @@ from ..errors import FormatError, InvalidInputError
 
 MAGIC = b"GVF1"
 VERSION = 1
-
-
-class ModelContainer:
-    def __init__(self, metadata: dict[str, str] | None = None):
-        self.metadata: dict[str, str] = dict(metadata or {})
-        self._entries: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, values: np.ndarray):
-        if name in self._entries:
-            raise InvalidInputError(f"duplicate entry name {name!r}")
-        arr = np.ascontiguousarray(values, dtype=np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError(f"entry {name!r} contains non-finite values")
-        self._entries[name] = arr
-
-    def get(self, name: str) -> np.ndarray:
-        if name not in self._entries:
-            raise KeyError(name)
-        return self._entries[name]
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelContainer):
-            return NotImplemented
-        if self.metadata != other.metadata or self.names() != other.names():
-            return False
-        return all(
-            a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in ((self._entries[n], other._entries[n]) for n in self._entries)
-        )
 
 
 def _pack_str(s: str) -> bytes:
@@ -90,26 +60,29 @@ class _Reader:
                 f"{self.path}: string at byte {start} is not valid UTF-8") from None
 
 
-def save_model(container: ModelContainer, path) -> None:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    parts.append(struct.pack("<I", len(container.metadata)))
-    for key, val in container.metadata.items():
-        parts.append(_pack_str(key))
-        parts.append(_pack_str(str(val)))
-    names = container.names()
-    parts.append(struct.pack("<I", len(names)))
-    for name in names:
-        arr = container.get(name)
-        parts.append(_pack_str(name))
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-    for name in names:
-        arr = container.get(name)
-        parts.append(arr.astype("<f4").tobytes())
+def save_model(path, metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
+    """Write the pair, each array cast to float32; one with nan or inf (after the cast too)
+    is an InvalidInputError naming it, and nothing is written."""
+    tensors = {}
+    for name, values in arrays.items():
+        with np.errstate(over="ignore"):  # a value past float32's range becomes inf
+            arr = np.asarray(values, dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise InvalidInputError(f"tensor {name!r} holds non-finite values")
+        tensors[name] = arr
+    parts = [MAGIC, struct.pack("<II", VERSION, len(metadata))]
+    for key, val in metadata.items():
+        parts += [_pack_str(key), _pack_str(str(val))]
+    parts.append(struct.pack("<I", len(tensors)))
+    for name, arr in tensors.items():
+        parts += [_pack_str(name), struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape)]
+    parts += [arr.tobytes() for arr in tensors.values()]
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_model(path) -> ModelContainer:
+def load_model(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """The (metadata, arrays) pair of a file; a departure from the layout, a repeated key or
+    name, or a nan or inf payload is a FormatError naming the file."""
     buf = Path(path).read_bytes()
     r = _Reader(buf, path)
     if r.take(4) != MAGIC:
@@ -118,26 +91,27 @@ def load_model(path) -> ModelContainer:
     if version != VERSION:
         raise FormatError(
             f"{path}: unsupported container version {version} (this build reads version {VERSION})")
-    container = ModelContainer()
+    metadata = {}
     for _ in range(r.u32()):
         key = r.string()
-        if key in container.metadata:
+        if key in metadata:
             raise FormatError(f"{path}: duplicate metadata key {key!r}")
-        container.metadata[key] = r.string()
+        metadata[key] = r.string()
     shapes = []
     for _ in range(r.u32()):
         name = r.string()
         ndim = r.u32()
         dims = tuple(r.u32() for _ in range(ndim))
         shapes.append((name, dims))
+    arrays = {}
     for name, dims in shapes:
         raw = r.take(4 * math.prod(dims))  # Python ints: huge dims cannot wrap
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-        if name in container._entries:
+        if name in arrays:
             raise FormatError(f"{path}: duplicate entry {name!r}")
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
-        container._entries[name] = arr
+        arrays[name] = arr
     if r.pos != len(buf):
         raise FormatError(f"{path}: {len(buf) - r.pos} trailing bytes")
-    return container
+    return metadata, arrays

@@ -18,20 +18,21 @@ nothing reads.
 
 A model's whole state is ``arrays()``: name -> live array, every
 parameter value and then every batch-norm running statistic. Training
-snapshots, their restore and the container format all read it, so it
-also fixes the container's tensor order. Only encoders are serialized:
-both training modes exist to produce one, and ``train`` ships only the
-encoder of the FCN or the autoencoder. Every ``Encoder`` handed out
-(``strip_classifier``, ``get_encoder``, ``from_container``) is built new
-from such arrays and a batch count, so it holds none of the caches or
-block arrays a training-mode forward leaves in the layers.
+snapshots, their restore and the saved file all read it, so it also fixes
+the file's tensor order. Only encoders are saved: both training modes
+exist to produce one, and ``train`` ships only the encoder of the FCN or
+the autoencoder. A saved encoder is a (metadata, arrays) pair:
+``to_container`` gives an encoder's, and ``from_container`` is the only
+place an ``Encoder`` is built from one. Every encoder handed out
+(``strip_classifier``, ``get_encoder``, and ``extract`` through a file)
+comes from it, so each holds copies of the arrays and none of the caches
+or block arrays a training-mode forward leaves in the layers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data.container import ModelContainer
 from .errors import FormatError, InvalidInputError, InvalidStateError
 from .nn import ops
 from .nn.layers import (
@@ -140,14 +141,6 @@ class Encoder(_Model):
     def _nets(self):
         return [self.net]
 
-    @property
-    def filters(self) -> tuple[int, ...]:
-        return tuple(block.conv.out_channels for block in self.blocks())
-
-    @property
-    def kernels(self) -> tuple[int, ...]:
-        return tuple(block.conv.kernel_size for block in self.blocks())
-
     def transform(self, x: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Inference-mode feature matrix (N, 128) for frames (N, 128, 3).
 
@@ -214,35 +207,7 @@ def strip_classifier(fcn: FCNClassifier) -> Encoder:
 
 def _detach(net: Sequential) -> Encoder:
     """A new encoder with copies of ``net``'s arrays and batch count, and none of its caches."""
-    live = Encoder(net)
-    return _encoder(live.filters, live.kernels, live.arrays(), live.batches_tracked)
-
-
-def _encoder(filters, kernels, arrays: dict[str, np.ndarray], batches_tracked: int) -> Encoder:
-    """A new encoder of this shape holding copies of ``arrays``, in their dtype.
-
-    ``arrays`` must hold exactly the encoder's arrays(), by name and shape;
-    a missing, extra or misshapen tensor (only a container can hold one)
-    raises FormatError naming it, and every one is checked before any is
-    written.
-    """
-    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels))
-    own = encoder.arrays()
-    for name, a in own.items():
-        if name not in arrays:
-            raise FormatError(f"container lacks tensor {name!r}")
-        if arrays[name].shape != a.shape:
-            raise FormatError(f"container tensor {name!r} has shape {arrays[name].shape}, "
-                              f"expected {a.shape}")
-    extra = [name for name in arrays if name not in own]
-    if extra:
-        raise FormatError(f"container tensor {extra[0]!r} is not part of a "
-                          f"{len(filters)}-block encoder")
-    dtype = arrays[next(iter(own))].dtype  # always float32 from a container
-    encoder.cast(dtype).load_snapshot(arrays)
-    for block in encoder.blocks():
-        block.bn.batches_tracked = batches_tracked
-    return encoder
+    return from_container(*to_container(Encoder(net)))
 
 
 def frames_to_array(values: np.ndarray) -> np.ndarray:
@@ -260,20 +225,19 @@ def raw_features(values: np.ndarray) -> np.ndarray:
 _ARCH_ENCODER = "fcn-encoder"
 
 
-def to_container(encoder: Encoder, extra_metadata: dict[str, str] | None = None) -> ModelContainer:
-    """The encoder's arrays(), in order, with its architecture as metadata."""
-    container = ModelContainer(metadata={
+def to_container(encoder: Encoder, extra_metadata: dict[str, str] | None = None):
+    """The encoder's (metadata, arrays) pair: its architecture, ``extra_metadata`` and
+    batch count, and its live arrays() in order."""
+    convs = [block.conv for block in encoder.blocks()]
+    metadata = {
         "arch": _ARCH_ENCODER,
-        "filters": ",".join(str(f) for f in encoder.filters),
-        "kernels": ",".join(str(k) for k in encoder.kernels),
-        "feature_dim": str(encoder.filters[-1]),
-    })
-    if extra_metadata:
-        container.metadata.update(extra_metadata)
-    for name, arr in encoder.arrays().items():
-        container.add(name, arr)
-    container.metadata["batches_tracked"] = str(encoder.batches_tracked)
-    return container
+        "filters": ",".join(str(conv.out_channels) for conv in convs),
+        "kernels": ",".join(str(conv.kernel_size) for conv in convs),
+        "feature_dim": str(convs[-1].out_channels),
+        **(extra_metadata or {}),
+        "batches_tracked": str(encoder.batches_tracked),
+    }
+    return metadata, encoder.arrays()
 
 
 def _ints(meta: dict[str, str], key: str, default: str | None = None) -> tuple[int, ...]:
@@ -287,24 +251,48 @@ def _ints(meta: dict[str, str], key: str, default: str | None = None) -> tuple[i
         raise FormatError(f"container metadata {key!r} is not integers: {text!r}") from None
 
 
-def from_container(container: ModelContainer) -> Encoder:
-    """Rebuild an encoder from a container produced by to_container.
+def _check_shapes(expected: dict[str, tuple[int, ...]], arrays: dict[str, np.ndarray]) -> None:
+    """FormatError naming the first ``expected`` tensor ``arrays`` lacks or shapes otherwise."""
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise FormatError(f"container lacks tensor {name!r}")
+        if arrays[name].shape != shape:
+            raise FormatError(f"container tensor {name!r} has shape {arrays[name].shape}, "
+                              f"expected {shape}")
 
-    Missing or malformed metadata, and a missing, extra or misshapen
-    tensor, raise FormatError naming the key or tensor. Every tensor is
-    checked against the encoder's arrays() before any is written.
+
+def from_container(metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> Encoder:
+    """A new encoder of the shape ``metadata`` names, holding copies of ``arrays`` in their dtype.
+
+    Missing or malformed metadata, and a missing, extra or misshapen tensor,
+    raise FormatError naming it. The convolution weights, the bulk of an
+    encoder, are checked before anything is built, so the metadata sizes
+    nothing bigger than ``arrays``; every tensor is checked before any is written.
     """
-    meta = container.metadata
-    if meta.get("arch") != _ARCH_ENCODER:
-        raise FormatError(f"container metadata 'arch' is {meta.get('arch')!r}, "
+    if metadata.get("arch") != _ARCH_ENCODER:
+        raise FormatError(f"container metadata 'arch' is {metadata.get('arch')!r}, "
                           f"expected {_ARCH_ENCODER!r}")
-    filters = _ints(meta, "filters")
-    kernels = _ints(meta, "kernels")
+    filters = _ints(metadata, "filters")
+    kernels = _ints(metadata, "kernels")
     if len(filters) != len(kernels) or min(filters + kernels) < 1:
-        raise FormatError(f"container metadata 'filters' {meta['filters']!r} and 'kernels' "
-                          f"{meta['kernels']!r} must be equally many positive integers")
-    if _ints(meta, "feature_dim") != filters[-1:]:
-        raise FormatError(f"container metadata 'feature_dim' {meta['feature_dim']!r} "
+        raise FormatError(f"container metadata 'filters' {metadata['filters']!r} and 'kernels' "
+                          f"{metadata['kernels']!r} must be equally many positive integers")
+    if _ints(metadata, "feature_dim") != filters[-1:]:
+        raise FormatError(f"container metadata 'feature_dim' {metadata['feature_dim']!r} "
                           f"is not the last filter count {filters[-1]}")
-    return _encoder(filters, kernels, {name: container.get(name) for name in container.names()},
-                    _ints(meta, "batches_tracked", "0")[0])
+    # the convolutions of _encoder_net, by its block names
+    _check_shapes({f"block{i}.conv.w": (k, c, f) for i, (f, k, c)
+                   in enumerate(zip(filters, kernels, (N_CHANNELS, *filters[:-1])), start=1)},
+                  arrays)
+    encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels))
+    own = encoder.arrays()
+    _check_shapes({name: a.shape for name, a in own.items()}, arrays)
+    extra = [name for name in arrays if name not in own]
+    if extra:
+        raise FormatError(f"container tensor {extra[0]!r} is not part of a "
+                          f"{len(filters)}-block encoder")
+    encoder.cast(arrays[next(iter(own))].dtype).load_snapshot(arrays)
+    batches_tracked = _ints(metadata, "batches_tracked", "0")[0]
+    for block in encoder.blocks():
+        block.bn.batches_tracked = batches_tracked
+    return encoder

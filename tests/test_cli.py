@@ -2,6 +2,8 @@
 
 import csv
 import functools
+import random
+import struct
 import hashlib
 import json
 import os
@@ -16,7 +18,7 @@ import pytest
 import gaitverify
 from gaitverify import cli, models, ocsvm
 from gaitverify.cli import main
-from gaitverify.data.container import ModelContainer, save_model
+from gaitverify.data.container import load_model, save_model
 from gaitverify.signal import MAX_SAMPLES
 
 WINDOWS = range(1, 6)
@@ -88,7 +90,8 @@ def test_report_quotes_a_user_id_with_a_comma(tmp_path):
 def test_duplicate_windows_exit_one(features, tmp_path, capsys):
     out = tmp_path / "dup.csv"
     assert evaluate(features, out, "1,1", "--protocol", "sd1") == 1
-    assert "duplicate aggregation window" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: argument --window: expected distinct windows, got '1,1'\n")
     assert not out.exists()
 
 
@@ -121,7 +124,7 @@ def test_explicit_flag_beats_config(features, tmp_path):
 def test_extract_with_invalid_utf8_container_exits_one(features, tmp_path, capsys):
     encoder = models.strip_classifier(models.FCNClassifier(3, seed=0))
     path = tmp_path / "bad.gvf"
-    save_model(models.to_container(encoder), path)
+    save_model(path, *models.to_container(encoder))
     raw = path.read_bytes()
     path.write_bytes(raw[:16] + b"\xff" + raw[17:])
     data = features.with_name("gait.csv")
@@ -131,14 +134,15 @@ def test_extract_with_invalid_utf8_container_exits_one(features, tmp_path, capsy
 
 
 def test_extract_with_container_missing_filters_exits_one(features, tmp_path, capsys):
-    container = models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=0)))
-    del container.metadata["filters"]
+    metadata, arrays = models.to_container(
+        models.strip_classifier(models.FCNClassifier(3, seed=0)))
+    del metadata["filters"]
     path = tmp_path / "nofilters.gvf"
-    save_model(container, path)
+    save_model(path, metadata, arrays)
     data = features.with_name("gait.csv")
     assert main(["extract", "--model", str(path), "--data", str(data),
                  "--out", str(tmp_path / "f.csv")]) == 1
-    assert "error: container metadata lacks 'filters'" in capsys.readouterr().err
+    assert f"error: {path}: container metadata lacks 'filters'" in capsys.readouterr().err
 
 
 def three_block_container():
@@ -148,14 +152,9 @@ def three_block_container():
 
 
 def modified(container, tensors=(), **metadata):
-    """A copy of ``container`` with tensors replaced or added, and metadata changed."""
-    tensors = dict(tensors)
-    out = ModelContainer({**container.metadata, **metadata})
-    for name in container.names():
-        out.add(name, tensors.pop(name, container.get(name)))
-    for name, values in tensors.items():
-        out.add(name, values)
-    return out
+    """A copy of the (metadata, arrays) ``container`` with tensors replaced or added,
+    and metadata changed."""
+    return {**container[0], **metadata}, {**container[1], **dict(tensors)}
 
 
 @pytest.mark.parametrize("tensors, metadata, message", [
@@ -177,24 +176,37 @@ def modified(container, tensors=(), **metadata):
                              "must be equally many positive integers"),
     ({}, {"filters": "128,0,128"}, "container metadata 'filters' '128,0,128' and 'kernels' "
                                    "'8,5,3' must be equally many positive integers"),
+    ({}, {"batches_tracked": "0"}, "encoder has no finalized running statistics; train it first"),
 ], ids=["gamma-shape", "running-mean-shape", "conv-shape", "extra-tensor", "dropped-block",
-        "feature-dim", "arch", "kernel-count", "zero-filters"])
+        "feature-dim", "arch", "kernel-count", "zero-filters", "untrained"])
 def test_extract_with_malformed_container_exits_one_naming_it(features, tmp_path, capsys,
                                                              tensors, metadata, message):
     path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
-    save_model(modified(three_block_container(), tensors, **metadata), path)
+    save_model(path, *modified(three_block_container(), tensors, **metadata))
     assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {path}: {message}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
+
+
+def test_extract_with_huge_filter_count_exits_one_before_allocating(features, tmp_path, capsys):
+    # a 175 TiB first convolution: one that were built would be a MemoryError, exit 2
+    path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
+    save_model(path, *modified(three_block_container(), filters="1000000000000,256,128"))
+    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: container tensor 'block1.conv.w' has shape (8, 3, 128), "
+        f"expected (8, 3, 1000000000000)\n")
+    assert not out.exists()
 
 
 def corrupted_container(tmp_path, edit):
     """Path of a saved three-block container whose bytes ``edit`` has rewritten."""
     path = tmp_path / "bad.gvf"
-    save_model(three_block_container(), path)
+    save_model(path, *three_block_container())
     path.write_bytes(edit(path.read_bytes()))
     return path
 
@@ -245,7 +257,8 @@ def test_non_finite_gamma_exits_one(features, tmp_path, capsys, gamma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluate(features, out, "1", "--protocol", "sd1", "--gamma", gamma) == 1
-    assert capsys.readouterr().err == f"error: gamma must be positive and finite, got {gamma}\n"
+    assert capsys.readouterr().err == (
+        f"error: argument --gamma: expected 'auto' or a positive finite number, got '{gamma}'\n")
     assert not out.exists()
 
 
@@ -404,6 +417,8 @@ OUT_OF_RANGE = {
     "--epochs": (TRAIN, "an integer >= 1", ["0"]),
     "--batch-size": (TRAIN, "an integer >= 1", ["0"]),
     "--nu": (EVALUATE, "a number in (0, 1]", ["0", "nan"]),
+    "--gamma": (EVALUATE, "'auto' or a positive finite number", ["-1", "0", "nan", "1e400"]),
+    "--window": (EVALUATE, "distinct windows", ["1,1", "2,3,2"]),
 }
 
 
@@ -637,10 +652,21 @@ def test_non_finite_feature_value_exits_one_at_its_line(features, tmp_path, caps
     assert not out.exists()
 
 
+def test_repeated_feature_row_exits_one_at_its_line(features, tmp_path, capsys):
+    lines = features.read_text().splitlines(keepends=True)
+    bad = tmp_path / "features.csv"
+    bad.write_text("".join(lines + lines[1:2]))
+    out = tmp_path / "report.csv"
+    assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}:{len(lines) + 1}: repeats the subject, session, recording and frame "
+        f"of line 2\n")
+    assert not out.exists()
+
+
 def test_extract_with_truncated_container_exits_one(features, tmp_path, capsys):
     path = tmp_path / "trunc.gvf"
-    save_model(models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=0))),
-               path)
+    save_model(path, *models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=0))))
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2])
     out = tmp_path / "f.csv"
@@ -770,3 +796,97 @@ def test_feature_csv_with_a_byte_order_mark_exits_one_naming_it(features, tmp_pa
     assert evaluate(bad, out, "1", "--protocol", "sd1") == 1
     assert capsys.readouterr().err == f"error: {bad}:1: starts with a UTF-8 byte-order mark\n"
     assert list(tmp_path.iterdir()) == [bad]
+
+
+# --- container mutation guard ---------------------------------------------
+# Seeded mutants of a small saved encoder, each run through extract: the
+# reader and from_container must answer every one with exit 0 or a located
+# exit 1, never a traceback, exit 2 or an allocation the metadata sized.
+# Values are set only at limits that no machine could allocate, never in a
+# band a machine could (about 1e4 to 1e9), so no mutant allocates much
+# whatever the code under test does.
+
+U32_LIMITS = (2**31 - 1, 2**32 - 1)
+METADATA_LIMITS = ("2147483647", "4294967295", "9223372036854775807", "1e300")
+
+
+def container_fields(raw):
+    """(offsets of every u32 count, length and dim, offset of the first payload byte)."""
+    def u32(at):
+        return struct.unpack_from("<I", raw, at)[0]
+
+    fields, pos = [8], 12
+    for _ in range(2 * u32(8)):  # metadata keys and values
+        fields.append(pos)
+        pos += 4 + u32(pos)
+    fields.append(pos)
+    n_entries, pos = u32(pos), pos + 4
+    for _ in range(n_entries):
+        fields.append(pos)
+        pos += 4 + u32(pos)
+        ndim = u32(pos)
+        fields += range(pos, pos + 4 * (ndim + 1), 4)
+        pos += 4 * (ndim + 1)
+    return fields, pos
+
+
+def byte_mutants(raw, seed, count):
+    """Deletions anywhere; random bytes and spliced runs in the header the reader parses.
+
+    The payloads are floats the reader checks only for nan and inf, so
+    random bytes there test the arithmetic of extract, not the reader.
+    """
+    rng = random.Random(seed)
+    header = container_fields(raw)[1]
+    for _ in range(count):
+        kind, data = rng.choice(["delete", "bytes", "splice"]), bytearray(raw)
+        at = rng.randrange(header)
+        if kind == "delete":
+            at = rng.randrange(len(data))
+            del data[at:at + rng.randint(1, 8)]
+        elif kind == "bytes":
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(header)] = rng.randrange(256)
+        else:
+            run = bytes(data[at:at + rng.randint(1, 16)])
+            to = rng.randrange(header)
+            data[to:to + (len(run) if rng.random() < 0.5 else 0)] = run
+        yield f"{kind}@{at}", bytes(data)
+
+
+def size_mutants(path, raw):
+    """Each count, length and dim, and each filters/kernels value, set to a limit."""
+    for at in container_fields(raw)[0]:
+        for value in U32_LIMITS:
+            yield f"u32@{at}={value}", raw[:at] + struct.pack("<I", value) + raw[at + 4:]
+    metadata, arrays = load_model(path)
+    for key in ("filters", "kernels"):
+        values = metadata[key].split(",")
+        for i in range(len(values)):
+            for limit in METADATA_LIMITS:
+                changed = ",".join(values[:i] + [limit] + values[i + 1:])
+                save_model(path, {**metadata, key: changed}, arrays)
+                yield f"{key}={changed}", path.read_bytes()
+    path.write_bytes(raw)
+
+
+def test_container_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys):
+    data, path, out = tmp_path / "gait.csv", tmp_path / "m.gvf", tmp_path / "f.csv"
+    assert main(["synth", "--subjects", "1", "--seconds", "1.28", "--sessions", "1",
+                 "--out", str(data)]) == 0
+    fcn = models.FCNClassifier(3, seed=0, filters=(4, 8, 4), kernels=(3, 3, 3))
+    fcn.body.forward(np.random.default_rng(0).standard_normal((4, 128, 3)), train=True)
+    save_model(path, *models.to_container(models.strip_classifier(fcn)))
+    raw = path.read_bytes()
+    mutants = [*byte_mutants(raw, 0, 150), *byte_mutants(raw, 1, 150), *size_mutants(path, raw)]
+    assert len(mutants) > 300
+    capsys.readouterr()
+    codes = []
+    for name, mutant in mutants:
+        path.write_bytes(mutant)
+        codes.append(main(["extract", "--model", str(path), "--data", str(data),
+                           "--out", str(out)]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1), (name, err)
+        assert codes[-1] == 0 or err.startswith(f"error: {path}: "), (name, err)
+    assert codes.count(1) > len(mutants) // 2, codes.count(1)

@@ -15,7 +15,7 @@ from gaitverify.data.canonical import (
     load_features_csv,
     write_canonical_csv,
 )
-from gaitverify.data.container import MAGIC, ModelContainer, load_model, save_model
+from gaitverify.data.container import MAGIC, load_model, save_model
 from gaitverify.data.synthetic import (
     SyntheticConfig,
     _draw_subject,
@@ -148,21 +148,38 @@ class TestSyntheticGenerator:
 
 class TestModelContainer:
     def test_empty_round_trip(self, tmp_path):
-        c = ModelContainer(metadata={"arch": "test"})
         path = tmp_path / "empty.gvf"
-        save_model(c, path)
-        assert load_model(path) == c
+        save_model(path, {"arch": "test"}, {})
+        assert load_model(path) == ({"arch": "test"}, {})
 
     def test_tensor_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        c = ModelContainer(metadata={"arch": "x", "note": "abc"})
-        c.add("w", rng.standard_normal((4, 5, 6)).astype(np.float32))
-        c.add("b", rng.standard_normal(7).astype(np.float32))
+        metadata = {"arch": "x", "note": "abc"}
+        arrays = {"w": rng.standard_normal((4, 5, 6)).astype(np.float32),
+                  "b": rng.standard_normal(7).astype(np.float32)}
         path = tmp_path / "t.gvf"
-        save_model(c, path)
-        loaded = load_model(path)
-        assert loaded == c
-        assert loaded.get("w").tobytes() == c.get("w").tobytes()
+        save_model(path, metadata, arrays)
+        loaded_metadata, loaded = load_model(path)
+        assert loaded_metadata == metadata
+        assert list(loaded) == list(arrays)
+        for name, a in arrays.items():
+            assert loaded[name].dtype == np.float32 and loaded[name].shape == a.shape
+            assert loaded[name].tobytes() == a.tobytes()
+
+    def test_arrays_are_saved_as_float32(self, tmp_path):
+        values = np.random.default_rng(2).standard_normal((3, 4))
+        one, other = tmp_path / "f64.gvf", tmp_path / "f32.gvf"
+        save_model(one, {}, {"w": values, "s": 2.5})
+        save_model(other, {}, {"w": values.astype(np.float32), "s": np.float32(2.5)})
+        assert one.read_bytes() == other.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300])
+    def test_non_finite_array_is_rejected_writing_nothing(self, tmp_path, value):
+        path = tmp_path / "bad.gvf"
+        arrays = {"w": np.ones(2), "b": np.array([0.0, value])}
+        with pytest.raises(InvalidInputError, match="tensor 'b' holds non-finite values"):
+            save_model(path, {}, arrays)
+        assert not path.exists()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.gvf"
@@ -177,19 +194,15 @@ class TestModelContainer:
             load_model(path)
 
     def test_truncated_payload(self, tmp_path):
-        c = ModelContainer()
-        c.add("w", np.ones((8, 8), dtype=np.float32))
         path = tmp_path / "trunc.gvf"
-        save_model(c, path)
+        save_model(path, {}, {"w": np.ones((8, 8), dtype=np.float32)})
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="trunc.gvf: container truncated"):
             load_model(path)
 
     def test_dims_whose_product_wraps_in_int64_are_truncated(self, tmp_path):
-        c = ModelContainer()
-        c.add("w", np.ones((1, 1, 4), dtype=np.float32))
         path = tmp_path / "wrap.gvf"
-        save_model(c, path)
+        save_model(path, {}, {"w": np.ones((1, 1, 4), dtype=np.float32)})
         raw = path.read_bytes()
         # magic, version, n_meta=0, n_entries, name_len, "w", ndim, then the dims at byte 25;
         # 2**31 * 2**31 * 4 is 0 in int64 arithmetic
@@ -199,18 +212,19 @@ class TestModelContainer:
 
     def test_invalid_utf8_metadata_key(self, tmp_path):
         path = tmp_path / "key.gvf"
-        save_model(ModelContainer(metadata={"arch": "x"}), path)
+        save_model(path, {"arch": "x"}, {})
         raw = path.read_bytes()
         # magic, version, n_meta, key_len, then the key "arch" at byte 16
         path.write_bytes(raw[:16] + b"\xff\xfe" + raw[18:])
         with pytest.raises(FormatError, match="key.gvf: string at byte 12 is not valid UTF-8"):
             load_model(path)
 
-    def test_duplicate_name_rejected(self):
-        c = ModelContainer()
-        c.add("w", np.ones(2, dtype=np.float32))
-        with pytest.raises(InvalidInputError):
-            c.add("w", np.ones(2, dtype=np.float32))
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.gvf"
+        save_model(path, {}, {"w": np.ones(2), "v": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00\x00\x00v", b"\x01\x00\x00\x00w"))
+        with pytest.raises(FormatError, match="dup.gvf: duplicate entry 'w'"):
+            load_model(path)
 
 
 class TestFeaturesCsv:
@@ -321,6 +335,7 @@ def oracle_load_features(path):
                 or any(h != f"f{i}" for i, h in enumerate(header[4:]))):
             raise FormatError(f"{path}: not a feature CSV")
         dim = len(header) - 4
+        first_line = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -331,9 +346,15 @@ def oracle_load_features(path):
                 rows.append([float(v) for v in row[4:]])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            first_line.setdefault(sources[-1], []).append(lineno)
     vectors = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
     if not np.isfinite(vectors).all():
         raise FormatError(f"{path}:{_first_non_finite_line(path, 4)}: non-finite value")
+    repeats = [lines for lines in first_line.values() if len(lines) > 1]
+    if repeats:
+        first, second = min(repeats, key=lambda lines: lines[1])[:2]
+        raise FormatError(f"{path}:{second}: repeats the subject, session, recording "
+                          f"and frame of line {first}")
     return sources, vectors
 
 
@@ -420,6 +441,15 @@ FEATURE_CASES = {
     "header_only": FEATURE_HEADER,
     "wrong_header": "subject,session,recording,frame,f1,f2\n" + rows_text(GOOD_FEATURES),
     "key_only_header": "subject,session,recording,frame\ns01,1,r1,0\n",
+    "repeated_row": FEATURE_HEADER + rows_text(GOOD_FEATURES + GOOD_FEATURES[1:2]),
+    "repeated_adjacent_row": FEATURE_HEADER + rows_text(GOOD_FEATURES[:1] + GOOD_FEATURES),
+    "repeated_key_other_values": FEATURE_HEADER + rows_text(
+        GOOD_FEATURES + ["s02,2,r1,1,0,0,0", "s01,1,r1,1,9,9,9", "s02,2,r1,0,9,9,9"]),
+    "repeated_quoted_key": FEATURE_HEADER + rows_text(GOOD_FEATURES + ['"s01","1",r1,"0",1,1,1']),
+    "repeated_python_int_frame": FEATURE_HEADER + rows_text(
+        GOOD_FEATURES + ["s02,2,r1, +0 ,1,1,1"]),
+    "repeated_row_before_non_finite": FEATURE_HEADER + rows_text(
+        GOOD_FEATURES + GOOD_FEATURES[:1] + ["s03,1,r1,0,nan,1,1"]),
     "empty_file": "",
 }
 
@@ -435,7 +465,8 @@ def mutate(rng, text, n_key):
     header, *rows = [line.split(",") for line in text.splitlines()]
     end, blank_at, final_newline = "\n", None, True
     for kind in rng.choice(["crlf", "quote_key", "blank_line", "no_final_newline",
-                            "corrupt_float", "corrupt_frame", "non_finite", "swap_t"],
+                            "corrupt_float", "corrupt_frame", "non_finite", "swap_t",
+                            "repeat_row"],
                            size=rng.integers(1, 4)):
         row = rows[rng.integers(len(rows))]
         if kind == "crlf":
@@ -456,6 +487,8 @@ def mutate(rng, text, n_key):
         elif kind == "swap_t":
             other = rows[rng.integers(len(rows))]
             row[n_key], other[n_key] = other[n_key], row[n_key]
+        elif kind == "repeat_row":
+            rows.insert(rng.integers(len(rows) + 1), list(row))
     lines = [",".join(fields) for fields in [header] + rows]
     if blank_at is not None:
         lines.insert(blank_at + 1, "")

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from gaitverify import models
-from gaitverify.data.container import ModelContainer, load_model, save_model
+from gaitverify.data.container import load_model, save_model
 from gaitverify.errors import FormatError, InvalidInputError, InvalidStateError
 from gaitverify.nn import ops
 from gaitverify.nn.layers import Conv1d, ConvBlock, Sequential
@@ -346,8 +346,8 @@ class TestStripClassifier:
         fit_batchnorm(fcn, x)
         encoder = models.strip_classifier(fcn)
         path = tmp_path / "encoder.gvf"
-        save_model(models.to_container(encoder), path)
-        reloaded = models.from_container(load_model(path))
+        save_model(path, *models.to_container(encoder))
+        reloaded = models.from_container(*load_model(path))
         npt.assert_array_equal(reloaded.transform(x), encoder.transform(x))
 
     def test_stripping_is_a_copy(self):
@@ -375,8 +375,8 @@ class TestStripClassifier:
             assert all(block._buffer is None for block in encoder.blocks()), net.name
             assert not cached(encoder), net.name  # nor does pooling keep anything
             paths = tmp_path / f"{net.name}.gvf", tmp_path / f"{net.name}.deep.gvf"
-            save_model(models.to_container(encoder), paths[0])
-            save_model(models.to_container(deep), paths[1])
+            save_model(paths[0], *models.to_container(encoder))
+            save_model(paths[1], *models.to_container(deep))
             assert paths[0].read_bytes() == paths[1].read_bytes(), net.name
 
 
@@ -566,40 +566,57 @@ class TestContainerRoundTrip:
 
     def test_reload_and_resave_is_byte_identical(self, tmp_path):
         path, again = tmp_path / "encoder.gvf", tmp_path / "again.gvf"
-        save_model(models.to_container(self.encoder(17)), path)
-        save_model(models.to_container(models.from_container(load_model(path))), again)
+        save_model(path, *models.to_container(self.encoder(17)))
+        save_model(again, *models.to_container(models.from_container(*load_model(path))))
         assert again.read_bytes() == path.read_bytes()
 
     def test_arrays_fix_the_tensor_order(self):
         encoder = self.encoder(18)
-        container = models.to_container(encoder, {"mode": "e2e"})
+        metadata, arrays = models.to_container(encoder, {"mode": "e2e"})
         names = [p.name for p in encoder.parameters()]
         names += [f"block{i}.bn.{s}" for i in (1, 2, 3) for s in ("running_mean", "running_var")]
-        assert container.names() == list(encoder.arrays()) == names
-        assert list(container.metadata) == ["arch", "filters", "kernels", "feature_dim",
-                                            "mode", "batches_tracked"]
+        assert list(arrays) == list(encoder.arrays()) == names
+        assert list(metadata) == ["arch", "filters", "kernels", "feature_dim",
+                                  "mode", "batches_tracked"]
+        assert [metadata[k] for k in ("filters", "kernels", "feature_dim")] == [
+            "128,256,128", "8,5,3", "128"]
 
     def test_missing_metadata_is_a_format_error(self):
         encoder = models.strip_classifier(models.FCNClassifier(3, seed=19))
         for key in ("filters", "kernels"):
-            container = models.to_container(encoder)
-            del container.metadata[key]
+            metadata, arrays = models.to_container(encoder)
+            del metadata[key]
             with pytest.raises(FormatError, match=f"lacks '{key}'"):
-                models.from_container(container)
+                models.from_container(metadata, arrays)
 
     def test_malformed_metadata_is_a_format_error(self):
-        container = models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=20)))
-        container.metadata["filters"] = "128,256,many"
+        encoder = models.strip_classifier(models.FCNClassifier(3, seed=20))
+        metadata, arrays = models.to_container(encoder)
+        metadata["filters"] = "128,256,many"
         with pytest.raises(FormatError, match="'filters' is not integers"):
-            models.from_container(container)
+            models.from_container(metadata, arrays)
 
     def test_missing_tensor_is_a_format_error(self):
-        full = models.to_container(models.strip_classifier(models.FCNClassifier(3, seed=21)))
-        container = ModelContainer(full.metadata)
-        for name in full.names()[1:]:
-            container.add(name, full.get(name))
-        with pytest.raises(FormatError, match=f"lacks tensor '{full.names()[0]}'"):
-            models.from_container(container)
+        encoder = models.strip_classifier(models.FCNClassifier(3, seed=21))
+        metadata, arrays = models.to_container(encoder)
+        first, *rest = arrays
+        with pytest.raises(FormatError, match=f"lacks tensor '{first}'"):
+            models.from_container(metadata, {name: arrays[name] for name in rest})
+
+    @pytest.mark.parametrize("filters", ["4000,256,128", "1000000000000,256,128",
+                                         "128,4000,128", "128,256,4000"])
+    def test_metadata_shapes_are_checked_before_anything_is_built(self, filters):
+        metadata, arrays = models.to_container(self.encoder(22))
+        metadata.update(filters=filters, feature_dim=filters.rsplit(",", 1)[1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"container tensor 'block\d\.conv\.w' has "
+                                                  r"shape \(\d+, \d+, \d+\), expected"):
+                models.from_container(metadata, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak  # the encoder's own arrays are 1 MiB
 
 
 class TestSnapshot:
