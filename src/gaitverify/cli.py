@@ -313,8 +313,13 @@ def cmd_extract(args, argv):
         metadata, arrays = load_model(args.model)  # its errors name the file
         try:
             encoder = models.from_container(metadata, arrays)
-            # an encoder saved untrained has no statistics to transform with
-            vectors = encoder.transform(models.frames_to_array(frames.values))
+            # an encoder saved untrained has no statistics to transform with;
+            # finite but huge weights overflow, which the check after reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                vectors = encoder.transform(models.frames_to_array(frames.values))
+            if not np.isfinite(vectors).all():
+                raise FormatError("the encoder's features are not finite (its weights "
+                                  "overflow float32)")
         except (FormatError, InvalidStateError) as exc:
             raise FormatError(f"{args.model}: {exc}") from None
         inputs.append(args.model)

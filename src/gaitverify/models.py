@@ -11,8 +11,13 @@ one ``ConvBlock``, and every inference-mode pass (validation loss and
 convolution. A training step (``loss_and_backward``) keeps the frames
 and the encoder's output as locals and hands them back to backward.
 Between its forward and backward each block keeps one activation-sized
-array, the batch norm's ``xhat``, which it owns and reuses the next step;
-its output is recomputed from it when backward reaches the next layer.
+array, the batch norm's ``xhat``: the block owns it and reuses it the
+next step, and the batch norm's backward overwrites it. The block's
+output is recomputed from it when backward reaches the next layer, as a
+new array; when that layer is a convolution, its backward writes its
+input gradient over that array. So a convolution makes a new input
+gradient only where its input is not a block's output: in the
+autoencoder's first decoder block, whose input is the latent broadcast.
 The step skips the input gradient of the first convolution, which
 nothing reads.
 
@@ -264,10 +269,11 @@ def _check_shapes(expected: dict[str, tuple[int, ...]], arrays: dict[str, np.nda
 def from_container(metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> Encoder:
     """A new encoder of the shape ``metadata`` names, holding copies of ``arrays`` in their dtype.
 
-    Missing or malformed metadata, and a missing, extra or misshapen tensor,
-    raise FormatError naming it. The convolution weights, the bulk of an
-    encoder, are checked before anything is built, so the metadata sizes
-    nothing bigger than ``arrays``; every tensor is checked before any is written.
+    Missing or malformed metadata, a missing, extra or misshapen tensor,
+    and a negative running variance raise FormatError naming it. The
+    convolution weights, the bulk of an encoder, are checked before anything
+    is built, so the metadata sizes nothing bigger than ``arrays``; every
+    tensor is checked before any is written.
     """
     if metadata.get("arch") != _ARCH_ENCODER:
         raise FormatError(f"container metadata 'arch' is {metadata.get('arch')!r}, "
@@ -291,6 +297,9 @@ def from_container(metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> E
     if extra:
         raise FormatError(f"container tensor {extra[0]!r} is not part of a "
                           f"{len(filters)}-block encoder")
+    negative = [name for name in own if name.endswith(".running_var") and (arrays[name] < 0).any()]
+    if negative:
+        raise FormatError(f"container tensor {negative[0]!r} holds a negative variance")
     encoder.cast(arrays[next(iter(own))].dtype).load_snapshot(arrays)
     batches_tracked = _ints(metadata, "batches_tracked", "0")[0]
     for block in encoder.blocks():

@@ -11,20 +11,38 @@ as one convolution with its batch norm folded in and moves no statistic.
 backward(grad_y, x) is handed x, the layer's input in the last training
 forward, so Conv1d, Dense and pooling cache no input. Sequential hands a
 layer the previous one's output(), recomputed bit for bit (no parameter
-changes within a step). Each ConvBlock keeps one activation-sized array
-across steps: the convolution writes it and BatchNorm normalizes it in
-place into ``xhat``; cast() drops it and inference makes none. The block
-drops its output after forward(); output() recomputes it once per step,
-and the block's ReLU holds it until backward() has masked ``grad_y`` in
-place with it. BatchNorm.backward writes its input gradient into that
-``grad_y``, so a block holds no second gradient of its output's size.
+changes within a step).
+
+Between a ConvBlock's training forward and its backward, three arrays of
+its output's size take turns; this is what each holds and who may
+overwrite it:
+
+- The block's own array, kept across steps (cast() drops it, inference
+  makes none). The convolution writes it and BatchNorm normalizes it in
+  place into ``xhat``, which the block keeps until backward.
+  BatchNorm.backward overwrites it with a term of the input gradient, so
+  backward consumes the cache, and the next training forward writes the
+  array afresh.
+- The block's output. forward() returns it to the next layer and keeps no
+  reference. output() recomputes it from ``xhat`` as a new array, once per
+  step, when backward reaches the next layer; the block's ReLU holds it
+  for its mask. A next layer that is a convolution (Conv1d or ConvBlock)
+  owns it from then on: its backward reads each block of samples, then
+  writes its input gradient over it, zeroed where the output was 0. That
+  is the ReLU's backward, so the block does not mask it again. Before any
+  other next layer (pooling) the ReLU masks the gradient in place.
+- The gradient of the output, handed to the block's backward: the ReLU
+  mask and BatchNorm.backward rewrite it in place into the batch norm's
+  input gradient, so a block holds no second gradient of its output's
+  size. Only the convolution's input gradient is a new array, and none
+  when it writes over the previous block's output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, InvalidStateError
 from . import ops
 
 BN_MOMENTUM, BN_EPS = 0.99, 1e-3
@@ -94,9 +112,14 @@ class Conv1d(Layer):
         """The convolution of x, written into ``out`` when given (see ops.conv1d_forward)."""
         return ops.conv1d_forward(x, self.w.value, self.b.value, out)
 
-    def backward(self, grad_y, x, input_grad=True):
-        """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients."""
-        grad_x, grad_w, grad_b = ops.conv1d_backward(x, self.w.value, grad_y, input_grad)
+    def backward(self, grad_y, x, input_grad=True, relu_x=False):
+        """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients.
+
+        With ``relu_x`` (passed by Sequential alone) the gradient is written
+        over x, a ReLU output, and masked by it (see ops.conv1d_backward).
+        """
+        grad_x, grad_w, grad_b = ops.conv1d_backward(x, self.w.value, grad_y, input_grad,
+                                                     relu_x)
         self.w.grad += grad_w
         self.b.grad += grad_b
         return grad_x
@@ -152,20 +175,30 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, grad_y):
-        """grad_x, written into grad_y, with the gamma and beta gradients accumulated."""
+        """grad_x, written into grad_y, with the gamma and beta gradients accumulated.
+
+        It consumes the cache: ``xhat`` is overwritten, and a second backward
+        needs a new training forward first.
+        """
+        if self._cache is None:
+            raise InvalidStateError("batchnorm backward needs a training forward after "
+                                    "the last backward")
         xhat, inv_std = self._cache
         if grad_y.shape != xhat.shape:
             raise InvalidInputError(
                 f"batchnorm backward shape mismatch: grad_y {grad_y.shape}, x {xhat.shape}")
+        self._cache = None
         axes = tuple(range(grad_y.ndim - 1))
-        tmp = grad_y * xhat
-        grad_gamma = tmp.sum(axis=axes)
+        # no product buffer: einsum adds the products row by row, the order
+        # (grad_y * xhat).sum(axes) adds them in
+        c = grad_y.shape[-1]
+        grad_gamma = np.einsum("nc,nc->c", grad_y.reshape(-1, c), xhat.reshape(-1, c))
         grad_beta = grad_y.sum(axis=axes)
         # Batch statistics depend on x, so the mean/variance terms feed back:
         # grad_x = gamma*inv_std * (grad_y - grad_beta/n - xhat*grad_gamma/n),
         # where grad_beta and grad_gamma are the sums the parameter gradients need.
         n = float(np.prod([grad_y.shape[a] for a in axes]))
-        grad_y -= np.multiply(xhat, grad_gamma / n, out=tmp)
+        grad_y -= np.multiply(xhat, grad_gamma / n, out=xhat)
         grad_y -= grad_beta / n
         grad_y *= self.gamma.value * inv_std
         self.gamma.grad += grad_gamma
@@ -298,13 +331,20 @@ class Sequential(Layer):
         """The input gradient; with ``input_grad`` False the first layer may skip it.
 
         Each layer after the first is handed the previous one's output(),
-        so every layer but the last needs one. The first layer gets x and,
-        with ``input_grad`` False, must accept it (a Conv1d, a ConvBlock or
-        a Sequential); the result may then be None.
+        so every layer but the last needs one. A convolution (Conv1d or
+        ConvBlock) handed a ConvBlock's output writes its input gradient
+        over it, masked by that block's ReLU, which then skips its own
+        mask. The first layer gets x and, with ``input_grad`` False, must
+        accept it (a Conv1d, a ConvBlock or a Sequential); the result may
+        then be None.
         """
         for i, layer in reversed(list(enumerate(self.layers))):
             if i:
-                grad_y = layer.backward(grad_y, self.layers[i - 1].output())
+                prev = self.layers[i - 1]
+                if isinstance(prev, ConvBlock) and isinstance(layer, (Conv1d, ConvBlock)):
+                    grad_y = layer.backward(grad_y, prev.output(), relu_x=True)
+                else:
+                    grad_y = layer.backward(grad_y, prev.output())
             elif input_grad:
                 grad_y = layer.backward(grad_y, x)
             else:
@@ -373,18 +413,23 @@ class ConvBlock(Sequential):
     def output(self):
         """The last training forward's output, recomputed bit for bit from the batch norm's cache.
 
-        The ReLU caches it again, for the mask its backward() applies.
+        The ReLU caches it again, for the mask its backward() applies unless
+        the next convolution has written the masked gradient over it.
         """
         return self.relu.forward(self.bn.output(), True)
 
-    def backward(self, grad_y, x, input_grad=True):
+    def backward(self, grad_y, x, input_grad=True, relu_x=False):
+        """The input gradient (see Conv1d.backward); accumulates every member's gradients.
+
+        A grad_y that is the output() array itself was written there by the
+        next convolution, already masked, so the ReLU's backward is skipped.
+        """
         if self.relu._x is None:
             self.output()
-        grad_y = self.relu.backward(grad_y)
+        if grad_y is not self.relu._x:
+            grad_y = self.relu.backward(grad_y)
         self.relu._x = None
-        grad_y = self.bn.backward(grad_y)
-        self.bn._cache = None
-        return self.conv.backward(grad_y, x, input_grad)
+        return self.conv.backward(self.bn.backward(grad_y), x, input_grad, relu_x)
 
     def cast(self, dtype):
         super().cast(dtype)

@@ -31,7 +31,9 @@ the time axis with K shifted adds.
   gradient is x.T @ gcols and the input gradient gcols @ w, both with the
   taps reversed. Either branch returns a contiguous input gradient, or
   none at all when the caller passes ``input_grad=False`` (a network's
-  first layer, whose input gradient nothing reads).
+  first layer, whose input gradient nothing reads). With ``relu_x`` the
+  input gradient is written over x itself, a ReLU output nothing reads
+  afterwards, and masked by it.
 
 Either way the copied matrix has K*min(Cin, Cout) columns, so a layer
 such as 256 -> 3 channels never copies its wide input K times. Nor does
@@ -140,8 +142,19 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out
 
 
-def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, input_grad: bool = True):
-    """Gradients of sum(grad_y * y) w.r.t. x, w, b; the x gradient is None unless ``input_grad``."""
+def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, input_grad: bool = True,
+                    relu_x: bool = False):
+    """Gradients of sum(grad_y * y) w.r.t. x, w, b; the x gradient is None unless ``input_grad``.
+
+    The input gradient is a new contiguous array unless ``relu_x`` is set.
+    ``relu_x`` says that x is a ReLU's output that nothing reads after this
+    call, such as the output a ``ConvBlock`` recomputes for the next layer's
+    backward. The input gradient is then written over x, one block of
+    samples at a time once that block has been read, and zeroed where x is
+    0: the ReLU's own backward, so its caller must not mask it again. x
+    must then be contiguous and of the gradient's dtype. Either way the
+    values are those of the new array times (x > 0), bit for bit.
+    """
     kk, cin, cout = w.shape
     bsz, t, _ = x.shape
     if grad_y.shape != (bsz, t, cout):
@@ -152,7 +165,13 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, input_grad
     dtype = np.result_type(x, w, grad_y)
     buf, blocks = _blocks(bsz, t, kk, min(cin, cout), dtype)
     gy = grad_y.reshape(bsz * t, cout)
-    grad_x = np.empty((bsz, t, cin), dtype) if input_grad else None
+    if relu_x:
+        if not input_grad or x.dtype != dtype or not x.flags.c_contiguous:
+            raise InvalidInputError(f"conv1d backward over x needs a contiguous {dtype} x "
+                                    f"and the input gradient, got {x.dtype} x")
+        grad_x, keep = x, np.empty((len(buf), t, cin), bool)
+    else:
+        grad_x = np.empty((bsz, t, cin), dtype) if input_grad else None
     if cin <= cout:
         # grad_w = im2col(x).T @ grad_y; the input gradient folds grad_y @ w.T
         # back (col2im), input row t collecting tap k of output row t + pad_l - k
@@ -163,8 +182,12 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, input_grad
             cols = _im2col(buf[:e - s], x[s:e], pad_l)
             grad_w += np.matmul(cols.T, gy[s * t:e * t], out=part)
             if input_grad:
+                if relu_x:
+                    np.greater(x[s:e], 0, out=keep[:e - s])
                 np.matmul(gy[s * t:e * t], w2.T, out=cols)
                 _fold_taps(buf[:e - s], pad_l, grad_x[s:e])
+                if relu_x:
+                    np.multiply(grad_x[s:e], keep[:e - s], out=grad_x[s:e])
         return grad_x, grad_w.reshape(kk, cin, cout), grad_b
     # gcols[b*T+t, j*Cout+co] = grad_y[b, t+j-pad_r, co]: tap K-1-j of output
     # row t+j-pad_r reads input row t, so grad_w = x.T @ gcols (taps reversed)
@@ -177,7 +200,11 @@ def conv1d_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, input_grad
         gcols = _im2col(buf[:e - s], grad_y[s:e], pad_r)
         grad_w += np.matmul(x2[s * t:e * t].T, gcols, out=part)
         if input_grad:
+            if relu_x:
+                np.greater(x[s:e], 0, out=keep[:e - s])
             np.matmul(gcols, w_rev, out=grad_x[s:e].reshape((e - s) * t, cin))
+            if relu_x:
+                np.multiply(grad_x[s:e], keep[:e - s], out=grad_x[s:e])
     return grad_x, grad_w.reshape(cin, kk, cout)[:, ::-1].transpose(1, 0, 2), grad_b
 
 

@@ -177,8 +177,10 @@ def modified(container, tensors=(), **metadata):
     ({}, {"filters": "128,0,128"}, "container metadata 'filters' '128,0,128' and 'kernels' "
                                    "'8,5,3' must be equally many positive integers"),
     ({}, {"batches_tracked": "0"}, "encoder has no finalized running statistics; train it first"),
+    ({"block2.bn.running_var": np.r_[np.ones(255), -1.0]}, {},
+     "container tensor 'block2.bn.running_var' holds a negative variance"),
 ], ids=["gamma-shape", "running-mean-shape", "conv-shape", "extra-tensor", "dropped-block",
-        "feature-dim", "arch", "kernel-count", "zero-filters", "untrained"])
+        "feature-dim", "arch", "kernel-count", "zero-filters", "untrained", "negative-variance"])
 def test_extract_with_malformed_container_exits_one_naming_it(features, tmp_path, capsys,
                                                              tensors, metadata, message):
     path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
@@ -201,6 +203,21 @@ def test_extract_with_huge_filter_count_exits_one_before_allocating(features, tm
         f"error: {path}: container tensor 'block1.conv.w' has shape (8, 3, 128), "
         f"expected (8, 3, 1000000000000)\n")
     assert not out.exists()
+
+
+def test_extract_with_overflowing_weights_exits_one_writing_nothing(features, tmp_path, capsys):
+    # finite float32 weights whose products overflow: the features would be nan,
+    # and no numpy warning may reach stderr (pytest turns one into an error)
+    path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
+    huge = {"block1.conv.w": np.full((8, 3, 128), 1e37)}
+    save_model(path, *modified(three_block_container(), huge))
+    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: the encoder's features are not finite "
+                            f"(its weights overflow float32)\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
 
 
 def corrupted_container(tmp_path, edit):
@@ -833,8 +850,8 @@ def container_fields(raw):
 def byte_mutants(raw, seed, count):
     """Deletions anywhere; random bytes and spliced runs in the header the reader parses.
 
-    The payloads are floats the reader checks only for nan and inf, so
-    random bytes there test the arithmetic of extract, not the reader.
+    The payloads are floats the reader checks only for nan and inf;
+    payload_mutants writes the finite values that reach extract's arithmetic.
     """
     rng = random.Random(seed)
     header = container_fields(raw)[1]
@@ -852,6 +869,29 @@ def byte_mutants(raw, seed, count):
             to = rng.randrange(header)
             data[to:to + (len(run) if rng.random() < 0.5 else 0)] = run
         yield f"{kind}@{at}", bytes(data)
+
+
+def payload_mutants(path, raw, seed, count):
+    """Seeded float32 values written into payload slots: negative running variances
+    (magnitude 1e-30 to 1e30), and convolution or batch-norm weights of magnitude 1e30 to 3e38."""
+    rng = random.Random(seed)
+    _, arrays = load_model(path)
+    offsets, at = {}, container_fields(raw)[1]
+    for name, a in arrays.items():
+        offsets[name], at = at, at + a.nbytes
+    variances = [name for name in arrays if name.endswith(".running_var")]
+    weights = [name for name in arrays if name.endswith((".w", ".gamma"))]
+    for i in range(count):
+        if i % 2:
+            name, value = rng.choice(variances), -10 ** rng.uniform(-30, 30)
+        else:
+            name = rng.choice(weights)
+            value = rng.choice((-1, 1)) * 10 ** rng.uniform(30, np.log10(3e38))
+        data = bytearray(raw)
+        slots = rng.sample(range(arrays[name].size), rng.randint(1, arrays[name].size))
+        for slot in slots:
+            struct.pack_into("<f", data, offsets[name] + 4 * slot, value)
+        yield f"{name}[{len(slots)} slots]={value:.3g}", bytes(data)
 
 
 def size_mutants(path, raw):
@@ -878,8 +918,9 @@ def test_container_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys):
     fcn.body.forward(np.random.default_rng(0).standard_normal((4, 128, 3)), train=True)
     save_model(path, *models.to_container(models.strip_classifier(fcn)))
     raw = path.read_bytes()
-    mutants = [*byte_mutants(raw, 0, 150), *byte_mutants(raw, 1, 150), *size_mutants(path, raw)]
-    assert len(mutants) > 300
+    mutants = [*byte_mutants(raw, 0, 150), *byte_mutants(raw, 1, 150),
+               *payload_mutants(path, raw, 2, 60), *size_mutants(path, raw)]
+    assert len(mutants) > 360
     capsys.readouterr()
     codes = []
     for name, mutant in mutants:

@@ -177,9 +177,13 @@ class TestTrainingCaches:
             assert held <= mib * 2**20, f"{name}: {held / 2**20:.2f} MiB"
 
     def test_warm_step_peak_memory(self):
-        # traced peak of a second step above the memory held at its start:
-        # a block's backward must not keep a second activation-sized gradient
-        for (name, model, y, _), mib in zip(self.cases(), (14.0, 14.0)):
+        # traced peak of a second step above the memory held at its start: at
+        # most two activation-sized arrays (a recomputed block output, which
+        # the next convolution's input gradient overwrites, and the gradient
+        # it receives), one convolution block buffer and 1 MiB of small ones
+        for name, model, y, _ in self.cases():
+            largest = max(b.conv.out_channels for b in model.blocks()) * self.X[..., 0].nbytes
+            bound = 2 * largest + ops.BLOCK_BYTES + 2**20  # 11 MiB at batch 32
             model.loss_and_backward(self.X, y)
             tracemalloc.start()
             try:
@@ -188,7 +192,7 @@ class TestTrainingCaches:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= mib * 2**20, f"{name}: {peak / 2**20:.2f} MiB"
+            assert peak <= bound, f"{name}: {peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
     def test_validation_peak_memory(self):
         # evaluate_loss right after a step: no block cache outlives the step,

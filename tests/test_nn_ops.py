@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gaitverify.errors import InvalidInputError
+from gaitverify.errors import InvalidInputError, InvalidStateError
 from gaitverify.nn import ops
 from gaitverify.nn.layers import (
     BN_EPS,
@@ -206,12 +206,42 @@ class TestBatchNorm:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 5, 3))
         bn = batchnorm(np.ones(3), np.zeros(3))
-        bn.forward(x, train=True)
+        bn.forward(x.copy(), train=True)
         gy = rng.standard_normal(x.shape)
         want = bn.backward(gy.copy())
+        bn.forward(x.copy(), train=True)  # backward consumed the cache
         got = bn.backward(gy)
         assert got is gy
         npt.assert_array_equal(got, want)
+
+    def test_a_second_backward_needs_a_new_forward(self):
+        rng = np.random.default_rng(13)
+        bn = batchnorm(np.ones(3), np.zeros(3))
+        with pytest.raises(InvalidStateError):
+            bn.backward(np.zeros((2, 5, 3)))
+        bn.forward(rng.standard_normal((2, 5, 3)), train=True)
+        bn.backward(rng.standard_normal((2, 5, 3)))
+        with pytest.raises(InvalidStateError):
+            bn.backward(rng.standard_normal((2, 5, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_the_product_buffer_op_bit_for_bit(self, dtype):
+        # the einsum grad_gamma adds the products in the order (grad_y*xhat).sum(axes)
+        # does, and xhat*grad_gamma/n formed in xhat's buffer rounds as in a new one
+        for shape in [(2, 5, 3), (32, 128, 128), (28, 128, 256), (2, 128, 128)]:
+            rng = np.random.default_rng(shape[0] + shape[2])
+            x = (rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype)
+            gy = rng.standard_normal(shape).astype(dtype)
+            bn = BatchNorm(shape[2])
+            bn.cast(dtype)
+            bn.gamma.value[...] = rng.standard_normal(shape[2])
+            bn.forward(x.copy(), train=True)
+            xhat, inv_std = (a.copy() for a in bn._cache)
+            want = op_batchnorm_backward(gy.copy(), (xhat, inv_std, bn.gamma.value))
+            got = [bn.backward(gy.copy()), bn.gamma.grad, bn.beta.grad]
+            assert bn._cache is None
+            for a, e in zip(got, want):
+                assert a.dtype == dtype and a.tobytes() == e.tobytes(), shape
 
 
 # --- oracles: the direct implementations the BLAS-shaped ops replaced -------
@@ -460,6 +490,31 @@ class TestConv1dBlocks:
         assert_close(skipped[1], want[1])
         assert_close(skipped[2], want[2])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,cin,cout", [(5, 4, 6), (3, 6, 4), (8, 16, 3)])
+    def test_gradient_over_a_relu_output_is_the_masked_gradient_bit_for_bit(
+            self, monkeypatch, dtype, k, cin, cout):
+        # 7 samples, 2 per block; x a ReLU output with runs of zeros
+        samples_per_block(monkeypatch, 2, 16, k, cin, cout, np.dtype(dtype).itemsize)
+        x, w, b, gy = conv_case(k + cin + cout, 7, 16, k, cin, cout, dtype)
+        np.maximum(x, 0, out=x)
+        x[2, 3:9] = 0
+        want_x, want_w, want_b = ops.conv1d_backward(x, w, gy)
+        want_x *= x > 0
+        x_in = x.copy()
+        got_x, got_w, got_b = ops.conv1d_backward(x_in, w, gy, relu_x=True)
+        assert got_x is x_in
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_w.tobytes() == want_w.tobytes() and got_b.tobytes() == want_b.tobytes()
+
+    def test_gradient_over_x_needs_a_contiguous_x_of_the_gradient_dtype(self):
+        x, w, _, gy = conv_case(2, 3, 8, 3, 4, 5)
+        for bad in (x.astype(np.float32), np.asfortranarray(x)):
+            with pytest.raises(InvalidInputError):
+                ops.conv1d_backward(bad, w, gy, relu_x=True)
+        with pytest.raises(InvalidInputError):
+            ops.conv1d_backward(x, w, gy, input_grad=False, relu_x=True)
+
     def test_forward_writes_into_out(self, monkeypatch):
         samples_per_block(monkeypatch, 2, 16, 5, 4, 6)
         x, w, b, _ = conv_case(1, 5, 16, 5, 4, 6)
@@ -518,8 +573,10 @@ class TestBatchNormAgainstReference:
         x_in = x.copy()
         bn = batchnorm(gamma, beta, rm, rv)
         got = [bn.forward(x_in, train=True), *bn._cache, bn.running_mean, bn.running_var]
-        # the layer normalizes its input in place and caches it as xhat
+        # the layer normalizes its input in place and caches it as xhat; backward
+        # overwrites xhat, so compare a copy
         assert bn._cache[0] is x_in
+        got[1] = got[1].copy()
         grads = [bn.backward(gy.copy()), bn.gamma.grad, bn.beta.grad]
         for forward, backward in [(ref_batchnorm_forward, ref_batchnorm_backward),
                                   (op_batchnorm_forward, op_batchnorm_backward)]:
