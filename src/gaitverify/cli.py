@@ -240,7 +240,8 @@ def cmd_train(args, argv):
     started = time.monotonic()
     frames = load_normalized_frames(args.data)
     if len(frames) < 10:
-        raise InvalidInputError(f"need at least 10 frames to train, got {len(frames)}")
+        raise InvalidInputError(f"{args.data}: need at least 10 frames to train, "
+                                f"got {len(frames)}")
     augment_kind = normalize_kind(args.augment)
     config = TrainConfig(epochs=args.epochs, seed=args.seed,
                          batch_size=args.batch_size)
@@ -261,17 +262,19 @@ def cmd_train(args, argv):
 
     x_train = models.frames_to_array(train_values)
     x_val = models.frames_to_array(val_values)
+    sources = frames.sources
+    del frames, train_values, val_values  # training reads only the float32 copies
     data_digest = _sha256(args.data)
     meta = {"mode": args.mode, "augment": augment_kind, "seed": str(args.seed),
             "epochs": str(args.epochs),
             "train_config_digest": _config_digest(args, data=data_digest, out=None)}
 
     if args.mode == "e2e":
-        subjects = [s[0] for s in frames.sources]
+        subjects = [s[0] for s in sources]
         classes = sorted(set(subjects))
         if len(classes) < 2:
             raise InvalidInputError(
-                f"end-to-end training needs >= 2 subjects, got {len(classes)}")
+                f"{args.data}: end-to-end training needs >= 2 subjects, got {len(classes)}")
         label_of = {c: i for i, c in enumerate(classes)}
         labels = np.array([label_of[s] for s in subjects])
         model = models.FCNClassifier(len(classes), seed=args.seed)

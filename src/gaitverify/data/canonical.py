@@ -154,9 +154,11 @@ def _plain_rows(path, header_error, n_key: int, key):
                         return None
                     prefix = line[:len(line) - len(fields[-1])]
                 keys.append(row_key)
+            del lines  # before the next piece is split
     if width is None:
         return None  # an empty file
     values = np.concatenate(blocks) if blocks else np.empty((0, width - n_key))
+    del blocks  # before the line numbers are made
     return keys, values, np.arange(2, len(keys) + 2)
 
 
@@ -208,24 +210,29 @@ def _recording_header_error(header) -> str | None:
 
 
 def load_canonical_csv(path) -> list[RawRecording]:
-    """One RawRecording per (subject, session, recording) group, first-appearance order."""
+    """One RawRecording per (subject, session, recording) group, first-appearance order.
+
+    A recording whose rows are one run of the file holds slices of the
+    float table; only one split over several runs is copied out of it.
+    """
     keys, values, lines = _tokenize(path, _recording_header_error, 3, itemgetter(0, 1, 2))
     # runs of consecutive rows with one key, then each key's runs in file order
-    runs: dict[tuple[str, str, str], list[np.ndarray]] = {}
+    runs: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
     start = 0
     for key, run in groupby(keys):
         stop = start + len(list(run))
-        runs.setdefault(key, []).append(np.arange(start, stop))
+        runs.setdefault(key, []).append((start, stop))
         start = stop
     recordings = []
     for key, parts in runs.items():
-        rows = np.concatenate(parts)
+        rows = (slice(*parts[0]) if len(parts) == 1
+                else np.concatenate([np.arange(*part) for part in parts]))
         _check_finite(path, values, lines, rows)
         timestamps = values[rows, 0]
         increasing = timestamps[1:] > timestamps[:-1]
         if not increasing.all():
             raise InvalidInputError(
-                f"{path}:{lines[rows[np.argmin(increasing) + 1]]}: non-monotonic "
+                f"{path}:{lines[rows][np.argmin(increasing) + 1]}: non-monotonic "
                 f"timestamps in recording ({', '.join(key)})")
         recordings.append(RawRecording(*key, timestamps, values[rows, 1:]))
     return recordings

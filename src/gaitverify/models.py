@@ -11,15 +11,16 @@ one ``ConvBlock``, and every inference-mode pass (validation loss and
 convolution. A training step (``loss_and_backward``) keeps the frames
 and the encoder's output as locals and hands them back to backward.
 Between its forward and backward each block keeps one activation-sized
-array, the batch norm's ``xhat``: the block owns it and reuses it the
-next step, and the batch norm's backward overwrites it. The block's
-output is recomputed from it when backward reaches the next layer, as a
-new array; when that layer is a convolution, its backward writes its
-input gradient over that array. So a convolution makes a new input
-gradient only where its input is not a block's output: in the
-autoencoder's first decoder block, whose input is the latent broadcast.
-The step skips the input gradient of the first convolution, which
-nothing reads.
+array, the batch norm's ``xhat``: a new array each step, which the batch
+norm's backward overwrites and frees, so no layer holds an activation
+between steps. The block's output is recomputed from it when backward
+reaches the next layer, as a new array, and a next block recomputes it
+only after its own batch norm's backward; when that layer is a
+convolution, its backward writes its input gradient over that array. So
+a convolution makes a new input gradient only where its input is not a
+block's output: in the autoencoder's first decoder block, whose input is
+the latent broadcast. The step skips the input gradient of the first
+convolution, which nothing reads.
 
 A model's whole state is ``arrays()``: name -> live array, every
 parameter value and then every batch-norm running statistic. Training
@@ -31,7 +32,7 @@ the autoencoder. A saved encoder is a (metadata, arrays) pair:
 place an ``Encoder`` is built from one. Every encoder handed out
 (``strip_classifier``, ``get_encoder``, and ``extract`` through a file)
 comes from it, so each holds copies of the arrays and none of the caches
-or block arrays a training-mode forward leaves in the layers.
+a training-mode forward leaves in the layers.
 """
 
 from __future__ import annotations

@@ -11,26 +11,28 @@ as one convolution with its batch norm folded in and moves no statistic.
 backward(grad_y, x) is handed x, the layer's input in the last training
 forward, so Conv1d, Dense and pooling cache no input. Sequential hands a
 layer the previous one's output(), recomputed bit for bit (no parameter
-changes within a step).
+changes within a step); a ConvBlock gets the output method and calls it
+when its convolution needs x.
 
 Between a ConvBlock's training forward and its backward, three arrays of
-its output's size take turns; this is what each holds and who may
-overwrite it:
+its output's size take turns, and none outlives the step. This is what
+each holds and who may overwrite it:
 
-- The block's own array, kept across steps (cast() drops it, inference
-  makes none). The convolution writes it and BatchNorm normalizes it in
-  place into ``xhat``, which the block keeps until backward.
-  BatchNorm.backward overwrites it with a term of the input gradient, so
-  backward consumes the cache, and the next training forward writes the
-  array afresh.
+- The convolution's output, a new array each training forward.
+  BatchNorm normalizes it in place into ``xhat``, which only the batch
+  norm's cache holds. BatchNorm.backward overwrites it with a term of
+  the input gradient and clears the cache, so backward consumes the
+  cache and frees the array.
 - The block's output. forward() returns it to the next layer and keeps no
   reference. output() recomputes it from ``xhat`` as a new array, once per
-  step, when backward reaches the next layer; the block's ReLU holds it
-  for its mask. A next layer that is a convolution (Conv1d or ConvBlock)
-  owns it from then on: its backward reads each block of samples, then
-  writes its input gradient over it, zeroed where the output was 0. That
-  is the ReLU's backward, so the block does not mask it again. Before any
-  other next layer (pooling) the ReLU masks the gradient in place.
+  step, when backward reaches the next layer; a next ConvBlock calls it
+  only after its own batch norm's backward has freed its ``xhat``. The
+  block's ReLU holds it for its mask. A next layer that is a convolution
+  (Conv1d or ConvBlock) owns it from then on: its backward reads each
+  block of samples, then writes its input gradient over it, zeroed where
+  the output was 0. That is the ReLU's backward, so the block does not
+  mask it again. Before any other next layer (pooling) the ReLU masks the
+  gradient in place.
 - The gradient of the output, handed to the block's backward: the ReLU
   mask and BatchNorm.backward rewrite it in place into the batch norm's
   input gradient, so a block holds no second gradient of its output's
@@ -108,9 +110,8 @@ class Conv1d(Layer):
             (kernel_size, in_channels, out_channels), fan_in, fan_out, rng))
         self.b = Parameter(f"{name}.b", np.zeros(out_channels, dtype=np.float32))
 
-    def forward(self, x, train, out=None):
-        """The convolution of x, written into ``out`` when given (see ops.conv1d_forward)."""
-        return ops.conv1d_forward(x, self.w.value, self.b.value, out)
+    def forward(self, x, train):
+        return ops.conv1d_forward(x, self.w.value, self.b.value)
 
     def backward(self, grad_y, x, input_grad=True, relu_x=False):
         """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients.
@@ -331,20 +332,22 @@ class Sequential(Layer):
         """The input gradient; with ``input_grad`` False the first layer may skip it.
 
         Each layer after the first is handed the previous one's output(),
-        so every layer but the last needs one. A convolution (Conv1d or
-        ConvBlock) handed a ConvBlock's output writes its input gradient
-        over it, masked by that block's ReLU, which then skips its own
-        mask. The first layer gets x and, with ``input_grad`` False, must
-        accept it (a Conv1d, a ConvBlock or a Sequential); the result may
-        then be None.
+        so every layer but the last needs one; a ConvBlock is handed the
+        output method instead and builds its input only after its own batch
+        norm's backward. A convolution (Conv1d or ConvBlock) handed a
+        ConvBlock's output writes its input gradient over it, masked by
+        that block's ReLU, which then skips its own mask. The first layer
+        gets x and, with ``input_grad`` False, must accept it (a Conv1d, a
+        ConvBlock or a Sequential); the result may then be None.
         """
         for i, layer in reversed(list(enumerate(self.layers))):
             if i:
                 prev = self.layers[i - 1]
+                x_prev = prev.output if isinstance(layer, ConvBlock) else prev.output()
                 if isinstance(prev, ConvBlock) and isinstance(layer, (Conv1d, ConvBlock)):
-                    grad_y = layer.backward(grad_y, prev.output(), relu_x=True)
+                    grad_y = layer.backward(grad_y, x_prev, relu_x=True)
                 else:
-                    grad_y = layer.backward(grad_y, prev.output())
+                    grad_y = layer.backward(grad_y, x_prev)
             elif input_grad:
                 grad_y = layer.backward(grad_y, x)
             else:
@@ -367,9 +370,10 @@ class ConvBlock(Sequential):
 
     A training pass runs the members' own forward() and backward() in
     order and keeps only the batch norm's cache between them: output()
-    recomputes what the ReLU returned. That cache lives in the block's
-    own array (see ``_activation``). An inference pass folds the batch
-    norm into the convolution: with s = gamma / sqrt(running_var + eps),
+    recomputes what the ReLU returned. The convolution's output is a new
+    array each step that only that cache holds, and the batch norm's
+    backward frees it. An inference pass folds the batch norm into the
+    convolution: with s = gamma / sqrt(running_var + eps),
     BN(conv(x)) = conv(x; w*s, (b - running_mean)*s + beta), rebuilt on
     every call, then an in-place ReLU. It touches no cache and no
     statistic.
@@ -381,27 +385,10 @@ class ConvBlock(Sequential):
         self.bn = BatchNorm(out_channels, name=f"{name}.bn")
         self.relu = ReLU(name=f"{name}.relu")
         super().__init__([self.conv, self.bn, self.relu], name)
-        self._buffer = None
-
-    def _activation(self, x):
-        """The block's (B, T, Cout) training array for input x: the convolution writes
-        it, the batch norm normalizes it into ``xhat``.
-
-        One array serves every step: a batch of at most the largest size seen
-        so far takes a leading slice of it, a larger one (or another T or
-        dtype) replaces it.
-        """
-        bsz, t, _ = x.shape
-        dtype = np.result_type(x, self.conv.w.value)
-        buf = self._buffer
-        if buf is None or len(buf) < bsz or buf.shape[1] != t or buf.dtype != dtype:
-            buf = self._buffer = np.empty((bsz, t, self.conv.out_channels), dtype)
-        return buf[:bsz]
 
     def forward(self, x, train):
         if train:
-            y = self.conv.forward(x, train, out=self._activation(x))
-            y = self.relu.forward(self.bn.forward(y, train), train)
+            y = self.relu.forward(self.bn.forward(self.conv.forward(x, train), train), train)
             self.relu._x = None  # output() recomputes it
             return y
         conv, bn = self.conv, self.bn
@@ -421,16 +408,16 @@ class ConvBlock(Sequential):
     def backward(self, grad_y, x, input_grad=True, relu_x=False):
         """The input gradient (see Conv1d.backward); accumulates every member's gradients.
 
-        A grad_y that is the output() array itself was written there by the
-        next convolution, already masked, so the ReLU's backward is skipped.
+        x may instead be a function that returns it, such as the previous
+        block's output method: it is called once the batch norm's backward
+        has freed this block's cache. A grad_y that is the output() array
+        itself was written there by the next convolution, already masked,
+        so the ReLU's backward is skipped.
         """
         if self.relu._x is None:
             self.output()
         if grad_y is not self.relu._x:
             grad_y = self.relu.backward(grad_y)
         self.relu._x = None
-        return self.conv.backward(self.bn.backward(grad_y), x, input_grad, relu_x)
-
-    def cast(self, dtype):
-        super().cast(dtype)
-        self._buffer = None
+        grad_y = self.bn.backward(grad_y)
+        return self.conv.backward(grad_y, x() if callable(x) else x, input_grad, relu_x)

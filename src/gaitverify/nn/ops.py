@@ -103,13 +103,8 @@ def _fold_taps(cols: np.ndarray, start: int, out: np.ndarray) -> None:
         out[:, lo:hi] += cols[:, lo + start - k:hi + start - k, k]
 
 
-def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Same-convolution: y[b,t,co] = b[co] + sum_{k,ci} xpad[b,t+k,ci] w[k,ci,co].
-
-    y is written into ``out``, a contiguous (B, T, Cout) array of the
-    result dtype, when one is given, else into a new array.
-    """
+def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-convolution: y[b,t,co] = b[co] + sum_{k,ci} xpad[b,t+k,ci] w[k,ci,co], a new array."""
     if x.ndim != 3 or w.ndim != 3 or b.ndim != 1:
         raise InvalidInputError("conv1d expects x (B,T,Cin), w (K,Cin,Cout), b (Cout,)")
     kk, cin, cout = w.shape
@@ -118,11 +113,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             f"conv1d shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
     bsz, t, _ = x.shape
     dtype = np.result_type(x, w)
-    if out is None:
-        out = np.empty((bsz, t, cout), dtype)
-    elif out.shape != (bsz, t, cout) or out.dtype != dtype or not out.flags.c_contiguous:
-        raise InvalidInputError(f"conv1d out must be a contiguous {dtype} array of shape "
-                                f"{(bsz, t, cout)}, got {out.dtype} {out.shape}")
+    out = np.empty((bsz, t, cout), dtype)
     pad_l, pad_r = _pad_lr(kk)
     buf, blocks = _blocks(bsz, t, kk, min(cin, cout), dtype)
     y = out.reshape(bsz * t, cout)

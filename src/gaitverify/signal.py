@@ -136,11 +136,18 @@ def zscore(frames: Frames) -> Frames:
 
     Uses the population stdev (divide by n). A channel with stdev below
     DEGENERATE_STDEV is set to all zeros rather than erroring, so sensor
-    dropouts do not abort a pipeline.
+    dropouts do not abort a pipeline. One whose variance overflows (values
+    beyond about 1e154) fails naming the first such frame.
     """
     v = frames.values
-    mean = v.mean(axis=1, keepdims=True)
-    std = v.std(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = v.mean(axis=1, keepdims=True)
+        std = v.std(axis=1, keepdims=True)
+    finite = np.isfinite(std).all(axis=(1, 2))
+    if not finite.all():
+        subject, session, recording, index = frames.sources[np.argmin(finite)]
+        raise InvalidInputError(f"recording ({subject}, {session}, {recording}) frame {index}: "
+                                f"values too large to normalize")
     live = std >= DEGENERATE_STDEV
     out = np.where(live, (v - mean) / np.where(live, std, 1.0), 0.0)
     return Frames(out, frames.sources)

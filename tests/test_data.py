@@ -699,10 +699,10 @@ class TestChunkedLoad:
     @pytest.mark.parametrize("chunk_bytes", [1 << 16, None], ids=["64KiB", "default"])
     def test_load_holds_the_text_a_chunk_at_a_time(self, tmp_path, monkeypatch, chunk_bytes):
         # 120,000 rows, 8.9 MB: the whole-file read peaked at about 8.7
-        # times the result. The float64 table the rows parse into, its keys,
-        # line numbers and row indices hold about 1.75 times the result and
-        # the recordings cut from it are the result, so besides those only
-        # a few chunks of text may be live at once
+        # times the result. The recordings are slices of the float64 table
+        # the rows parse into, and joining the pieces' tables into it holds
+        # two tables and the keys, about 2.25 times the result, so besides
+        # those only a few chunks of text may be live at once
         rng = np.random.default_rng(5)
         recs = [RawRecording(f"s{i:02d}", "1", "r1", np.arange(12_000) / 100.0,
                              rng.standard_normal((12_000, 3))) for i in range(10)]
@@ -717,7 +717,7 @@ class TestChunkedLoad:
         finally:
             tracemalloc.stop()
         result = sum(r.timestamps.nbytes + r.samples.nbytes for r in loaded)
-        assert peak < 3 * result + 4 * canonical.CHUNK_BYTES
+        assert peak < 2.5 * result + 4 * canonical.CHUNK_BYTES
         got = outcome(load_canonical_csv, path)
         monkeypatch.setattr(canonical, "CHUNK_BYTES", path.stat().st_size + 1)
         assert got == outcome(load_canonical_csv, path)

@@ -515,17 +515,6 @@ class TestConv1dBlocks:
         with pytest.raises(InvalidInputError):
             ops.conv1d_backward(x, w, gy, input_grad=False, relu_x=True)
 
-    def test_forward_writes_into_out(self, monkeypatch):
-        samples_per_block(monkeypatch, 2, 16, 5, 4, 6)
-        x, w, b, _ = conv_case(1, 5, 16, 5, 4, 6)
-        out = np.full((5, 16, 6), np.nan)
-        assert ops.conv1d_forward(x, w, b, out=out) is out
-        assert out.tobytes() == ops.conv1d_forward(x, w, b).tobytes()
-        for bad in (np.empty((5, 16, 5)), np.empty((5, 16, 6), np.float32),
-                    np.empty((5, 6, 16)).transpose(0, 2, 1)):
-            with pytest.raises(InvalidInputError):
-                ops.conv1d_forward(x, w, b, out=bad)
-
     @pytest.mark.parametrize("bsz", [32, 28])
     @pytest.mark.parametrize("k,cin,cout", MODEL_CONV_SHAPES)
     def test_float32_matches_the_whole_batch_ops_bit_for_bit(self, bsz, k, cin, cout):

@@ -207,6 +207,15 @@ class TestZscore:
         with pytest.raises(InvalidInputError, match="non-finite"):
             RawRecording("s", "1", "r", np.arange(128) / 100.0, samples)
 
+    @pytest.mark.parametrize("value", [1e155, 1e300, -1.7976931348623157e308])
+    def test_variance_overflow_rejected_naming_the_frame(self, value):
+        values = np.random.default_rng(11).standard_normal((3, 128, 3))
+        values[1, 7, 2] = value
+        frames = Frames(values, [("s02", "1", "r4", i) for i in range(3)])
+        with pytest.raises(InvalidInputError,
+                           match=r"^recording \(s02, 1, r4\) frame 1: values too large"):
+            zscore(frames)
+
     def test_batch_matches_frame_by_frame(self):
         rng = np.random.default_rng(10)
         values = rng.standard_normal((6, 128, 3)) * rng.uniform(0.5, 9.0, (6, 1, 3)) + 2.0
