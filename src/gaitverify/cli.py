@@ -344,8 +344,11 @@ def cmd_evaluate(args, argv):
     spec = ProtocolSpec(args.protocol, windows=tuple(args.window))
     sources, vectors = load_features_csv(args.features)
     feature_kind = args.label_features or ("raw" if vectors.shape[1] == 384 else "learned")
-    reports = run_protocol(sources, vectors, spec, nu=args.nu, gamma=args.gamma,
-                           feature_kind=feature_kind, augmentation=args.label_augment)
+    try:
+        reports = run_protocol(sources, vectors, spec, nu=args.nu, gamma=args.gamma,
+                               feature_kind=feature_kind, augmentation=args.label_augment)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{args.features}: {exc}") from None
     for report in reports:
         for warning in report.warnings:
             print(f"warning: {warning}", file=sys.stderr)

@@ -12,7 +12,8 @@ Files are UTF-8 whatever the locale; a loader given other bytes fails at
 ``path:line`` of the first byte that does not decode, and one that starts
 with a byte-order mark fails at ``path:1``. Both loaders call one
 tokenizer, which gives a key per data row, a float64 array of the other
-fields and each row's line number. A plain file (LF line ends, no quotes,
+fields and each row's line number (a ``range`` for a plain file, where
+row k is on line k + 2). A plain file (LF line ends, no quotes,
 CRs or blank lines) is read in chunks of ``CHUNK_BYTES``, each cut after
 a line end and parsed by one ``np.loadtxt`` call, so besides the arrays
 it returns the tokenizer holds a few chunks of text, not the file. Any
@@ -158,8 +159,7 @@ def _plain_rows(path, header_error, n_key: int, key):
     if width is None:
         return None  # an empty file
     values = np.concatenate(blocks) if blocks else np.empty((0, width - n_key))
-    del blocks  # before the line numbers are made
-    return keys, values, np.arange(2, len(keys) + 2)
+    return keys, values, range(2, len(keys) + 2)
 
 
 def _tokenize(path, header_error, n_key: int, key):
@@ -195,10 +195,10 @@ def _tokenize(path, header_error, n_key: int, key):
             raise FormatError(f"{path}:{lineno}: {exc}") from None
         lines.append(lineno)
     values = np.array(floats, dtype=np.float64).reshape(len(floats), width - n_key)
-    return keys, values, np.array(lines, dtype=np.intp)
+    return keys, values, lines
 
 
-def _check_finite(path, values: np.ndarray, lines: np.ndarray, rows=slice(None)) -> None:
+def _check_finite(path, values: np.ndarray, lines, rows=slice(None)) -> None:
     """Fail at the file's first line with nan/inf if ``values[rows]`` holds one."""
     if not np.isfinite(values[rows]).all():
         first = np.argmin(np.isfinite(values).all(axis=1))
@@ -232,7 +232,7 @@ def load_canonical_csv(path) -> list[RawRecording]:
         increasing = timestamps[1:] > timestamps[:-1]
         if not increasing.all():
             raise InvalidInputError(
-                f"{path}:{lines[rows][np.argmin(increasing) + 1]}: non-monotonic "
+                f"{path}:{lines[np.r_[rows][np.argmin(increasing) + 1]]}: non-monotonic "
                 f"timestamps in recording ({', '.join(key)})")
         recordings.append(RawRecording(*key, timestamps, values[rows, 1:]))
     return recordings
@@ -282,7 +282,7 @@ def load_features_csv(path):
                                         lambda row: (row[0], row[1], row[2], int(row[3])))
     _check_finite(path, vectors, lines)
     first = {}
-    for source, line in zip(sources, lines.tolist()):
+    for source, line in zip(sources, lines):
         if first.setdefault(source, line) != line:
             raise FormatError(f"{path}:{line}: repeats the subject, session, recording "
                               f"and frame of line {first[source]}")

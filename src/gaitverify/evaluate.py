@@ -77,63 +77,44 @@ class EvalReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _validated(genuine, impostor):
+def _score_counts(genuine, impostor):
+    """Genuine and impostor counts at each distinct score, in ascending order.
+
+    ``n_g[k]`` and ``n_i[k]`` count the scores of each list equal to the k-th
+    smallest distinct value of both lists; -0.0 and 0.0 are one value.
+    """
     g = np.asarray(genuine, dtype=np.float64)
     i = np.asarray(impostor, dtype=np.float64)
     if g.size == 0 or i.size == 0:
         raise InvalidInputError("genuine and impostor score lists must be non-empty")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(i))):
         raise InvalidInputError("scores must be finite")
-    return g, i
-
-
-def _tie_averaged_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x; equal values share the mean of their ranks.
-
-    Equal to scipy.stats.rankdata(x) bit for bit: every rank is an exact
-    half-integer.
-    """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    first = np.r_[True, xs[1:] != xs[:-1]]
-    dense = np.empty(x.size, dtype=np.intp)
-    dense[order] = np.cumsum(first)
-    # the k-th smallest distinct value takes sorted positions count[k-1]+1 .. count[k]
-    count = np.r_[np.flatnonzero(first), x.size]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    values, inverse = np.unique(np.concatenate([g, i]), return_inverse=True)
+    return (np.bincount(inverse[:g.size], minlength=values.size),
+            np.bincount(inverse[g.size:], minlength=values.size))
 
 
 def roc_auc(genuine, impostor) -> float:
     """P(random genuine > random impostor), ties counted 1/2 (Mann-Whitney).
 
-    Computed from the rank sum of the genuine scores, with tied scores
-    given their average rank.
+    Each genuine score wins against every lower impostor score and half of
+    the equal ones; every count is exact until the final division.
     """
-    g, i = _validated(genuine, impostor)
-    ranks = _tie_averaged_ranks(np.concatenate([g, i]))
-    u = ranks[:g.size].sum() - g.size * (g.size + 1) / 2.0
-    return float(u / (g.size * i.size))
-
-
-def _far_frr(genuine, impostor, thresholds):
-    """FAR = fraction of impostor >= t, FRR = fraction of genuine < t."""
-    gs = np.sort(genuine)
-    im = np.sort(impostor)
-    far = (im.size - np.searchsorted(im, thresholds, side="left")) / im.size
-    frr = np.searchsorted(gs, thresholds, side="left") / gs.size
-    return far, frr
+    n_g, n_i = _score_counts(genuine, impostor)
+    return float(n_g @ (np.cumsum(n_i) - 0.5 * n_i) / (n_g.sum() * n_i.sum()))
 
 
 def eer(genuine, impostor) -> float:
     """Equal error rate from a sweep over the union of observed scores.
 
-    FAR - FRR is non-increasing in the threshold; the EER is read at the
-    threshold minimizing |FAR - FRR|, linearly interpolating between the
-    two bracketing thresholds when the difference changes sign strictly.
+    At threshold t, FAR is the share of impostor scores >= t and FRR that of
+    genuine scores < t. FAR - FRR is non-increasing in t; the EER is read at
+    the t minimizing |FAR - FRR|, interpolated linearly between the two
+    bracketing thresholds when the difference changes sign strictly.
     """
-    g, i = _validated(genuine, impostor)
-    thresholds = np.unique(np.concatenate([g, i]))
-    far, frr = _far_frr(g, i, thresholds)
+    n_g, n_i = _score_counts(genuine, impostor)
+    far = (n_i.sum() - (np.cumsum(n_i) - n_i)) / n_i.sum()
+    frr = (np.cumsum(n_g) - n_g) / n_g.sum()
     diff = far - frr
     cross = np.flatnonzero((diff[:-1] > 0) & (diff[1:] < 0))
     if cross.size:
@@ -220,7 +201,7 @@ def run_protocol(sources, vectors, spec: ProtocolSpec, nu: float = ocsvm.DEFAULT
     within each recording: a window never spans two recordings, and the
     trailing partial window of each recording is dropped. Raises
     InvalidInputError, before any report is returned, if some window leaves
-    no user evaluable.
+    no user evaluable, and naming the user if a model cannot take its data.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if len(sources) != vectors.shape[0]:
@@ -261,8 +242,11 @@ def run_protocol(sources, vectors, spec: ProtocolSpec, nu: float = ocsvm.DEFAULT
             continue
         impostor_segments = [seg for other, segs in test_segments.items() if other != user
                              for seg in segs]
-        model = ocsvm.train_ocsvm(train, nu=nu, gamma=gamma)
-        scores = ocsvm.scores(model, x_test)
+        try:
+            model = ocsvm.train_ocsvm(train, nu=nu, gamma=gamma)
+            scores = ocsvm.scores(model, x_test)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"user {user}: {exc}") from None
         for window in spec.windows:
             genuine = aggregate_scores(scores, genuine_segments, window)
             impostor = aggregate_scores(scores, impostor_segments, window)

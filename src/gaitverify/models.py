@@ -84,10 +84,6 @@ class _Model:
             net.cast(dtype)
         return self
 
-    def zero_grads(self):
-        for p in self.parameters():
-            p.grad[...] = 0
-
     def blocks(self) -> list[ConvBlock]:
         return [layer for net in self._nets() if isinstance(net, Sequential)
                 for layer in net.layers if isinstance(layer, ConvBlock)]
@@ -131,7 +127,6 @@ class FCNClassifier(_Model):
         return loss
 
     def loss_and_backward(self, x, y) -> float:
-        self.zero_grads()
         feats = self.body.forward(x, train=True)
         loss, dlogits = ops.softmax_crossentropy(self.head.forward(feats, train=True), y)
         self.body.backward(self.head.backward(dlogits, feats), x, input_grad=False)
@@ -195,7 +190,6 @@ class Autoencoder(_Model):
         return loss
 
     def loss_and_backward(self, x, y=None) -> float:
-        self.zero_grads()
         z = self.encoder.forward(x, train=True)
         loss, dx_hat = ops.mse_loss(x, self.decoder.forward(z, train=True))
         self.encoder.backward(self.decoder.backward(dx_hat, z), x, input_grad=False)

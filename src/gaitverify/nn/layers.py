@@ -12,7 +12,9 @@ backward(grad_y, x) is handed x, the layer's input in the last training
 forward, so Conv1d, Dense and pooling cache no input. Sequential hands a
 layer the previous one's output(), recomputed bit for bit (no parameter
 changes within a step); a ConvBlock gets the output method and calls it
-when its convolution needs x.
+when its convolution needs x. Each backward sets its parameters' ``grad``
+to new arrays, which the optimizer step reads and drops, so no pass
+zeroes them and none outlives the step.
 
 Between a ConvBlock's training forward and its backward, three arrays of
 its output's size take turns, and none outlives the step. This is what
@@ -56,7 +58,7 @@ class Parameter:
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = None  # set by each backward, dropped by each optimizer step
 
     @property
     def size(self) -> int:
@@ -64,7 +66,7 @@ class Parameter:
 
     def cast(self, dtype):
         self.value = self.value.astype(dtype)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
 
 
 def glorot_uniform(shape, fan_in, fan_out, rng):
@@ -114,15 +116,15 @@ class Conv1d(Layer):
         return ops.conv1d_forward(x, self.w.value, self.b.value)
 
     def backward(self, grad_y, x, input_grad=True, relu_x=False):
-        """The input gradient, or None if ``input_grad`` is False; accumulates w and b gradients.
+        """The input gradient, or None if ``input_grad`` is False; sets w and b gradients.
 
         With ``relu_x`` (passed by Sequential alone) the gradient is written
         over x, a ReLU output, and masked by it (see ops.conv1d_backward).
         """
         grad_x, grad_w, grad_b = ops.conv1d_backward(x, self.w.value, grad_y, input_grad,
                                                      relu_x)
-        self.w.grad += grad_w
-        self.b.grad += grad_b
+        self.w.grad = grad_w
+        self.b.grad = grad_b
         return grad_x
 
     def parameters(self):
@@ -176,7 +178,7 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, grad_y):
-        """grad_x, written into grad_y, with the gamma and beta gradients accumulated.
+        """grad_x, written into grad_y, with the gamma and beta gradients set.
 
         It consumes the cache: ``xhat`` is overwritten, and a second backward
         needs a new training forward first.
@@ -202,8 +204,8 @@ class BatchNorm(Layer):
         grad_y -= np.multiply(xhat, grad_gamma / n, out=xhat)
         grad_y -= grad_beta / n
         grad_y *= self.gamma.value * inv_std
-        self.gamma.grad += grad_gamma
-        self.beta.grad += grad_beta
+        self.gamma.grad = grad_gamma
+        self.beta.grad = grad_beta
         return grad_y
 
     def parameters(self):
@@ -279,8 +281,8 @@ class LatentBroadcast(Layer):
         return self._z[:, None, :] * self.scale.value + self.shift.value
 
     def backward(self, grad_y, z):
-        self.scale.grad += (grad_y * z[:, None, :]).sum(axis=0)
-        self.shift.grad += grad_y.sum(axis=0)
+        self.scale.grad = (grad_y * z[:, None, :]).sum(axis=0)
+        self.shift.grad = grad_y.sum(axis=0)
         return (grad_y * self.scale.value).sum(axis=1)
 
     def parameters(self):
@@ -310,8 +312,8 @@ class Dense(Layer):
             raise InvalidInputError(
                 f"dense backward shape mismatch: grad_y {grad_y.shape}")
         grad_x = grad_y @ w.T
-        self.w.grad += x.T @ grad_y
-        self.b.grad += grad_y.sum(axis=0)
+        self.w.grad = x.T @ grad_y
+        self.b.grad = grad_y.sum(axis=0)
         return grad_x
 
     def parameters(self):
@@ -406,7 +408,7 @@ class ConvBlock(Sequential):
         return self.relu.forward(self.bn.output(), True)
 
     def backward(self, grad_y, x, input_grad=True, relu_x=False):
-        """The input gradient (see Conv1d.backward); accumulates every member's gradients.
+        """The input gradient (see Conv1d.backward); sets every member's gradients.
 
         x may instead be a function that returns it, such as the previous
         block's output method: it is called once the batch norm's backward

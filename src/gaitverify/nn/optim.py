@@ -21,15 +21,17 @@ class Adam:
         self.v = [np.zeros_like(p.value) for p in params]
 
     def step(self):
+        """Update every parameter from its gradient, then drop the gradient (set it to None)."""
         for p in self.params:
-            if p.grad.shape != p.value.shape:
+            shape = getattr(p.grad, "shape", None)
+            if shape != p.value.shape:
                 raise InvalidInputError(
-                    f"shape mismatch in Adam.step: {p.name} {p.value.shape} vs grad {p.grad.shape}")
+                    f"shape mismatch in Adam.step: {p.name} {p.value.shape} vs grad {shape}")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+            g, p.grad = p.grad, None
             # m = BETA1*m + (1-BETA1)*g; v = BETA2*v + (1-BETA2)*g^2
             m *= BETA1
             m += (1.0 - BETA1) * g

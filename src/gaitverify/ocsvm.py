@@ -38,18 +38,25 @@ class OCSVMModel:
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """K[i,j] = exp(-gamma * ||a_i - b_j||^2)."""
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * (a @ b.T))
+    """K[i,j] = exp(-gamma * ||a_i - b_j||^2); a squared distance that overflows fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+              - 2.0 * (a @ b.T))
+    if not np.isfinite(sq).all():
+        raise InvalidInputError("vector values too large for the RBF kernel")
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    with np.errstate(over="ignore"):  # -gamma * sq below the float range is -inf: K = 0
+        return np.exp(-gamma * sq)
 
 
 def auto_gamma(x: np.ndarray) -> float:
-    """1 / (d * mean per-coordinate variance); falls back to 1/d if degenerate."""
+    """1 / (d * mean per-coordinate variance); 1/d if the product is 0, an error if it overflows."""
     d = x.shape[1]
-    var = float(x.var(axis=0).mean())
-    return 1.0 / (d * var) if var > 0 else 1.0 / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = d * float(x.var(axis=0).mean())
+    if not np.isfinite(spread):
+        raise InvalidInputError("training vector values too large for their variance")
+    return 1.0 / spread if spread > 0 else 1.0 / d
 
 
 def train_ocsvm(x, nu: float = DEFAULT_NU, gamma="auto",

@@ -671,6 +671,33 @@ def test_non_finite_feature_value_exits_one_at_its_line(features, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["auto", "0.01"])
+def test_feature_value_too_large_for_the_svm_exits_one_naming_file_and_user(
+        features, tmp_path, capsys, gamma):
+    lines = features.read_text().splitlines(keepends=True)
+    fields = lines[4].split(",")
+    fields[7] = "1e200"
+    lines[4] = ",".join(fields)
+    bad = tmp_path / "features.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "report.csv"
+    assert evaluate(bad, out, "1", "--protocol", "sd1", "--gamma", gamma) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: user {fields[0]}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("protocol", ["cd", "sd2"])
+def test_protocol_without_its_session_exits_one_naming_the_file(features, tmp_path, capsys,
+                                                                protocol):
+    lines = features.read_text().splitlines(keepends=True)
+    one_session = tmp_path / "features.csv"
+    one_session.write_text("".join(line for line in lines if line.split(",")[1] != "2"))
+    out = tmp_path / "report.csv"
+    assert evaluate(one_session, out, "1", "--protocol", protocol) == 1
+    assert capsys.readouterr().err.startswith(f"error: {one_session}: ")
+    assert not out.exists()
+
+
 def test_repeated_feature_row_exits_one_at_its_line(features, tmp_path, capsys):
     lines = features.read_text().splitlines(keepends=True)
     bad = tmp_path / "features.csv"
@@ -954,7 +981,7 @@ def gait_rows(seed):
             for subject in ("s01", "s02") for i in range(640)]
 
 
-def csv_byte_mutants(raw, seed, count):
+def csv_byte_mutants(raw, seed, count, tokens=CSV_TOKENS):
     """Deletions, random bytes, spliced runs and inserted tokens anywhere in the file."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -970,7 +997,7 @@ def csv_byte_mutants(raw, seed, count):
             to = rng.randrange(len(data))
             data[to:to + (len(run) if rng.random() < 0.5 else 0)] = run
         else:
-            data[at:at] = rng.choice(CSV_TOKENS)
+            data[at:at] = rng.choice(tokens)
         yield f"{kind}@{at}", bytes(data)
 
 
@@ -1015,3 +1042,126 @@ def test_canonical_csv_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys
             assert codes[-1] == 0 or err.startswith(f"error: {data}"), (name, command[0], err)
     # some mutants still read as recordings and reach training
     assert codes[1::2].count(0) >= 20, codes[1::2].count(0)
+
+
+# --- feature CSV and --config mutation guards -----------------------------
+# Seeded mutants of a small raw feature CSV, each evaluated under the
+# cross-day and same-day protocols, and of one --config file that serves
+# every command. Each must give exit 0, or exit 1 naming the mutated file
+# (or, for a config that lost a required option, the option); never a
+# traceback, a numpy warning (pyproject makes RuntimeWarning an error) or a
+# report next to an error.
+
+FEATURE_LIMITS = ("1e155", "1e200", "1e300", "1.7e308", "-1.7e308", "5e-324")
+
+
+def feature_csv(path, rows):
+    dim = len(rows[0]) - 4
+    path.write_text(",".join(["subject", "session", "recording", "frame"]
+                             + [f"f{i}" for i in range(dim)]) + "\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    return path
+
+
+def feature_rows(seed, dim=384):
+    """Four subjects, two sessions of one five-frame recording each: 40 rows."""
+    rng = random.Random(seed)
+    return [(subject, session, "r1", frame, *(round(rng.gauss(0, 1), 3) for _ in range(dim)))
+            for subject in ("s01", "s02", "s03", "s04") for session in ("1", "2")
+            for frame in range(5)]
+
+
+def feature_size_mutants(path, rows):
+    """One value of a session-1 and of a session-2 row, in three columns, set to each limit."""
+    for row in (7, 16):
+        for col in (4, 100, len(rows[0]) - 1):
+            for limit in FEATURE_LIMITS:
+                changed = list(rows)
+                changed[row] = rows[row][:col] + (limit,) + rows[row][col + 1:]
+                yield f"line {row + 2} field {col}={limit}", feature_csv(
+                    path, changed).read_bytes()
+
+
+def test_feature_csv_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys):
+    path, out = tmp_path / "f.csv", tmp_path / "report.csv"
+    rows = feature_rows(0)
+    raw = feature_csv(path, rows).read_bytes()
+    mutants = [*csv_byte_mutants(raw, 2, 132), *csv_byte_mutants(raw, 3, 132),
+               *feature_size_mutants(path, rows)]
+    assert len(mutants) == 300
+    capsys.readouterr()
+    codes = []
+    for name, mutant in mutants:
+        path.write_bytes(mutant)
+        for protocol in ("cd", "sd1"):
+            try:
+                codes.append(evaluate(path, out, "1..2", "--protocol", protocol))
+            except Exception as exc:  # a traceback, run from the shell
+                pytest.fail(f"{name}: evaluate --protocol {protocol} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert codes[-1] in (0, 1), (name, protocol, err)
+            if codes[-1] == 1:
+                assert err.startswith(f"error: {path}"), (name, protocol, err)
+                assert not list(tmp_path.glob("report*")), (name, protocol)
+            for written in tmp_path.glob("report*"):
+                written.unlink()
+    # some mutants still load and are evaluated
+    assert codes.count(0) >= 100, codes.count(0)
+
+
+CONFIG = """# one file for every command; paths are given as flags
+subjects = 2
+seconds = 7.68
+sessions = 2
+recordings = 1
+drift = 0.2
+seed = 3
+mode = e2e
+augment = cshift
+epochs = 1
+batch-size = 16
+raw = yes
+protocol = cd
+window = 1..2
+nu = 0.1
+gamma = auto
+label_features = raw
+label-augment = none
+"""
+CONFIG_TOKENS = (b"=", b"#", b"\n", b"-", b"_", b" ", b"0", b"9", b".", b"..", b"nan",
+                 b"1e300", b"\xff", b"\x00", b"\r")
+
+
+def test_config_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys, monkeypatch):
+    # small networks, and gradcheck stubbed after its options are parsed: the
+    # guard is about the config file, not the training arithmetic
+    for name in ("FCNClassifier", "Autoencoder"):
+        monkeypatch.setattr(models, name, functools.partial(
+            getattr(models, name), filters=(4, 8, 4), kernels=(3, 3, 3)))
+    monkeypatch.setattr(cli, "cmd_gradcheck", lambda args, argv: 0)
+    config, data, feats = tmp_path / "run.cfg", tmp_path / "gait.csv", tmp_path / "f.csv"
+    raw = CONFIG.encode()
+    config.write_bytes(raw)
+    out = str(tmp_path / "out")
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["extract", "--config", str(config), "--data", str(data),
+                 "--out", str(feats)]) == 0
+    commands = {"synth": ["--out", out], "train": ["--data", str(data), "--out", out],
+                "extract": ["--data", str(data), "--out", out],
+                "evaluate": ["--features", str(feats), "--out", out], "gradcheck": []}
+    capsys.readouterr()
+    codes = []
+    for seed, (command, flags) in enumerate(commands.items()):
+        for name, mutant in csv_byte_mutants(raw, seed, 60, CONFIG_TOKENS):
+            config.write_bytes(mutant)
+            try:
+                codes.append(main([command, "--config", str(config), *flags]))
+            except Exception as exc:  # a traceback, run from the shell
+                pytest.fail(f"{name}: {command} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert codes[-1] in (0, 1), (name, command, err)
+            assert codes[-1] == 0 or err.startswith(f"error: {config}") or err.startswith(
+                "error: the following arguments are required"), (name, command, err)
+    assert len(codes) == 300
+    # some mutants still parse and run their command
+    assert codes.count(0) >= 75, codes.count(0)

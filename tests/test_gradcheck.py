@@ -23,8 +23,6 @@ class LinearModel:
         return float(np.mean(d * d))
 
     def loss_and_backward(self, x, y):
-        for p in self.parameters():
-            p.grad[...] = 0
         out = self.net.forward(x, train=True)
         d = out - y
         self.net.backward(2.0 * d / d.size, x)

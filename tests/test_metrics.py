@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from scipy.stats import rankdata
 
 from gaitverify.errors import InvalidInputError
 from gaitverify.evaluate import (
     UserResult,
-    _tie_averaged_ranks,
     aggregate_scores,
     eer,
     roc_auc,
@@ -45,21 +43,23 @@ def sweep_eer(genuine, impostor):
 
 class TestRocAuc:
     @pytest.mark.parametrize("scores", [
-        [0.5], [2.0, 1.0], [1.0, 1.0, 1.0], [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
-        [-0.0, 0.0, 1e-300, -1e-300], [np.inf, -np.inf, 0.0, np.inf]])
-    def test_ranks_equal_scipy_rankdata(self, scores):
-        x = np.asarray(scores, dtype=np.float64)
-        assert _tie_averaged_ranks(x).tobytes() == rankdata(x).tobytes()
+        [2.0, 1.0], [1.0, 1.0, 1.0], [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
+        [-0.0, 0.0, 1e-300, -1e-300], [0.0, -0.0, -0.0, 0.0, 5e-324]])
+    def test_every_split_of_tied_and_signed_zero_scores_matches_the_oracles(self, scores):
+        for cut in range(1, len(scores)):
+            g, i = scores[:cut], scores[cut:]
+            assert roc_auc(g, i) == pair_counting_auc(g, i), cut
+            assert eer(g, i) == sweep_eer(g, i), cut
 
-    def test_ranks_equal_scipy_rankdata_on_tie_heavy_and_float32_scores(self):
+    def test_tie_heavy_and_float32_scores_match_the_oracles(self):
         rng = np.random.default_rng(5)
-        for trial in range(400):
-            x = np.round(rng.standard_normal(int(rng.integers(1, 300))), trial % 3)
+        for trial in range(300):
+            x = np.round(rng.standard_normal(int(rng.integers(2, 120))), trial % 3)
             if trial % 2:
                 x = (x + rng.standard_normal(x.size) * 1e-9).astype(np.float32).astype(np.float64)
-            ranks = _tie_averaged_ranks(x)
-            assert ranks.dtype == np.float64
-            assert ranks.tobytes() == rankdata(x).tobytes(), trial
+            g, i = np.split(x, [int(rng.integers(1, x.size))])
+            assert roc_auc(g, i) == pair_counting_auc(g, i), trial
+            assert eer(g, i) == sweep_eer(g, i), trial
 
     def test_perfect_separation(self):
         assert roc_auc([0.9, 0.8], [0.1, 0.2]) == 1.0

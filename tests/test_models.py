@@ -181,11 +181,13 @@ class TestTrainingCaches:
         # first, so an array a layer keeps between steps counts as well: at
         # most the forward's caches (one activation per block), one more
         # activation of the widest block (a recomputed output), one
-        # convolution block buffer and 2 MiB of smaller arrays
+        # convolution block buffer, 2 MiB of smaller arrays and the
+        # parameter gradients, which every step allocates anew
         for name, model, y, _ in self.cases():
             widths = [b.conv.out_channels for b in model.blocks()]
-            bound = ((sum(widths) + max(widths)) * self.X[..., 0].nbytes
-                     + ops.BLOCK_BYTES + 2 * 2**20)  # FCN 16 MiB, autoencoder 22 MiB
+            grads = sum(p.value.nbytes for p in model.parameters())
+            bound = ((sum(widths) + max(widths)) * self.X[..., 0].nbytes + ops.BLOCK_BYTES
+                     + 2 * 2**20 + grads)  # FCN 17 MiB, autoencoder 24 MiB
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -199,8 +201,10 @@ class TestTrainingCaches:
 
     def test_validation_peak_memory(self):
         # evaluate_loss right after a step: no block cache outlives the step,
-        # so the traced peak is the inference working set alone
+        # so the traced peak is the inference working set alone, plus the
+        # parameter gradients that the traced step allocated
         for name, model, y, _ in self.cases():
+            grads = sum(p.value.nbytes for p in model.parameters())
             model.loss_and_backward(self.X, y)
             tracemalloc.start()
             try:
@@ -211,7 +215,7 @@ class TestTrainingCaches:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= 9.5 * 2**20, f"{name}: {peak / 2**20:.2f} MiB"
+            assert peak <= 9.5 * 2**20 + grads, f"{name}: {peak / 2**20:.2f} MiB"
 
     def test_blocks_keep_only_their_batch_norm_cache(self):
         for dtype in (np.float32, np.float64):
@@ -274,7 +278,6 @@ class TestTrainingCaches:
         _, model, y, _ = self.cases()[1]
         model.loss_and_backward(self.X, y)
         skipped = {p.name: p.grad.copy() for p in model.parameters()}
-        model.zero_grads()
         feats = model.body.forward(self.X, train=True)
         _, dlogits = ops.softmax_crossentropy(model.head.forward(feats, train=True), y)
         grad_x = model.body.backward(model.head.backward(dlogits, feats), self.X)
@@ -293,6 +296,16 @@ class TestTrainingCaches:
                 assert loss == runs[0][0], name
                 for key, g in grads.items():
                     assert g.tobytes() == runs[0][1][key].tobytes(), f"{name}: {key}"
+
+    def test_a_step_writes_every_parameter_gradient(self):
+        # a gradient left from before the step, here nan, must not survive it
+        for name, model, y, _ in self.cases():
+            for p in model.parameters():
+                p.grad = np.full_like(p.value, np.nan)
+            model.loss_and_backward(self.X, y)
+            for p in model.parameters():
+                assert p.grad.shape == p.value.shape, f"{name}: {p.name}"
+                assert not np.isnan(p.grad).any(), f"{name}: {p.name}"
 
     def test_inputs_are_left_unchanged(self):
         x = self.X.copy()

@@ -110,6 +110,14 @@ class TestTrainOcsvm:
         expected = 1.0 / (8 * x.var(axis=0).mean())
         assert model.gamma == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [1e155, 1e300, -1.7e308])
+    @pytest.mark.parametrize("gamma", ["auto", 0.5])
+    def test_values_whose_squares_overflow_rejected(self, value, gamma):
+        x = np.random.default_rng(6).standard_normal((10, 4))
+        x[3, 1] = value
+        with pytest.raises(InvalidInputError, match="too large"):
+            ocsvm.train_ocsvm(x, gamma=gamma)
+
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
             ocsvm.train_ocsvm(np.zeros((1, 3)))
@@ -143,6 +151,15 @@ class TestDecisionScore:
         for delta in (1e-3, 1e-5, 1e-7):
             moved = ocsvm.scores(model, point + delta)[0]
             assert abs(moved - base) < 10 * delta * np.sqrt(4)
+
+    def test_probe_whose_square_overflows_rejected(self):
+        _, model = self.build()
+        with pytest.raises(InvalidInputError, match="too large for the RBF kernel"):
+            ocsvm.scores(model, np.array([0.0, 1e200, 0.0, 0.0]))
+
+    def test_kernel_underflow_of_a_huge_gamma_is_zero(self):
+        x, model = self.build()
+        assert not ocsvm.rbf_kernel(x[:3], x[3:6], 1e308).any()
 
     def test_dimension_mismatch(self):
         _, model = self.build()

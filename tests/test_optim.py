@@ -11,7 +11,7 @@ def params_with_grads(values, grads):
     params = []
     for i, (value, grad) in enumerate(zip(values, grads)):
         p = Parameter(f"p{i}", np.array(value, dtype=float))
-        p.grad[...] = grad
+        p.grad = np.array(grad, dtype=float)
         params.append(p)
     return params
 
@@ -58,6 +58,7 @@ class TestAdamStep:
         [p] = params_with_grads([[0.0]], [[2.0]])
         opt = Adam([p], lr=0.001)
         opt.step()
+        p.grad = np.array([2.0])
         opt.step()
         assert p.value[0] == pytest.approx(-0.002, rel=1e-6)
         assert opt.t == 2
@@ -67,6 +68,14 @@ class TestAdamStep:
         p.grad = np.zeros(4)
         with pytest.raises(InvalidInputError):
             Adam([p], lr=0.1).step()
+
+    def test_a_step_drops_the_gradients_it_read(self):
+        params = params_with_grads([[1.0, 2.0], [3.0]], [[0.5, -0.5], [1.0]])
+        opt = Adam(params, lr=0.1)
+        opt.step()
+        assert all(p.grad is None for p in params)
+        with pytest.raises(InvalidInputError, match="vs grad None"):
+            opt.step()
 
     def test_class_wrapper_matches_function(self):
         # in place, same operation order: bit-identical to the out-of-place formula
@@ -83,7 +92,7 @@ class TestAdamStep:
             for _ in range(4):
                 grads = [rng.standard_normal(v.shape).astype(dtype) for v in values]
                 for p, g in zip(params, grads):
-                    p.grad[...] = g
+                    p.grad = g
                 opt.step()
                 values, m, v2, t = reference_adam(values, grads, m, v2, t, lr=0.05)
                 for p, expected in zip(params, values):
