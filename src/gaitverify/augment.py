@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 AUGMENTATION_KINDS = ("none", "random_noise", "circular_shift")
+NOISE_AMPLITUDE = 0.2
 
 # CLI spellings accepted next to the canonical names.
 _ALIASES = {"rnd": "random_noise", "cshift": "circular_shift"}
@@ -25,12 +26,9 @@ def normalize_kind(kind: str) -> str:
     return kind
 
 
-def add_uniform_noise(values: np.ndarray, rng: np.random.Generator,
-                      amplitude: float = 0.2) -> np.ndarray:
-    """Add an independent Uniform(-amplitude, +amplitude) draw to every element."""
-    if amplitude <= 0:
-        raise InvalidInputError(f"amplitude must be positive, got {amplitude}")
-    return values + rng.uniform(-amplitude, amplitude, size=values.shape)
+def add_uniform_noise(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Add an independent Uniform(-NOISE_AMPLITUDE, +NOISE_AMPLITUDE) draw to every element."""
+    return values + rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, size=values.shape)
 
 
 def circular_shift(values: np.ndarray, k) -> np.ndarray:

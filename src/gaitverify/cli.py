@@ -33,7 +33,7 @@ from .data.canonical import (
 )
 from .data.container import load_model, save_model
 from .data.synthetic import SyntheticConfig, generate_synthetic, recording_seconds_fit
-from .errors import FormatError, GaitVerifyError, InvalidInputError, InvalidStateError
+from .errors import FormatError, GaitVerifyError, InvalidInputError
 from .evaluate import ProtocolSpec, format_summary, run_protocol, write_report_csv
 from .nn.gradcheck import gradient_check
 from .nn.training import TrainConfig, train
@@ -316,14 +316,13 @@ def cmd_extract(args, argv):
         metadata, arrays = load_model(args.model)  # its errors name the file
         try:
             encoder = models.from_container(metadata, arrays)
-            # an encoder saved untrained has no statistics to transform with;
             # finite but huge weights overflow, which the check after reports
             with np.errstate(over="ignore", invalid="ignore"):
                 vectors = encoder.transform(models.frames_to_array(frames.values))
             if not np.isfinite(vectors).all():
                 raise FormatError("the encoder's features are not finite (its weights "
                                   "overflow float32)")
-        except (FormatError, InvalidStateError) as exc:
+        except FormatError as exc:
             raise FormatError(f"{args.model}: {exc}") from None
         inputs.append(args.model)
     export_features_csv(args.out, frames.sources, vectors)

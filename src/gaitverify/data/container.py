@@ -1,6 +1,8 @@
 """Portable binary file of a saved model: a (metadata, arrays) pair, string -> string
 and name -> float32 array, both in order. ``save_model`` writes the pair and
-``load_model`` returns it; what it must hold is for models.from_container to check.
+``load_model`` returns it; what it must hold is for models.from_container to check:
+an encoder's architecture is its tensors' shapes, and its metadata holds 'arch'
+and free-form keys about how it was trained.
 
 Byte layout (all integers little-endian uint32, all payloads
 little-endian IEEE-754 single precision, row-major):

@@ -201,7 +201,9 @@ def run_protocol(sources, vectors, spec: ProtocolSpec, nu: float = ocsvm.DEFAULT
     within each recording: a window never spans two recordings, and the
     trailing partial window of each recording is dropped. Raises
     InvalidInputError, before any report is returned, if some window leaves
-    no user evaluable, and naming the user if a model cannot take its data.
+    no user evaluable, naming the first test-session row (in file order)
+    whose squared norm overflows, since every model scores it, and naming
+    the user if a model cannot take its own data.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if len(sources) != vectors.shape[0]:
@@ -219,6 +221,12 @@ def run_protocol(sources, vectors, spec: ProtocolSpec, nu: float = ocsvm.DEFAULT
     elif not test_segments:
         raise InvalidInputError(f"no users have session {test_session} data")
     x_test = vectors[test_rows]
+    with np.errstate(over="ignore"):
+        huge = test_rows[~np.isfinite(np.einsum("ij,ij->i", x_test, x_test))]
+    if huge.size:
+        subject, session, recording, frame = sources[huge.min()]
+        raise InvalidInputError(f"subject {subject}, session {session}, recording {recording}, "
+                                f"frame {frame}: vector values too large for the RBF kernel")
 
     results: dict[int, list[UserResult]] = {w: [] for w in spec.windows}
     warnings: dict[int, list[str]] = {w: [] for w in spec.windows}

@@ -6,40 +6,29 @@ kernel 3) into global average pooling and a dense softmax head. The
 autoencoder reuses the same encoder and mirrors the blocks in reverse
 order for the decoder; the final convolution maps back to 3 channels with
 no batch norm or ReLU so reconstructions can be negative. Each block is
-one ``ConvBlock``, and every inference-mode pass (validation loss and
-``Encoder.transform``) runs it with its batch norm folded into the
-convolution. A training step (``loss_and_backward``) keeps the frames
-and the encoder's output as locals and hands them back to backward.
-Between its forward and backward each block keeps one activation-sized
-array, the batch norm's ``xhat``: a new array each step, which the batch
-norm's backward overwrites and frees, so no layer holds an activation
-between steps. The block's output is recomputed from it when backward
-reaches the next layer, as a new array, and a next block recomputes it
-only after its own batch norm's backward; when that layer is a
-convolution, its backward writes its input gradient over that array. So
-a convolution makes a new input gradient only where its input is not a
-block's output: in the autoencoder's first decoder block, whose input is
-the latent broadcast. The step skips the input gradient of the first
-convolution, which nothing reads.
+one ``ConvBlock``; ``nn/layers.py`` says which arrays a training step
+keeps between its forward and backward, and which pass may overwrite
+them.
 
 A model's whole state is ``arrays()``: name -> live array, every
 parameter value and then every batch-norm running statistic. Training
 snapshots, their restore and the saved file all read it, so it also fixes
 the file's tensor order. Only encoders are saved: both training modes
 exist to produce one, and ``train`` ships only the encoder of the FCN or
-the autoencoder. A saved encoder is a (metadata, arrays) pair:
-``to_container`` gives an encoder's, and ``from_container`` is the only
-place an ``Encoder`` is built from one. Every encoder handed out
-(``strip_classifier``, ``get_encoder``, and ``extract`` through a file)
-comes from it, so each holds copies of the arrays and none of the caches
-a training-mode forward leaves in the layers.
+the autoencoder. A saved encoder is a (metadata, arrays) pair whose
+arrays' shapes are its architecture: ``to_container`` gives an
+encoder's, and ``from_container`` is the only place an ``Encoder`` is
+built from one. Every encoder handed out (``strip_classifier``,
+``get_encoder``, and ``extract`` through a file) comes from it, so each
+holds copies of the arrays and none of the caches a training-mode
+forward leaves in the layers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, InvalidInputError, InvalidStateError
+from .errors import FormatError, InvalidInputError
 from .nn import ops
 from .nn.layers import (
     Conv1d,
@@ -83,14 +72,6 @@ class _Model:
         for net in self._nets():
             net.cast(dtype)
         return self
-
-    def blocks(self) -> list[ConvBlock]:
-        return [layer for net in self._nets() if isinstance(net, Sequential)
-                for layer in net.layers if isinstance(layer, ConvBlock)]
-
-    @property
-    def batches_tracked(self) -> int:
-        return min((block.bn.batches_tracked for block in self.blocks()), default=0)
 
 
 def _encoder_net(rng, filters, kernels) -> Sequential:
@@ -157,9 +138,6 @@ class Encoder(_Model):
         sizes may round differently. An empty x still runs one (empty)
         batch, so the result has the encoder's dtype.
         """
-        if self.batches_tracked == 0:
-            raise InvalidStateError(
-                "encoder has no finalized running statistics; train it first")
         return np.concatenate([self.net.forward(x[s:s + batch_size], train=False)
                                for s in range(0, len(x), batch_size) or [0]])
 
@@ -206,7 +184,7 @@ def strip_classifier(fcn: FCNClassifier) -> Encoder:
 
 
 def _detach(net: Sequential) -> Encoder:
-    """A new encoder with copies of ``net``'s arrays and batch count, and none of its caches."""
+    """A new encoder with copies of ``net``'s arrays and none of its caches."""
     return from_container(*to_container(Encoder(net)))
 
 
@@ -226,68 +204,44 @@ _ARCH_ENCODER = "fcn-encoder"
 
 
 def to_container(encoder: Encoder, extra_metadata: dict[str, str] | None = None):
-    """The encoder's (metadata, arrays) pair: its architecture, ``extra_metadata`` and
-    batch count, and its live arrays() in order."""
-    convs = [block.conv for block in encoder.blocks()]
-    metadata = {
-        "arch": _ARCH_ENCODER,
-        "filters": ",".join(str(conv.out_channels) for conv in convs),
-        "kernels": ",".join(str(conv.kernel_size) for conv in convs),
-        "feature_dim": str(convs[-1].out_channels),
-        **(extra_metadata or {}),
-        "batches_tracked": str(encoder.batches_tracked),
-    }
-    return metadata, encoder.arrays()
-
-
-def _ints(meta: dict[str, str], key: str, default: str | None = None) -> tuple[int, ...]:
-    """Comma-separated integers of one metadata key; FormatError if absent or malformed."""
-    text = meta.get(key, default)
-    if text is None:
-        raise FormatError(f"container metadata lacks {key!r}")
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise FormatError(f"container metadata {key!r} is not integers: {text!r}") from None
-
-
-def _check_shapes(expected: dict[str, tuple[int, ...]], arrays: dict[str, np.ndarray]) -> None:
-    """FormatError naming the first ``expected`` tensor ``arrays`` lacks or shapes otherwise."""
-    for name, shape in expected.items():
-        if name not in arrays:
-            raise FormatError(f"container lacks tensor {name!r}")
-        if arrays[name].shape != shape:
-            raise FormatError(f"container tensor {name!r} has shape {arrays[name].shape}, "
-                              f"expected {shape}")
+    """The encoder's (metadata, arrays) pair: its 'arch' and ``extra_metadata``, and its
+    live arrays() in order, whose shapes are the architecture."""
+    return {"arch": _ARCH_ENCODER, **(extra_metadata or {})}, encoder.arrays()
 
 
 def from_container(metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> Encoder:
-    """A new encoder of the shape ``metadata`` names, holding copies of ``arrays`` in their dtype.
+    """A new encoder shaped by ``arrays`` and holding copies of them in their dtype.
 
-    Missing or malformed metadata, a missing, extra or misshapen tensor,
-    and a negative running variance raise FormatError naming it. The
-    convolution weights, the bulk of an encoder, are checked before anything
-    is built, so the metadata sizes nothing bigger than ``arrays``; every
-    tensor is checked before any is written.
+    Its blocks are block1, block2, ... up to the first missing
+    ``block{i}.conv.w``; each takes its kernel size and filter count from
+    that (kernel, in, filters) weight. Metadata other than 'arch' is not
+    read, so a container that also states the architecture there loads
+    the same. A wrong 'arch', a missing block1, a weight that is not 3-D or
+    has a zero-length axis, a missing, extra or misshapen tensor, and a
+    negative running variance raise FormatError naming it; every tensor is
+    checked before any is written.
     """
     if metadata.get("arch") != _ARCH_ENCODER:
         raise FormatError(f"container metadata 'arch' is {metadata.get('arch')!r}, "
                           f"expected {_ARCH_ENCODER!r}")
-    filters = _ints(metadata, "filters")
-    kernels = _ints(metadata, "kernels")
-    if len(filters) != len(kernels) or min(filters + kernels) < 1:
-        raise FormatError(f"container metadata 'filters' {metadata['filters']!r} and 'kernels' "
-                          f"{metadata['kernels']!r} must be equally many positive integers")
-    if _ints(metadata, "feature_dim") != filters[-1:]:
-        raise FormatError(f"container metadata 'feature_dim' {metadata['feature_dim']!r} "
-                          f"is not the last filter count {filters[-1]}")
-    # the convolutions of _encoder_net, by its block names
-    _check_shapes({f"block{i}.conv.w": (k, c, f) for i, (f, k, c)
-                   in enumerate(zip(filters, kernels, (N_CHANNELS, *filters[:-1])), start=1)},
-                  arrays)
+    kernels, filters = [], []
+    while (name := f"block{len(kernels) + 1}.conv.w") in arrays:
+        shape = arrays[name].shape
+        if len(shape) != 3 or 0 in shape:
+            raise FormatError(f"container tensor {name!r} has shape {shape}, expected "
+                              f"(kernel, in, filters) with none of them 0")
+        kernels.append(shape[0])
+        filters.append(shape[2])
+    if not kernels:
+        raise FormatError("container lacks tensor 'block1.conv.w'")
     encoder = Encoder(_encoder_net(np.random.default_rng(0), filters, kernels))
     own = encoder.arrays()
-    _check_shapes({name: a.shape for name, a in own.items()}, arrays)
+    for name, a in own.items():
+        if name not in arrays:
+            raise FormatError(f"container lacks tensor {name!r}")
+        if arrays[name].shape != a.shape:
+            raise FormatError(f"container tensor {name!r} has shape {arrays[name].shape}, "
+                              f"expected {a.shape}")
     extra = [name for name in arrays if name not in own]
     if extra:
         raise FormatError(f"container tensor {extra[0]!r} is not part of a "
@@ -295,8 +249,5 @@ def from_container(metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> E
     negative = [name for name in own if name.endswith(".running_var") and (arrays[name] < 0).any()]
     if negative:
         raise FormatError(f"container tensor {negative[0]!r} holds a negative variance")
-    encoder.cast(arrays[next(iter(own))].dtype).load_snapshot(arrays)
-    batches_tracked = _ints(metadata, "batches_tracked", "0")[0]
-    for block in encoder.blocks():
-        block.bn.batches_tracked = batches_tracked
+    encoder.cast(arrays["block1.conv.w"].dtype).load_snapshot(arrays)
     return encoder

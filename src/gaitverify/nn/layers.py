@@ -103,9 +103,6 @@ class Conv1d(Layer):
     def __init__(self, kernel_size: int, in_channels: int, out_channels: int,
                  rng: np.random.Generator, name: str = "conv"):
         self.name = name
-        self.kernel_size = kernel_size
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         fan_in = kernel_size * in_channels
         fan_out = kernel_size * out_channels
         self.w = Parameter(f"{name}.w", glorot_uniform(
@@ -143,12 +140,10 @@ class BatchNorm(Layer):
 
     def __init__(self, channels: int, name: str = "bn"):
         self.name = name
-        self.channels = channels
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=np.float32))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self.batches_tracked = 0
         self._cache = None
 
     def forward(self, x, train):
@@ -165,7 +160,6 @@ class BatchNorm(Layer):
         var = np.einsum("nc,nc->c", flat, flat) / n
         self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
         self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
-        self.batches_tracked += 1
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
         self._cache = (xhat, inv_std)
@@ -293,8 +287,6 @@ class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  name: str = "dense"):
         self.name = name
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w = Parameter(f"{name}.w", glorot_uniform(
             (in_dim, out_dim), in_dim, out_dim, rng))
         self.b = Parameter(f"{name}.b", np.zeros(out_dim, dtype=np.float32))

@@ -8,6 +8,7 @@ from ..errors import InvalidInputError
 from .layers import Parameter
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+PATIENCE, FACTOR, MIN_LR = 50, 0.5, 1e-4  # PlateauScheduler's
 
 
 class Adam:
@@ -50,21 +51,13 @@ class PlateauScheduler:
     """Reduce-on-plateau learning rate, one step() per epoch.
 
     An epoch improves when its loss is strictly below the best loss seen so
-    far. After `patience` consecutive non-improving epochs the rate is
-    multiplied by `factor` (floored at min_lr) and the patience counter
+    far. After PATIENCE consecutive non-improving epochs the rate is
+    multiplied by FACTOR (floored at MIN_LR) and the patience counter
     resets. The rate never increases.
     """
 
-    def __init__(self, lr: float, patience: int = 50, factor: float = 0.5,
-                 min_lr: float = 1e-4):
-        if not 0 < factor < 1:
-            raise InvalidInputError(f"factor must be in (0,1), got {factor}")
-        if min_lr <= 0 or patience < 1:
-            raise InvalidInputError("min_lr must be positive and patience >= 1")
+    def __init__(self, lr: float):
         self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.min_lr = min_lr
         self.best = np.inf
         self.stale = 0
 
@@ -74,7 +67,7 @@ class PlateauScheduler:
             self.stale = 0
         else:
             self.stale += 1
-            if self.stale >= self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
+            if self.stale >= PATIENCE:
+                self.lr = max(self.lr * FACTOR, MIN_LR)
                 self.stale = 0
         return self.lr

@@ -28,7 +28,6 @@ class OCSVMModel:
     alphas: np.ndarray           # (m,), all > 0, sum to 1
     rho: float
     gamma: float
-    nu: float
     iterations: int = 0
     residual: float = 0.0
 
@@ -140,7 +139,6 @@ def train_ocsvm(x, nu: float = DEFAULT_NU, gamma="auto",
         alphas=alpha[keep].copy(),
         rho=rho,
         gamma=gamma,
-        nu=nu,
         iterations=iterations,
         residual=float(max(residual, 0.0)),
     )

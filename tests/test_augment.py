@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gaitverify import augment
 from gaitverify.augment import add_uniform_noise, augment_dataset, circular_shift
 from gaitverify.errors import InvalidInputError
 
@@ -21,9 +22,10 @@ def shift(values, k):
 
 
 class TestAddUniformNoise:
-    def test_small_amplitude_limit(self):
+    def test_small_amplitude_limit(self, monkeypatch):
+        monkeypatch.setattr(augment, "NOISE_AMPLITUDE", 1e-12)
         f = random_frame()
-        out = add_uniform_noise(f, amplitude=1e-12, rng=np.random.default_rng(1))
+        out = add_uniform_noise(f, rng=np.random.default_rng(1))
         npt.assert_allclose(out, f, atol=1e-11)
 
     def test_deterministic_under_fixed_seed(self):
@@ -38,20 +40,16 @@ class TestAddUniformNoise:
         deltas = []
         for _ in range(30):  # 30 * 384 = 11520 draws
             f = zero_frame()
-            deltas.append(add_uniform_noise(f, amplitude=0.2, rng=rng))
+            deltas.append(add_uniform_noise(f, rng=rng))
         deltas = np.abs(np.concatenate([d.ravel() for d in deltas]))
         assert deltas.max() <= 0.2
         assert abs(deltas.mean() - 0.1) <= 0.01
 
     def test_mean_shift_bounded_by_amplitude(self):
         f = random_frame(5)
-        out = add_uniform_noise(f, amplitude=0.2, rng=np.random.default_rng(6))
+        out = add_uniform_noise(f, rng=np.random.default_rng(6))
         moved = np.abs(out.mean(axis=1) - f.mean(axis=1))
         assert np.all(moved <= 0.2)
-
-    def test_non_positive_amplitude(self):
-        with pytest.raises(InvalidInputError):
-            add_uniform_noise(random_frame(), np.random.default_rng(0), amplitude=0.0)
 
 
 class TestCircularShift:

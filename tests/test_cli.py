@@ -133,28 +133,29 @@ def test_extract_with_invalid_utf8_container_exits_one(features, tmp_path, capsy
     assert f"error: {path}: string at byte 12 is not valid UTF-8" in capsys.readouterr().err
 
 
-def test_extract_with_container_missing_filters_exits_one(features, tmp_path, capsys):
-    metadata, arrays = models.to_container(
-        models.strip_classifier(models.FCNClassifier(3, seed=0)))
-    del metadata["filters"]
-    path = tmp_path / "nofilters.gvf"
-    save_model(path, metadata, arrays)
-    data = features.with_name("gait.csv")
-    assert main(["extract", "--model", str(path), "--data", str(data),
-                 "--out", str(tmp_path / "f.csv")]) == 1
-    assert f"error: {path}: container metadata lacks 'filters'" in capsys.readouterr().err
-
-
 def three_block_container():
     fcn = models.FCNClassifier(3, seed=0)
     fcn.body.forward(np.random.default_rng(0).standard_normal((4, 128, 3)), train=True)
-    return models.to_container(models.strip_classifier(fcn))
+    return models.to_container(models.strip_classifier(fcn), {"mode": "e2e"})
 
 
 def modified(container, tensors=(), **metadata):
-    """A copy of the (metadata, arrays) ``container`` with tensors replaced or added,
-    and metadata changed."""
-    return {**container[0], **metadata}, {**container[1], **dict(tensors)}
+    """A copy of the (metadata, arrays) ``container`` with tensors replaced, added or
+    (given as None) removed, and metadata changed."""
+    arrays = {**container[1], **dict(tensors)}
+    return ({**container[0], **metadata},
+            {name: a for name, a in arrays.items() if a is not None})
+
+
+def assert_extract_fails_naming(path, features, capsys, message):
+    """extract --model ``path`` exits 1 with ``error: path: message`` alone, writing nothing."""
+    out = path.with_name("f.csv")
+    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
 
 
 @pytest.mark.parametrize("tensors, metadata, message", [
@@ -162,62 +163,71 @@ def modified(container, tensors=(), **metadata):
      "container tensor 'block1.bn.gamma' has shape (1,), expected (128,)"),
     ({"block2.bn.running_mean": np.zeros(1)}, {},
      "container tensor 'block2.bn.running_mean' has shape (1,), expected (256,)"),
-    ({"block1.conv.w": np.zeros((8, 3, 64))}, {},
-     "container tensor 'block1.conv.w' has shape (8, 3, 64), expected (8, 3, 128)"),
+    ({"block2.conv.w": np.zeros((5, 64, 256))}, {},
+     "container tensor 'block2.conv.w' has shape (5, 64, 256), expected (5, 128, 256)"),
     ({"head.w": np.zeros((128, 3))}, {},
      "container tensor 'head.w' is not part of a 3-block encoder"),
-    ({}, {"filters": "128,256", "kernels": "8,5", "feature_dim": "256"},
-     "container tensor 'block3.conv.w' is not part of a 2-block encoder"),
-    ({}, {"feature_dim": "256"},
-     "container metadata 'feature_dim' '256' is not the last filter count 128"),
+    # without its weight block3 is no block: its other tensors are extra
+    ({"block3.conv.w": None}, {},
+     "container tensor 'block3.conv.b' is not part of a 2-block encoder"),
     ({}, {"arch": "autoencoder"},
      "container metadata 'arch' is 'autoencoder', expected 'fcn-encoder'"),
-    ({}, {"kernels": "8,5"}, "container metadata 'filters' '128,256,128' and 'kernels' '8,5' "
-                             "must be equally many positive integers"),
-    ({}, {"filters": "128,0,128"}, "container metadata 'filters' '128,0,128' and 'kernels' "
-                                   "'8,5,3' must be equally many positive integers"),
-    ({}, {"batches_tracked": "0"}, "encoder has no finalized running statistics; train it first"),
     ({"block2.bn.running_var": np.r_[np.ones(255), -1.0]}, {},
      "container tensor 'block2.bn.running_var' holds a negative variance"),
 ], ids=["gamma-shape", "running-mean-shape", "conv-shape", "extra-tensor", "dropped-block",
-        "feature-dim", "arch", "kernel-count", "zero-filters", "untrained", "negative-variance"])
+        "arch", "negative-variance"])
 def test_extract_with_malformed_container_exits_one_naming_it(features, tmp_path, capsys,
                                                              tensors, metadata, message):
-    path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
+    path = tmp_path / "bad.gvf"
     save_model(path, *modified(three_block_container(), tensors, **metadata))
-    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
-                 "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {path}: {message}\n"
-    assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
+    assert_extract_fails_naming(path, features, capsys, message)
 
 
-def test_extract_with_huge_filter_count_exits_one_before_allocating(features, tmp_path, capsys):
-    # a 175 TiB first convolution: one that were built would be a MemoryError, exit 2
-    path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
-    save_model(path, *modified(three_block_container(), filters="1000000000000,256,128"))
-    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {path}: container tensor 'block1.conv.w' has shape (8, 3, 128), "
-        f"expected (8, 3, 1000000000000)\n")
-    assert not out.exists()
+@pytest.mark.parametrize("tensors, message", [
+    (lambda arrays: dict.fromkeys(arrays), "container lacks tensor 'block1.conv.w'"),
+    (lambda arrays: {"block1.conv.w": None}, "container lacks tensor 'block1.conv.w'"),
+    (lambda arrays: {"block1.conv.w": arrays["block1.conv.w"].reshape(8, 384)},
+     "container tensor 'block1.conv.w' has shape (8, 384), expected (kernel, in, filters) "
+     "with none of them 0"),
+    (lambda arrays: {"block1.conv.w": np.zeros((8, 3, 0))},
+     "container tensor 'block1.conv.w' has shape (8, 3, 0), expected (kernel, in, filters) "
+     "with none of them 0"),
+    (lambda arrays: {name: None for name in arrays if name.startswith("block2.")},
+     "container tensor 'block3.conv.w' is not part of a 1-block encoder"),
+], ids=["no-tensors", "no-block1", "2d-conv", "zero-length-axis", "gap"])
+def test_extract_takes_the_blocks_from_the_convolution_weights(features, tmp_path, capsys,
+                                                               tensors, message):
+    container = three_block_container()
+    path = tmp_path / "bad.gvf"
+    save_model(path, *modified(container, tensors(container[1])))
+    assert_extract_fails_naming(path, features, capsys, message)
+
+
+def test_extract_reads_a_container_that_states_its_architecture_in_metadata(features, tmp_path):
+    # the metadata keys a container held before the tensor shapes alone set the
+    # architecture: they are ignored, and the features are the same bytes
+    metadata, arrays = three_block_container()
+    old = {"arch": metadata["arch"], "filters": "128,256,128", "kernels": "8,5,3",
+           "feature_dim": "128", **metadata, "batches_tracked": "18"}
+    data = features.with_name("gait.csv")
+    out = {}
+    for name, meta in [("new", metadata), ("old", old)]:
+        save_model(tmp_path / f"{name}.gvf", meta, arrays)
+        assert main(["extract", "--model", str(tmp_path / f"{name}.gvf"), "--data", str(data),
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+        out[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert (tmp_path / "old.gvf").stat().st_size > (tmp_path / "new.gvf").stat().st_size
+    assert out["old"] == out["new"]
 
 
 def test_extract_with_overflowing_weights_exits_one_writing_nothing(features, tmp_path, capsys):
     # finite float32 weights whose products overflow: the features would be nan,
     # and no numpy warning may reach stderr (pytest turns one into an error)
-    path, out = tmp_path / "bad.gvf", tmp_path / "f.csv"
+    path = tmp_path / "bad.gvf"
     huge = {"block1.conv.w": np.full((8, 3, 128), 1e37)}
     save_model(path, *modified(three_block_container(), huge))
-    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
-                 "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == (f"error: {path}: the encoder's features are not finite "
-                            f"(its weights overflow float32)\n")
-    assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
+    assert_extract_fails_naming(path, features, capsys, "the encoder's features are not finite "
+                                                        "(its weights overflow float32)")
 
 
 def corrupted_container(tmp_path, edit):
@@ -234,20 +244,13 @@ def corrupted_container(tmp_path, edit):
      "tensor 'block3.bn.running_var' holds non-finite values"),
     (lambda raw: raw[:-4] + np.float32(-np.inf).tobytes(),
      "tensor 'block3.bn.running_var' holds non-finite values"),
-    # the second metadata key renamed to the first's name, both 7 bytes long
-    (lambda raw: raw.replace(b"\x07\x00\x00\x00kernels", b"\x07\x00\x00\x00filters", 1),
-     "duplicate metadata key 'filters'"),
+    # the second metadata key renamed to the first's name, both 4 bytes long
+    (lambda raw: raw.replace(b"\x04\x00\x00\x00mode", b"\x04\x00\x00\x00arch", 1),
+     "duplicate metadata key 'arch'"),
 ], ids=["nan-payload", "inf-payload", "repeated-metadata-key"])
 def test_extract_with_corrupted_container_exits_one_writing_nothing(features, tmp_path, capsys,
                                                                    edit, message):
-    path = corrupted_container(tmp_path, edit)
-    out = tmp_path / "f.csv"
-    assert main(["extract", "--model", str(path), "--data", str(features.with_name("gait.csv")),
-                 "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {path}: {message}\n"
-    assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.gvf"]
+    assert_extract_fails_naming(corrupted_container(tmp_path, edit), features, capsys, message)
 
 
 def test_misspelled_boolean_in_config_exits_one_with_location(features, tmp_path, capsys):
@@ -671,19 +674,45 @@ def test_non_finite_feature_value_exits_one_at_its_line(features, tmp_path, caps
     assert not out.exists()
 
 
+def with_huge_value(features, tmp_path, line):
+    """A copy of the features file with 1e200 in one field of ``line``; its fields."""
+    lines = features.read_text().splitlines(keepends=True)
+    fields = lines[line].split(",")
+    fields[7] = "1e200"
+    lines[line] = ",".join(fields)
+    bad = tmp_path / "features.csv"
+    bad.write_text("".join(lines))
+    return bad, fields
+
+
 @pytest.mark.parametrize("gamma", ["auto", "0.01"])
 def test_feature_value_too_large_for_the_svm_exits_one_naming_file_and_user(
         features, tmp_path, capsys, gamma):
-    lines = features.read_text().splitlines(keepends=True)
-    fields = lines[4].split(",")
-    fields[7] = "1e200"
-    lines[4] = ",".join(fields)
-    bad = tmp_path / "features.csv"
-    bad.write_text("".join(lines))
+    # a cross-day training row reaches only its own user's model
+    bad, fields = with_huge_value(features, tmp_path, 4)
+    assert fields[1] == "1"
     out = tmp_path / "report.csv"
-    assert evaluate(bad, out, "1", "--protocol", "sd1", "--gamma", gamma) == 1
+    assert evaluate(bad, out, "1", "--protocol", "cd", "--gamma", gamma) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: user {fields[0]}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("protocol, session", [("cd", "2"), ("sd1", "1")])
+def test_test_session_value_too_large_exits_one_naming_its_row(features, tmp_path, capsys,
+                                                               protocol, session):
+    # every user's model scores a test-session row: the error names the row, not
+    # the first user whose model met it
+    lines = features.read_text().splitlines()
+    line = max(i for i, text in enumerate(lines) if text.split(",")[1] == session)
+    bad, fields = with_huge_value(features, tmp_path, line)
+    assert fields[0] != lines[1].split(",")[0]
+    out = tmp_path / "report.csv"
+    assert evaluate(bad, out, "1..5", "--protocol", protocol) == 1
+    subject, session, recording, frame = fields[:4]
+    assert capsys.readouterr().err == (
+        f"error: {bad}: subject {subject}, session {session}, recording {recording}, "
+        f"frame {frame}: vector values too large for the RBF kernel\n")
+    assert list(tmp_path.iterdir()) == [bad]
 
 
 @pytest.mark.parametrize("protocol", ["cd", "sd2"])
@@ -847,13 +876,12 @@ def test_feature_csv_with_a_byte_order_mark_exits_one_naming_it(features, tmp_pa
 # --- container mutation guard ---------------------------------------------
 # Seeded mutants of a small saved encoder, each run through extract: the
 # reader and from_container must answer every one with exit 0 or a located
-# exit 1, never a traceback, exit 2 or an allocation the metadata sized.
+# exit 1, never a traceback or exit 2.
 # Values are set only at limits that no machine could allocate, never in a
 # band a machine could (about 1e4 to 1e9), so no mutant allocates much
 # whatever the code under test does.
 
 U32_LIMITS = (2**31 - 1, 2**32 - 1)
-METADATA_LIMITS = ("2147483647", "4294967295", "9223372036854775807", "1e300")
 
 
 def container_fields(raw):
@@ -923,20 +951,11 @@ def payload_mutants(path, raw, seed, count):
         yield f"{name}[{len(slots)} slots]={value:.3g}", bytes(data)
 
 
-def size_mutants(path, raw):
-    """Each count, length and dim, and each filters/kernels value, set to a limit."""
+def size_mutants(raw):
+    """Each count, length and dim set to a limit."""
     for at in container_fields(raw)[0]:
         for value in U32_LIMITS:
             yield f"u32@{at}={value}", raw[:at] + struct.pack("<I", value) + raw[at + 4:]
-    metadata, arrays = load_model(path)
-    for key in ("filters", "kernels"):
-        values = metadata[key].split(",")
-        for i in range(len(values)):
-            for limit in METADATA_LIMITS:
-                changed = ",".join(values[:i] + [limit] + values[i + 1:])
-                save_model(path, {**metadata, key: changed}, arrays)
-                yield f"{key}={changed}", path.read_bytes()
-    path.write_bytes(raw)
 
 
 def test_container_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys):
@@ -948,7 +967,7 @@ def test_container_mutants_exit_zero_or_one_naming_the_file(tmp_path, capsys):
     save_model(path, *models.to_container(models.strip_classifier(fcn)))
     raw = path.read_bytes()
     mutants = [*byte_mutants(raw, 0, 150), *byte_mutants(raw, 1, 150),
-               *payload_mutants(path, raw, 2, 60), *size_mutants(path, raw)]
+               *payload_mutants(path, raw, 2, 60), *size_mutants(raw)]
     assert len(mutants) > 360
     capsys.readouterr()
     codes = []

@@ -4,7 +4,7 @@ import pytest
 from gaitverify import models
 from gaitverify.nn import ops
 from gaitverify.nn.gradcheck import gradient_check
-from gaitverify.nn.layers import Conv1d, Dense, Sequential
+from gaitverify.nn.layers import Conv1d, ConvBlock, Dense, Sequential
 
 
 class LinearModel:
@@ -86,12 +86,12 @@ class TestGradientCheck:
             model = models.Autoencoder(seed=9, filters=(5, 7, 5), kernels=(8, 5, 3))
             y = None
         model.cast(np.float64)
-        convs = [layer for net in model._nets() for layer in
-                 getattr(net, "layers", []) if isinstance(layer, Conv1d)]
-        convs += [block.conv for block in model.blocks()]
+        layers = [layer for net in model._nets() for layer in getattr(net, "layers", [])]
+        convs = [layer.conv if isinstance(layer, ConvBlock) else layer for layer in layers
+                 if isinstance(layer, (Conv1d, ConvBlock))]
         for conv in convs:
-            _, blocks = ops._blocks(4, 128, conv.kernel_size,
-                                    min(conv.in_channels, conv.out_channels), np.float64)
+            k, c_in, c_out = conv.w.value.shape
+            _, blocks = ops._blocks(4, 128, k, min(c_in, c_out), np.float64)
             assert len(blocks) > 1, conv.name
         x = rng.standard_normal((4, 128, 3))
         report = gradient_check(model, x, y, max_exhaustive=100000)

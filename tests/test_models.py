@@ -7,7 +7,7 @@ import pytest
 
 from gaitverify import models
 from gaitverify.data.container import load_model, save_model
-from gaitverify.errors import FormatError, InvalidInputError, InvalidStateError
+from gaitverify.errors import FormatError, InvalidInputError
 from gaitverify.nn import ops
 from gaitverify.nn.layers import Conv1d, ConvBlock, Sequential
 from gaitverify.nn.optim import Adam
@@ -29,6 +29,12 @@ def flat_layers(net):
     layers = net.layers if isinstance(net, Sequential) else [net]
     return [m for layer in layers
             for m in (layer.layers if isinstance(layer, ConvBlock) else [layer])]
+
+
+def blocks(model):
+    """The model's conv blocks, from its nets' layers in order."""
+    return [layer for net in model._nets() for layer in getattr(net, "layers", [])
+            if isinstance(layer, ConvBlock)]
 
 
 def fit_batchnorm(model, x, batches=3):
@@ -77,7 +83,7 @@ class TestBuildFcn:
     def test_block_spec(self):
         fcn = models.FCNClassifier(2, seed=0)
         convs = [l for l in flat_layers(fcn.body) if isinstance(l, Conv1d)]
-        assert [(c.kernel_size, c.out_channels) for c in convs] == [(8, 128), (5, 256), (3, 128)]
+        assert [c.w.value.shape[::2] for c in convs] == [(8, 128), (5, 256), (3, 128)]
 
     def test_too_few_classes(self):
         with pytest.raises(InvalidInputError):
@@ -131,7 +137,7 @@ class TestAutoencoder:
     def test_decoder_mirrors_block_spec(self):
         ae = models.Autoencoder(seed=0)
         convs = [l for l in flat_layers(ae.decoder) if isinstance(l, Conv1d)]
-        assert [(c.kernel_size, c.out_channels) for c in convs] == [(3, 128), (5, 256), (8, 3)]
+        assert [c.w.value.shape[::2] for c in convs] == [(3, 128), (5, 256), (8, 3)]
 
     def test_parameter_count_closed_form(self):
         ae = models.Autoencoder(seed=0)
@@ -184,7 +190,7 @@ class TestTrainingCaches:
         # convolution block buffer, 2 MiB of smaller arrays and the
         # parameter gradients, which every step allocates anew
         for name, model, y, _ in self.cases():
-            widths = [b.conv.out_channels for b in model.blocks()]
+            widths = [b.conv.b.value.size for b in blocks(model)]
             grads = sum(p.value.nbytes for p in model.parameters())
             bound = ((sum(widths) + max(widths)) * self.X[..., 0].nbytes + ops.BLOCK_BYTES
                      + 2 * 2**20 + grads)  # FCN 17 MiB, autoencoder 24 MiB
@@ -223,19 +229,19 @@ class TestTrainingCaches:
                 name = f"{name} {np.dtype(dtype).name}"
                 model.cast(dtype)
                 x = self.X.astype(dtype)
-                blocks = model.blocks()
-                assert len(blocks) == count, name
+                convblocks = blocks(model)
+                assert len(convblocks) == count, name
                 returned = {}
-                for block in blocks:
+                for block in convblocks:
                     def record(a, train, forward=block.relu.forward, key=block.name):
                         out = forward(a, train)
                         returned[key] = out.copy()
                         return out
                     block.relu.forward = record
                 model.forward(x, train=True)
-                for block in blocks:
+                for block in convblocks:
                     del block.relu.forward
-                for block in blocks:
+                for block in convblocks:
                     # after a training forward: the batch norm's (xhat, inv_std), nothing
                     # else; backward is handed each convolution's input
                     where = f"{name}: {block.name}"
@@ -247,7 +253,7 @@ class TestTrainingCaches:
                     # the recomputed output is what the ReLU returned, bit for bit
                     assert block.output().tobytes() == returned[block.name].tobytes(), where
                 model.loss_and_backward(x, y)
-                for block in blocks:
+                for block in convblocks:
                     assert block.bn._cache is block.relu._x is None, name
                     assert not holds_array(block.conv), name
 
@@ -262,7 +268,7 @@ class TestTrainingCaches:
                 yield from held(member)
 
         for name, model, y, _ in self.cases():
-            smallest = min(b.conv.out_channels for b in model.blocks()) * 20 * 128
+            smallest = min(b.conv.b.value.size for b in blocks(model)) * 20 * 128
             runs = [("step", lambda: model.loss_and_backward(self.X, y)),
                     ("validation", lambda: evaluate_loss(model, self.X, y, 32)),
                     ("short step", lambda: model.loss_and_backward(
@@ -366,7 +372,7 @@ class TestStripClassifier:
             encoder, deep = detach(model), models.Encoder(copy.deepcopy(net))
 
             def cached(enc):
-                return [f"{m.name}.{k}" for m in flat_layers(enc.net) + enc.blocks()
+                return [f"{m.name}.{k}" for m in flat_layers(enc.net) + blocks(enc)
                         for k, v in vars(m).items() if k.startswith("_") and v is not None]
 
             assert cached(deep) and not cached(encoder), net.name
@@ -399,11 +405,6 @@ class TestExtractFeatures:
         for b, s in zip(batched, singles):
             npt.assert_allclose(b, s, atol=1e-6)
 
-    def test_untrained_encoder_rejected(self):
-        encoder = models.strip_classifier(models.FCNClassifier(3, seed=12))
-        with pytest.raises(InvalidStateError):
-            extract(encoder, random_frames(2))
-
     def test_feature_dimension_is_128(self):
         fcn = models.FCNClassifier(2, seed=13)
         frames = random_frames(4, seed=13)
@@ -429,13 +430,12 @@ def randomize_batchnorm(model, seed):
     for layer in model._nets()[0].layers:
         if isinstance(layer, ConvBlock):
             layer = layer.bn
-            c = layer.channels
+            c = layer.running_mean.size
             dtype = layer.running_mean.dtype
             layer.running_mean = rng.standard_normal(c).astype(dtype)
             layer.running_var = rng.uniform(0.2, 3.0, c).astype(dtype)
             layer.gamma.value = rng.standard_normal(c).astype(dtype)
             layer.beta.value = rng.standard_normal(c).astype(dtype)
-            layer.batches_tracked = 1
     return model
 
 
@@ -447,7 +447,7 @@ def unfolded_forward(encoder, x):
     folded into the convolution.
     """
     h = np.asarray(x, dtype=np.float64)
-    for block in encoder.blocks():
+    for block in blocks(encoder):
         conv, bn = block.conv, block.bn
         w, b, gamma, beta, mean, var = (a.astype(np.float64) for a in (
             conv.w.value, conv.b.value, bn.gamma.value, bn.beta.value,
@@ -489,13 +489,11 @@ class TestFoldedTransform:
         x = np.random.default_rng(25).standard_normal((5, 128, 3)).astype(np.float32)
         for name, encoder in self.encoders(np.float32):
             before = encoder.snapshot()
-            tracked = encoder.batches_tracked
             first = encoder.transform(x)
             after = encoder.snapshot()
             assert before.keys() == after.keys(), name
             for key in before:
                 npt.assert_array_equal(after[key], before[key], err_msg=f"{name}: {key}")
-            assert encoder.batches_tracked == tracked
             npt.assert_array_equal(encoder.transform(x), first, err_msg=name)
 
     def test_empty_input(self):
@@ -530,11 +528,6 @@ class TestFoldedTransform:
         small, _ = peak(64)
         large, out_bytes = peak(930)
         assert large - small <= out_bytes + 2 * 2**20
-
-    def test_untrained_encoder_raises(self):
-        encoder = models.strip_classifier(models.FCNClassifier(3, seed=26))
-        with pytest.raises(InvalidStateError):
-            encoder.transform(np.zeros((2, 128, 3), np.float32))
 
 
 class TestRawFeatures:
@@ -574,24 +567,20 @@ class TestContainerRoundTrip:
         names = [p.name for p in encoder.parameters()]
         names += [f"block{i}.bn.{s}" for i in (1, 2, 3) for s in ("running_mean", "running_var")]
         assert list(arrays) == list(encoder.arrays()) == names
-        assert list(metadata) == ["arch", "filters", "kernels", "feature_dim",
-                                  "mode", "batches_tracked"]
-        assert [metadata[k] for k in ("filters", "kernels", "feature_dim")] == [
-            "128,256,128", "8,5,3", "128"]
+        assert metadata == {"arch": "fcn-encoder", "mode": "e2e"}
 
     def test_missing_metadata_is_a_format_error(self):
         encoder = models.strip_classifier(models.FCNClassifier(3, seed=19))
-        for key in ("filters", "kernels"):
-            metadata, arrays = models.to_container(encoder)
-            del metadata[key]
-            with pytest.raises(FormatError, match=f"lacks '{key}'"):
-                models.from_container(metadata, arrays)
+        metadata, arrays = models.to_container(encoder)
+        del metadata["arch"]
+        with pytest.raises(FormatError, match="'arch' is None, expected 'fcn-encoder'"):
+            models.from_container(metadata, arrays)
 
     def test_malformed_metadata_is_a_format_error(self):
         encoder = models.strip_classifier(models.FCNClassifier(3, seed=20))
         metadata, arrays = models.to_container(encoder)
-        metadata["filters"] = "128,256,many"
-        with pytest.raises(FormatError, match="'filters' is not integers"):
+        metadata["arch"] = "fcn-encoder,128,256"
+        with pytest.raises(FormatError, match="'arch' is 'fcn-encoder,128,256'"):
             models.from_container(metadata, arrays)
 
     def test_missing_tensor_is_a_format_error(self):
@@ -601,20 +590,15 @@ class TestContainerRoundTrip:
         with pytest.raises(FormatError, match=f"lacks tensor '{first}'"):
             models.from_container(metadata, {name: arrays[name] for name in rest})
 
-    @pytest.mark.parametrize("filters", ["4000,256,128", "1000000000000,256,128",
-                                         "128,4000,128", "128,256,4000"])
-    def test_metadata_shapes_are_checked_before_anything_is_built(self, filters):
-        metadata, arrays = models.to_container(self.encoder(22))
-        metadata.update(filters=filters, feature_dim=filters.rsplit(",", 1)[1])
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match=r"container tensor 'block\d\.conv\.w' has "
-                                                  r"shape \(\d+, \d+, \d+\), expected"):
-                models.from_container(metadata, arrays)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak  # the encoder's own arrays are 1 MiB
+    @pytest.mark.parametrize("filters, kernels", [((16, 6), (4, 2)), ((4, 8, 4, 2), (3, 3, 3, 5))])
+    def test_architecture_comes_from_the_convolution_weights(self, filters, kernels):
+        fcn = models.FCNClassifier(3, seed=23, filters=filters, kernels=kernels)
+        x = np.random.default_rng(23).standard_normal((4, 128, 3)).astype(np.float32)
+        encoder = models.strip_classifier(fit_batchnorm(fcn, x))
+        reloaded = models.from_container({"arch": "fcn-encoder"}, encoder.snapshot())
+        assert [b.conv.w.value.shape for b in blocks(reloaded)] == [
+            b.conv.w.value.shape for b in blocks(encoder)]
+        npt.assert_array_equal(reloaded.transform(x), encoder.transform(x))
 
 
 class TestSnapshot:

@@ -154,7 +154,7 @@ class TestBatchNorm:
         m = BN_MOMENTUM
         npt.assert_allclose(bn.running_mean, (1 - m) * x.mean(axis=(0, 1)), rtol=1e-12)
         npt.assert_allclose(bn.running_var, m + (1 - m) * x.var(axis=(0, 1)), rtol=1e-12)
-        assert bn.running_mean is live_mean and bn.batches_tracked == 1
+        assert bn.running_mean is live_mean
 
     def test_infer_mode_uses_running_stats(self):
         # inference runs through the block's fold: relu(BN(conv(x))) with running stats
@@ -169,7 +169,7 @@ class TestBatchNorm:
         pre = (x + block.conv.b.value - block.bn.running_mean) / np.sqrt(
             block.bn.running_var + 1e-3)
         npt.assert_allclose(block.forward(x, train=False), np.maximum(pre, 0), rtol=1e-12)
-        assert block.bn.batches_tracked == 0 and block.bn._cache is None
+        assert block.bn._cache is None
 
     def test_train_needs_two_values(self):
         with pytest.raises(InvalidInputError):

@@ -103,9 +103,9 @@ class TestAdamStep:
             assert all(p.value is s for p, s in zip(params, storage))
 
 
-def final_lr(loss_history, lr, **kwargs):
+def final_lr(loss_history, lr):
     """Learning rate after replaying a whole loss history through the scheduler."""
-    sched = PlateauScheduler(lr, **kwargs)
+    sched = PlateauScheduler(lr)
     for loss in loss_history:
         sched.step(float(loss))
     return sched.lr
@@ -143,12 +143,7 @@ class TestReduceLrOnPlateau:
         # step() returns the rate after each epoch: the replay of that prefix
         rng = np.random.default_rng(3)
         history = list(rng.uniform(0.1, 1.0, size=500))
-        sched = PlateauScheduler(0.001, patience=50, factor=0.5, min_lr=1e-4)
+        sched = PlateauScheduler(0.001)
         for i, loss in enumerate(history, start=1):
             assert sched.step(loss) == final_lr(history[:i], 0.001)
             assert sched.lr == final_lr(history[:i], 0.001)
-
-    def test_bad_factor(self):
-        for kwargs in ({"factor": 1.5}, {"factor": 0.0}, {"min_lr": 0.0}, {"patience": 0}):
-            with pytest.raises(InvalidInputError):
-                PlateauScheduler(0.001, **kwargs)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from gaitverify import models
+from gaitverify.nn.layers import ConvBlock
 
 # gvbench lives at the repository root, next to src/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -38,7 +39,9 @@ def test_every_traced_layer_instance_gets_spans_inside_a_training_step():
         # and the loss are the other five nn.other spans
         other = sum(1 for i, s in enumerate(recorder.spans) if s.tag == "nn.other"
                     and recorder.has_ancestor(i, "models.loss_and_backward"))
-        assert other == 2 * len(model.blocks()) + 1 + 5, name
+        n_blocks = sum(isinstance(layer, ConvBlock) for net in model._nets()
+                       for layer in getattr(net, "layers", []))
+        assert other == 2 * n_blocks + 1 + 5, name
 
 
 def test_count_hooks_match_the_frames_framed_augmented_and_transformed(tmp_path, capsys):

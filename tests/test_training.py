@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +5,7 @@ import pytest
 from gaitverify import models
 from gaitverify.cli import VAL_FRACTION
 from gaitverify.errors import InvalidInputError
-from gaitverify.nn import training
+from gaitverify.nn import optim
 from gaitverify.nn.optim import Adam, PlateauScheduler
 from gaitverify.nn.training import TrainConfig, evaluate_loss, train
 
@@ -69,8 +67,7 @@ class TestTrain:
             npt.assert_array_equal(results[0][0][name], results[1][0][name])
 
     def test_lr_follows_plateau_schedule_in_history(self, monkeypatch):
-        monkeypatch.setattr(training, "PlateauScheduler",
-                            functools.partial(PlateauScheduler, patience=1))
+        monkeypatch.setattr(optim, "PATIENCE", 1)
         x, y = separable_dataset(6, seed=8)
         config = TrainConfig(epochs=4, batch_size=8, seed=8)
         model, history = train(tiny_fcn(seed=8), (x[:8], y[:8]), (x[8:], y[8:]), config)
@@ -110,8 +107,6 @@ class TestTrainConfig:
         assert config.batch_size == 32
         optimizer = Adam([])
         assert optimizer.lr == 0.001
-        scheduler = PlateauScheduler(optimizer.lr)
-        assert scheduler.factor == 0.5
-        assert scheduler.patience == 50
-        assert scheduler.min_lr == 0.0001
+        assert PlateauScheduler(optimizer.lr).lr == 0.001
+        assert (optim.FACTOR, optim.PATIENCE, optim.MIN_LR) == (0.5, 50, 0.0001)
         assert VAL_FRACTION == 0.4
