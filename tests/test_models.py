@@ -600,6 +600,29 @@ class TestContainerRoundTrip:
             b.conv.w.value.shape for b in blocks(encoder)]
         npt.assert_array_equal(reloaded.transform(x), encoder.transform(x))
 
+    @pytest.mark.parametrize("filters", ["4000,256,128", "1000000000000,256,128",
+                                         "128,4000,128", "128,256,4000"])
+    def test_architecture_metadata_sizes_nothing(self, filters):
+        encoder = self.encoder(22)
+        metadata, arrays = models.to_container(encoder)
+        metadata.update(filters=filters, kernels="8,5,3", feature_dim=filters.rsplit(",", 1)[1],
+                        batches_tracked="0")
+        tracemalloc.start()
+        try:
+            reloaded = models.from_container(metadata, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak  # the encoder and the arrays it copies are 2 MiB
+        assert reloaded.snapshot().keys() == arrays.keys()
+        assert all(a.tobytes() == arrays[k].tobytes() for k, a in reloaded.snapshot().items())
+
+    @pytest.mark.parametrize("arrays", [{}, {"block2.conv.w": np.zeros((5, 8, 8))}],
+                             ids=["no-tensors", "no-block1"])
+    def test_no_first_convolution_is_a_format_error(self, arrays):
+        with pytest.raises(FormatError, match="lacks tensor 'block1.conv.w'"):
+            models.from_container({"arch": "fcn-encoder"}, arrays)
+
 
 class TestSnapshot:
     X = np.random.default_rng(33).standard_normal((16, 128, 3)).astype(np.float32)
