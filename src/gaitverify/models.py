@@ -216,20 +216,22 @@ def from_container(metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> E
     ``block{i}.conv.w``; each takes its kernel size and filter count from
     that (kernel, in, filters) weight. Metadata other than 'arch' is not
     read, so a container that also states the architecture there loads
-    the same. A wrong 'arch', a missing block1, a weight that is not 3-D or
-    has a zero-length axis, a missing, extra or misshapen tensor, and a
-    negative running variance raise FormatError naming it; every tensor is
-    checked before any is written.
+    the same. A wrong 'arch', a missing block1, a weight that is not 3-D,
+    has a zero-length axis or whose ``in`` is not the previous block's
+    filter count, a missing, extra or misshapen tensor, and a negative
+    running variance raise FormatError naming it. The weights are checked
+    before the encoder is built, so each array it allocates is no larger
+    than the container's own; every tensor is checked before any is written.
     """
     if metadata.get("arch") != _ARCH_ENCODER:
         raise FormatError(f"container metadata 'arch' is {metadata.get('arch')!r}, "
                           f"expected {_ARCH_ENCODER!r}")
     kernels, filters = [], []
     while (name := f"block{len(kernels) + 1}.conv.w") in arrays:
-        shape = arrays[name].shape
-        if len(shape) != 3 or 0 in shape:
+        shape, chans = arrays[name].shape, filters[-1] if filters else N_CHANNELS
+        if len(shape) != 3 or shape[1] != chans or 0 in (shape[0], shape[2]):
             raise FormatError(f"container tensor {name!r} has shape {shape}, expected "
-                              f"(kernel, in, filters) with none of them 0")
+                              f"(kernel, {chans}, filters) with kernel and filters above 0")
         kernels.append(shape[0])
         filters.append(shape[2])
     if not kernels:

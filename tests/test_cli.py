@@ -164,7 +164,8 @@ def assert_extract_fails_naming(path, features, capsys, message):
     ({"block2.bn.running_mean": np.zeros(1)}, {},
      "container tensor 'block2.bn.running_mean' has shape (1,), expected (256,)"),
     ({"block2.conv.w": np.zeros((5, 64, 256))}, {},
-     "container tensor 'block2.conv.w' has shape (5, 64, 256), expected (5, 128, 256)"),
+     "container tensor 'block2.conv.w' has shape (5, 64, 256), expected (kernel, 128, filters) "
+     "with kernel and filters above 0"),
     ({"head.w": np.zeros((128, 3))}, {},
      "container tensor 'head.w' is not part of a 3-block encoder"),
     # without its weight block3 is no block: its other tensors are extra
@@ -187,14 +188,19 @@ def test_extract_with_malformed_container_exits_one_naming_it(features, tmp_path
     (lambda arrays: dict.fromkeys(arrays), "container lacks tensor 'block1.conv.w'"),
     (lambda arrays: {"block1.conv.w": None}, "container lacks tensor 'block1.conv.w'"),
     (lambda arrays: {"block1.conv.w": arrays["block1.conv.w"].reshape(8, 384)},
-     "container tensor 'block1.conv.w' has shape (8, 384), expected (kernel, in, filters) "
-     "with none of them 0"),
+     "container tensor 'block1.conv.w' has shape (8, 384), expected (kernel, 3, filters) "
+     "with kernel and filters above 0"),
     (lambda arrays: {"block1.conv.w": np.zeros((8, 3, 0))},
-     "container tensor 'block1.conv.w' has shape (8, 3, 0), expected (kernel, in, filters) "
-     "with none of them 0"),
+     "container tensor 'block1.conv.w' has shape (8, 3, 0), expected (kernel, 3, filters) "
+     "with kernel and filters above 0"),
+    # block2 built as (1, 4000, 4000) would be 122 MiB float64 from a 64 KiB container
+    (lambda arrays: {"block1.conv.w": np.zeros((1, 3, 4000), np.float32),
+                     "block2.conv.w": np.zeros((1, 1, 4000), np.float32)},
+     "container tensor 'block2.conv.w' has shape (1, 1, 4000), expected (kernel, 4000, "
+     "filters) with kernel and filters above 0"),
     (lambda arrays: {name: None for name in arrays if name.startswith("block2.")},
      "container tensor 'block3.conv.w' is not part of a 1-block encoder"),
-], ids=["no-tensors", "no-block1", "2d-conv", "zero-length-axis", "gap"])
+], ids=["no-tensors", "no-block1", "2d-conv", "zero-length-axis", "in-channels", "gap"])
 def test_extract_takes_the_blocks_from_the_convolution_weights(features, tmp_path, capsys,
                                                                tensors, message):
     container = three_block_container()
@@ -876,7 +882,7 @@ def test_feature_csv_with_a_byte_order_mark_exits_one_naming_it(features, tmp_pa
 # --- container mutation guard ---------------------------------------------
 # Seeded mutants of a small saved encoder, each run through extract: the
 # reader and from_container must answer every one with exit 0 or a located
-# exit 1, never a traceback or exit 2.
+# exit 1, never a traceback, exit 2 or an allocation larger than the arrays read.
 # Values are set only at limits that no machine could allocate, never in a
 # band a machine could (about 1e4 to 1e9), so no mutant allocates much
 # whatever the code under test does.

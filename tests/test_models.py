@@ -617,11 +617,19 @@ class TestContainerRoundTrip:
         assert reloaded.snapshot().keys() == arrays.keys()
         assert all(a.tobytes() == arrays[k].tobytes() for k, a in reloaded.snapshot().items())
 
-    @pytest.mark.parametrize("arrays", [{}, {"block2.conv.w": np.zeros((5, 8, 8))}],
-                             ids=["no-tensors", "no-block1"])
-    def test_no_first_convolution_is_a_format_error(self, arrays):
-        with pytest.raises(FormatError, match="lacks tensor 'block1.conv.w'"):
-            models.from_container({"arch": "fcn-encoder"}, arrays)
+    def test_weights_are_checked_before_anything_is_built(self):
+        # block2 built as (1, 4000, 4000) would be 122 MiB float64 from 64 KiB of arrays
+        arrays = {"block1.conv.w": np.zeros((1, 3, 4000), np.float32),
+                  "block2.conv.w": np.zeros((1, 1, 4000), np.float32)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"'block2.conv.w' has shape \(1, 1, 4000\), "
+                                                  r"expected \(kernel, 4000, filters\)"):
+                models.from_container({"arch": "fcn-encoder"}, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestSnapshot:
